@@ -259,8 +259,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
     corpus = filter_usable(pairs, min_quality=args.min_quality)
     languages = sorted({evaluation.language for evaluation in evaluations})
     totals = export_usable_corpus(corpus, args.out, languages)
+    by_language = corpus.by_language()
     for language in sorted(totals):
-        print(f"{language}: {len(corpus.by_language().get(language, []))} documents, {totals[language]} words")
+        print(f"{language}: {len(by_language.get(language, []))} documents, {totals[language]} words")
     print(f"total usable words: {corpus.total_words}")
     return EXIT_OK
 

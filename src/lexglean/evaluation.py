@@ -14,6 +14,7 @@ valid, on-target outputs by the total number of outputs in the cell.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,15 +25,15 @@ from .taxonomy import LanguageConfig
 from .textstats import (
     DiacriticStats,
     DiversityStats,
+    TrigramProfile,
+    cosine,
     diacritic_stats,
     diversity,
-    merge_profiles,
     ngram_repetition,
     segment_sentences,
     sentence_repetition,
     tokenize,
-    trigram_profile,
-    cosine,
+    trigrams,
 )
 
 DEFAULT_VALIDITY_THRESHOLD = 20
@@ -315,6 +316,14 @@ class OverlapResult:
         }
 
 
+def _merged_profile(texts: Iterable[str]) -> TrigramProfile:
+    """One trigram profile over several texts; integer counts, so summing is exact."""
+    counts: Counter[str] = Counter()
+    for text in texts:
+        counts.update(trigrams(text))
+    return TrigramProfile(dict(counts), sum(counts.values()))
+
+
 def reference_overlap(
     generated: Sequence[GenerationRecord],
     reference_corpus: Sequence[str],
@@ -329,7 +338,7 @@ def reference_overlap(
     reference_lines = [line for line in reference_corpus if line.strip()]
     if not reference_lines:
         raise ValueError("reference corpus is empty")
-    reference_profile = merge_profiles(trigram_profile(line) for line in reference_lines)
+    reference_profile = _merged_profile(reference_lines)
 
     groups: dict[str, list[GenerationRecord]] = {}
     if granularity == "per_condition":
@@ -345,7 +354,7 @@ def reference_overlap(
     results = []
     for key in sorted(groups):
         members = sorted(groups[key], key=lambda r: r.output_id)
-        profile = merge_profiles(trigram_profile(r.response_text) for r in members)
+        profile = _merged_profile(r.response_text for r in members)
         value = cosine(profile, reference_profile)
         results.append(OverlapResult(key, value, is_memorization_suspect(value)))
     return results

@@ -12,13 +12,22 @@ Two interchangeable classifier backends are provided:
 Both expose ``assess(text, target, output_id=...)`` returning a
 ``FidelityResult`` with a document-level prediction, per-sentence
 predictions and a sentence-level code-switch rate.
+
+A score is the cosine ``dot / (norm * ref_norm)`` of integer trigram counts.
+``LanguageProfileSet.scores`` gets every label's dot from one sum: a table
+built on first use maps each gram to all labels' reference counts, each
+shifted into its own bit field of one Python int.  The fields are wide enough
+that no sum carries from one into the next, and integer sums do not depend on
+their order, so each unpacked dot, and each score, equals the per-label
+computation exactly.
 """
 from __future__ import annotations
 
 import json
 import math
-import unicodedata
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -100,19 +109,46 @@ class LanguageProfileSet:
                 raise ValueError(f"profile for '{label}' is empty")
         self.labels: list[str] = sorted(profiles)
         self.profiles: dict[str, TrigramProfile] = {l: profiles[l] for l in self.labels}
-        self._norms: dict[str, float] = {l: self.profiles[l].norm() for l in self.labels}
+        self._norms: list[float] = [self.profiles[l].norm() for l in self.labels]
+        self._packed: tuple[dict[str, int], int] | None = None
+
+    def _pack(self) -> tuple[dict[str, int], int]:
+        """Map each gram to all labels' reference counts, one bit field per label.
+
+        Returns the table and the field width.  A profile's dot with one
+        label is at most ``total * max_count``, where ``total`` is its gram
+        count and ``max_count`` is below 2**max_count.bit_length().  A text
+        has fewer than 2**63 grams (no Python string is longer) and
+        ``scores`` rejects profiles with 2**64 or more, so with fields of
+        ``max_count.bit_length() + 64`` bits no field's sum carries into the
+        next, and the packed sum holds every label's dot exactly.
+        """
+        max_count = max(max(p.counts.values()) for p in self.profiles.values())
+        bits = max_count.bit_length() + 64
+        packed: dict[str, int] = {}
+        for index, label in enumerate(self.labels):
+            for gram, count in self.profiles[label].counts.items():
+                packed[gram] = packed.get(gram, 0) + (count << (bits * index))
+        return packed, bits
 
     def scores(self, profile: TrigramProfile) -> list[float]:
         """Cosine similarity of ``profile`` against every label, in label order."""
         if profile.total == 0:
             return [0.0 for _ in self.labels]
+        if profile.total >> 64:
+            raise ValueError("profile has 2**64 or more grams; its dot products could overflow")
+        if self._packed is None:
+            self._packed = self._pack()
+        packed, bits = self._packed
+        counts = profile.counts
+        dots = sum(map(mul, map(packed.get, counts, repeat(0)), counts.values()))
+        mask = (1 << bits) - 1
         norm = profile.norm()
         out = []
-        for label in self.labels:
-            ref = self.profiles[label]
-            ref_counts = ref.counts
-            dot = sum(c * ref_counts.get(gram, 0) for gram, c in profile.counts.items())
-            out.append(dot / (norm * self._norms[label]) if dot else 0.0)
+        for ref_norm in self._norms:
+            dot = dots & mask
+            dots >>= bits
+            out.append(dot / (norm * ref_norm) if dot else 0.0)
         return out
 
 
@@ -151,23 +187,24 @@ def _softmax(scores: Sequence[float]) -> list[float]:
     return [e / denom for e in exps]
 
 
-def _classify_profile(profile: TrigramProfile, profile_set: LanguageProfileSet) -> LidPrediction:
+def _classify_profile(
+    profile: TrigramProfile, profile_set: LanguageProfileSet
+) -> tuple[LidPrediction, list[float]]:
+    """Best label with its softmax confidence, plus the softmax over all labels.
+
+    An empty profile maps to ('und', 0.0) and an empty softmax.
+    """
     if profile.total == 0:
-        return LidPrediction(UNKNOWN_LABEL, 0.0)
+        return LidPrediction(UNKNOWN_LABEL, 0.0), []
     scores = profile_set.scores(profile)
     best = scores.index(max(scores))  # first index wins ties -> smallest label
-    confidence = _softmax(scores)[best]
-    return LidPrediction(profile_set.labels[best], confidence)
+    probs = _softmax(scores)
+    return LidPrediction(profile_set.labels[best], probs[best]), probs
 
 
 def classify(text: str, profile_set: LanguageProfileSet) -> LidPrediction:
     """Predict the language of a text; empty text maps to ('und', 0.0)."""
-    return _classify_profile(trigram_profile(text), profile_set)
-
-
-def _normalized_length(text: str) -> int:
-    normalized = unicodedata.normalize("NFC", text).casefold()
-    return len(" ".join(normalized.split()))
+    return _classify_profile(trigram_profile(text), profile_set)[0]
 
 
 class BuiltinClassifier:
@@ -179,28 +216,19 @@ class BuiltinClassifier:
         self.profile_set = profile_set
 
     def assess(self, text: str, target: str, output_id: str | None = None) -> FidelityResult:
-        profile = trigram_profile(text)
-        if profile.total == 0:
-            document = LidPrediction(UNKNOWN_LABEL, 0.0)
-            target_confidence = 0.0
-        else:
-            scores = self.profile_set.scores(profile)
-            probs = _softmax(scores)
-            best = scores.index(max(scores))
-            document = LidPrediction(self.profile_set.labels[best], probs[best])
-            if target in self.profile_set.profiles:
-                target_confidence = probs[self.profile_set.labels.index(target)]
-            else:
-                target_confidence = 0.0
+        labels = self.profile_set.labels
+        document, probs = _classify_profile(trigram_profile(text), self.profile_set)
+        target_confidence = probs[labels.index(target)] if probs and target in labels else 0.0
 
+        # A sentence's gram count equals its normalised length, so short
+        # sentences are recognised from the profile itself.
         sentence_predictions: list[LidPrediction] = []
         for sentence in segment_sentences(text):
-            if _normalized_length(sentence) < MIN_SENTENCE_CHARS:
+            profile = trigram_profile(sentence)
+            if profile.total < MIN_SENTENCE_CHARS:
                 sentence_predictions.append(document)
             else:
-                sentence_predictions.append(
-                    _classify_profile(trigram_profile(sentence), self.profile_set)
-                )
+                sentence_predictions.append(_classify_profile(profile, self.profile_set)[0])
         if sentence_predictions:
             switched = sum(1 for p in sentence_predictions if p.label != target)
             code_switch_rate = switched / len(sentence_predictions)
@@ -296,9 +324,3 @@ class FidelityBackend(Protocol):
     def assess(self, text: str, target: str, output_id: str | None = None) -> FidelityResult:
         ...
 
-
-def assess_fidelity(
-    text: str, target: str, backend: FidelityBackend, output_id: str | None = None
-) -> FidelityResult:
-    """Assess how faithful a text is to the target language label."""
-    return backend.assess(text, target, output_id=output_id)

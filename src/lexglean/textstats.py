@@ -16,18 +16,28 @@ of them are breaking:
   count every overlapping character trigram.
 * diacritic counts use NFD decomposition and the combining-diacritics block
   U+0300..U+036F; tone marks are grave, acute, circumflex, caron, macron.
+
+The per-character work runs in C.  ``tokenize`` and ``diacritic_stats`` map
+the text through a code point -> class table with ``str.translate`` (an entry
+is filled from ``unicodedata`` the first time its code point is seen), then
+run one compiled regex, or ``str.count``, over the class string; it has the
+text's length, so match offsets index the text.  Sentences and trigrams are
+one compiled regex each.  The results follow the rules above exactly;
+``tests/oracles.py`` restates them independently.
 """
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 APOSTROPHES = frozenset({"'", "’", "ʼ"})
 HYPHENS = frozenset({"-", "‐"})
-SENTENCE_TERMINATORS = frozenset({".", "!", "?", "…"})
 
 # Tone marks relevant to the target orthographies: grave, acute, circumflex,
 # caron, macron.
@@ -84,19 +94,52 @@ class TrigramProfile:
     total: int
 
     def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.counts.values()))
+        counts = self.counts.values()
+        return math.sqrt(sum(map(mul, counts, counts)))
 
 
-def _is_letter(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("L")
+class _ClassTable(dict):
+    """Code point -> one-character class, for ``str.translate``.
+
+    Each entry is computed from ``unicodedata`` the first time its code point
+    is seen, so the table only ever holds the characters met so far.
+    """
+
+    def __init__(self, classify: Callable[[str], str]):
+        super().__init__()
+        self._classify = classify
+
+    def __missing__(self, codepoint: int) -> str:
+        value = self[codepoint] = self._classify(chr(codepoint))
+        return value
 
 
-def _is_mark(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("M")
+def _token_class(ch: str) -> str:
+    """``a`` for a run character (letter, mark, apostrophe), ``-`` for a hyphen."""
+    if unicodedata.category(ch)[0] in "LM" or ch in APOSTROPHES:
+        return "a"
+    return "-" if ch in HYPHENS else " "
 
 
-def _is_run_char(ch: str) -> bool:
-    return _is_letter(ch) or _is_mark(ch) or ch in APOSTROPHES
+def _diacritic_class(ch: str) -> str:
+    """``V`` vowel letter, ``L`` other letter, ``T`` tone mark, ``m`` other
+    U+0300..U+036F mark, ``n`` any other mark, a space for the rest."""
+    category = unicodedata.category(ch)[0]
+    if category == "L":
+        return "V" if ch.casefold() in VOWELS else "L"
+    if category == "M":
+        if ch in TONE_MARKS:
+            return "T"
+        return "m" if _COMBINING_LO <= ord(ch) <= _COMBINING_HI else "n"
+    return " "
+
+
+_TOKEN_CLASSES = _ClassTable(_token_class)
+_DIACRITIC_CLASSES = _ClassTable(_diacritic_class)
+_TOKEN_RUN = re.compile(r"a+(?:-a+)*")
+_SENTENCE = re.compile(r"[^.!?…\n]*[.!?…]+|[^.!?…\n]+")
+_TONED_VOWEL = re.compile(r"V[mn]*T")
+_TRIGRAM = re.compile(r"(?=(...))", re.S)
 
 
 def tokenize(text: str) -> TokenSequence:
@@ -106,56 +149,17 @@ def tokenize(text: str) -> TokenSequence:
     re-normalised so token content is itself NFC.
     """
     normalized = unicodedata.normalize("NFC", text).casefold()
-    tokens: list[str] = []
-    current: list[str] = []
-
-    def flush() -> None:
-        if current:
-            tokens.append(unicodedata.normalize("NFC", "".join(current)))
-            current.clear()
-
-    n = len(normalized)
-    for i, ch in enumerate(normalized):
-        if _is_run_char(ch):
-            current.append(ch)
-        elif ch in HYPHENS and current and i + 1 < n and _is_run_char(normalized[i + 1]):
-            current.append(ch)
-        else:
-            flush()
-    flush()
-    return TokenSequence(tuple(tokens), len(text))
+    classes = normalized.translate(_TOKEN_CLASSES)
+    tokens = tuple(
+        unicodedata.normalize("NFC", normalized[start:end])
+        for start, end in map(re.Match.span, _TOKEN_RUN.finditer(classes))
+    )
+    return TokenSequence(tokens, len(text))
 
 
 def segment_sentences(text: str) -> list[str]:
     """Split a text into trimmed sentences, keeping terminator runs attached."""
-    sentences: list[str] = []
-    buf: list[str] = []
-
-    def flush() -> None:
-        sentence = "".join(buf).strip()
-        if sentence:
-            sentences.append(sentence)
-        buf.clear()
-
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in SENTENCE_TERMINATORS:
-            buf.append(ch)
-            i += 1
-            while i < n and text[i] in SENTENCE_TERMINATORS:
-                buf.append(text[i])
-                i += 1
-            flush()
-        elif ch == "\n":
-            flush()
-            i += 1
-        else:
-            buf.append(ch)
-            i += 1
-    flush()
-    return sentences
+    return [sentence for sentence in map(str.strip, _SENTENCE.findall(text)) if sentence]
 
 
 def diversity(tokens: TokenSequence | Sequence[str]) -> DiversityStats:
@@ -182,8 +186,8 @@ def ngram_repetition(tokens: TokenSequence | Sequence[str], n: int = 4) -> float
     total = len(toks) - n + 1
     if total <= 0:
         return 0.0
-    grams = [tuple(toks[i : i + n]) for i in range(total)]
-    return 1.0 - len(set(grams)) / total
+    unique = len(set(zip(*(toks[i:] for i in range(n)))))
+    return 1.0 - unique / total
 
 
 def sentence_repetition(sentences: Sequence[str]) -> float:
@@ -200,51 +204,30 @@ def diacritic_stats(text: str) -> DiacriticStats:
     ``diacritic_ratio`` is marks per base letter; ``tonal_vowel_fraction``
     is the share of vowel letters carrying at least one tone mark.
     """
-    decomposed = unicodedata.normalize("NFD", text)
-    alphabetic = 0
-    marks = 0
-    vowel_count = 0
-    toned_vowels = 0
-    current_is_vowel = False
-    current_has_tone = False
-
-    def flush_base() -> None:
-        nonlocal vowel_count, toned_vowels, current_is_vowel, current_has_tone
-        if current_is_vowel:
-            vowel_count += 1
-            if current_has_tone:
-                toned_vowels += 1
-        current_is_vowel = False
-        current_has_tone = False
-
-    for ch in decomposed:
-        if _is_letter(ch):
-            flush_base()
-            alphabetic += 1
-            current_is_vowel = ch.casefold() in VOWELS
-        elif _is_mark(ch):
-            if _COMBINING_LO <= ord(ch) <= _COMBINING_HI:
-                marks += 1
-            if ch in TONE_MARKS and current_is_vowel:
-                current_has_tone = True
-        else:
-            flush_base()
-    flush_base()
+    classes = unicodedata.normalize("NFD", text).translate(_DIACRITIC_CLASSES)
+    vowel_count = classes.count("V")
+    alphabetic = vowel_count + classes.count("L")
+    marks = classes.count("T") + classes.count("m")
+    toned_vowels = len(_TONED_VOWEL.findall(classes))
 
     ratio = marks / alphabetic if alphabetic else 0.0
     tonal_fraction = toned_vowels / vowel_count if vowel_count else 0.0
     return DiacriticStats(alphabetic, marks, ratio, marks > 0, tonal_fraction)
 
 
-def trigram_profile(text: str) -> TrigramProfile:
-    """Character trigram counts of the normalised, space-padded text."""
+def trigrams(text: str) -> list[str]:
+    """Every overlapping character trigram of the normalised, space-padded text."""
     normalized = unicodedata.normalize("NFC", text).casefold()
     collapsed = " ".join(normalized.split())
     if not collapsed:
-        return TrigramProfile({}, 0)
-    padded = f" {collapsed} "
-    counts = Counter(padded[i : i + 3] for i in range(len(padded) - 2))
-    return TrigramProfile(dict(counts), sum(counts.values()))
+        return []
+    return _TRIGRAM.findall(f" {collapsed} ")
+
+
+def trigram_profile(text: str) -> TrigramProfile:
+    """Character trigram counts of the normalised, space-padded text."""
+    grams = trigrams(text)
+    return TrigramProfile(dict(Counter(grams)), len(grams))
 
 
 def merge_profiles(profiles: Iterable[TrigramProfile]) -> TrigramProfile:
@@ -260,8 +243,8 @@ def cosine(p: TrigramProfile, q: TrigramProfile) -> float:
     if not p.counts or not q.counts:
         return 0.0
     small, large = (p, q) if len(p.counts) <= len(q.counts) else (q, p)
-    large_counts = large.counts
-    dot = sum(c * large_counts.get(gram, 0) for gram, c in small.counts.items())
+    counts = small.counts
+    dot = sum(map(mul, counts.values(), map(large.counts.get, counts, repeat(0))))
     if dot == 0:
         return 0.0
     return dot / (p.norm() * q.norm())

@@ -1,7 +1,9 @@
 import json
 import math
+import unicodedata
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lexglean import data_dir
 from lexglean.langid import (
@@ -13,13 +15,12 @@ from lexglean.langid import (
     LidPrediction,
     MIN_SENTENCE_CHARS,
     UNKNOWN_LABEL,
-    assess_fidelity,
     classify,
     load_external_predictions,
     load_seed_corpora,
     train_profiles,
 )
-from lexglean.textstats import TrigramProfile, trigram_profile
+from lexglean.textstats import TrigramProfile, cosine, segment_sentences, trigram_profile
 
 SEEDS = data_dir() / "seeds"
 
@@ -125,6 +126,51 @@ def test_short_sentence_inherits_document_prediction(shipped_profiles):
     assert result.sentence_predictions[-1] == result.document_prediction
 
 
+lid_texts = st.text(
+    alphabet=st.sampled_from(list("aeinorstudgk ’'.!?\n") + ["ɛ", "ɔ", "ɗ", "ƙ", "é", "̀", "Ẹ"]),
+    max_size=120,
+)
+
+
+@given(lid_texts)
+def test_scores_equal_cosine_exactly(shipped_profiles, text):
+    profile = trigram_profile(text)
+    expected = [cosine(profile, shipped_profiles.profiles[l]) for l in shipped_profiles.labels]
+    assert shipped_profiles.scores(profile) == expected
+
+
+def test_scores_exact_with_huge_counts():
+    # Reference counts this large need wide fields in the packed dot table.
+    profiles = LanguageProfileSet(
+        {
+            "aaa": TrigramProfile({" ab": 2**40, "ab ": 3}, 2**40 + 3),
+            "bbb": TrigramProfile({" ab": 1, "xyz": 2**40 - 1}, 2**40),
+            "ccc": TrigramProfile({"ab ": 7}, 7),
+        }
+    )
+    query = TrigramProfile({" ab": 2**20, "ab ": 5, "xyz": 9}, 2**20 + 14)
+    expected = [cosine(query, profiles.profiles[l]) for l in profiles.labels]
+    assert profiles.scores(query) == expected
+    assert expected[0] > 0 and expected[1] > 0 and expected[2] > 0
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        profiles.scores(TrigramProfile({" ab": 2**64}, 2**64))
+
+
+@given(lid_texts)
+def test_assess_sentences_follow_document_or_classify(shipped_profiles, text):
+    backend = BuiltinClassifier(shipped_profiles)
+    result = backend.assess(text, "hau_Latn")
+    sentences = segment_sentences(text)
+    assert len(result.sentence_predictions) == len(sentences)
+    for sentence, prediction in zip(sentences, result.sentence_predictions):
+        normalized = unicodedata.normalize("NFC", sentence).casefold()
+        normalized_length = len(" ".join(normalized.split()))
+        if normalized_length < MIN_SENTENCE_CHARS:
+            assert prediction == result.document_prediction
+        else:
+            assert prediction == classify(sentence, shipped_profiles)
+
+
 def test_unknown_target_label(shipped_profiles):
     backend = BuiltinClassifier(shipped_profiles)
     result = backend.assess("Manoma suna shuka gero da dawa a gonakinsu.", "zzz_Latn")
@@ -162,7 +208,7 @@ def test_external_predictions_roundtrip(tmp_path):
         ],
     )
     backend = ExternalPredictionsClassifier(load_external_predictions(path))
-    result = assess_fidelity("ignored", "hau_Latn", backend, output_id="m/hau/creative/cw_01")
+    result = backend.assess("ignored", "hau_Latn", output_id="m/hau/creative/cw_01")
     assert result.document_prediction == LidPrediction("hau_Latn", 0.97)
     assert result.target_confidence == 0.97
     assert result.code_switch_rate == 0.5

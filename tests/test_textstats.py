@@ -1,7 +1,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lexglean.textstats import (
     DiversityStats,
@@ -193,7 +193,10 @@ def test_cosine_self_is_one():
 
 token_texts = st.text(
     alphabet=st.sampled_from(
-        list("abcdefghij \n.!?'-") + ["́", "é", "ɔ", "’", "‐"]
+        list("abcdefghij \n\t.!?…'-AEO") + ["́", "é", "ɔ", "’", "‐"]
+        # tone marks (combining and precomposed), open vowels in both cases,
+        # a mark outside U+0300..U+036F and a letter outside the BMP
+        + ["̀", "̌", "à", "ǒ", "ē", "ɛ", "Ɛ", "Ɔ", "᷄", "𝐚"]
     ),
     max_size=80,
 )
@@ -217,6 +220,24 @@ def test_tokenize_matches_oracle(text):
 @given(token_texts)
 def test_segment_matches_oracle(text):
     assert segment_sentences(text) == oracles.segment_sentences(text)
+
+
+@given(token_texts)
+@example("a᷄̀ Ọ́ ɛ̌")  # tone mark after a mark outside the combining block
+def test_diacritic_stats_matches_oracle(text):
+    stats = diacritic_stats(text)
+    letters, marks, fraction = oracles.diacritic_counts(text)
+    assert stats.alphabetic_count == letters
+    assert stats.combining_mark_count == marks
+    assert stats.tonal_vowel_fraction == fraction
+
+
+@given(token_texts)
+def test_trigram_profile_matches_oracle(text):
+    profile = trigram_profile(text)
+    expected = oracles.trigram_counts(text)
+    assert profile.counts == expected
+    assert profile.total == sum(expected.values())
 
 
 @given(st.lists(st.sampled_from("abcde"), max_size=50))

@@ -16,7 +16,6 @@ environment variables named in the model config.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import random
@@ -24,6 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, data_dir
+from .codec import DataError, json_file_text, load_list, to_json
 from .evaluation import (
     DEFAULT_VALIDITY_THRESHOLD,
     QualityWeights,
@@ -67,7 +67,7 @@ from .taxonomy import (
 log = logging.getLogger("lexglean")
 
 EXIT_OK = 0
-EXIT_DATA = 1  # missing or unusable input data
+EXIT_DATA = 1  # missing or corrupt input data
 EXIT_USAGE = 2  # bad flags / configuration
 
 
@@ -209,14 +209,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         overlaps.extend(reference_overlap(subset, reference_lines, granularity="per_condition"))
     if overlaps:
         (results_dir / "overlap.json").write_text(
-            json.dumps(
-                {"overlaps": [o.to_json_dict() for o in overlaps]},
-                ensure_ascii=False,
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
+            json_file_text({"overlaps": [to_json(o) for o in overlaps]}), encoding="utf-8"
         )
 
     meta = {
@@ -229,9 +222,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "n_records": len(records),
         "n_conditions": len(summaries),
     }
-    (results_dir / "run_meta.json").write_text(
-        json.dumps(meta, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (results_dir / "run_meta.json").write_text(json_file_text(meta), encoding="utf-8")
 
     print(f"lid backend: {backend_name}")
     print(meta["quality_formula"])
@@ -256,13 +247,12 @@ def cmd_filter(args: argparse.Namespace) -> int:
             )
         pairs.append((record, evaluation))
 
-    corpus = filter_usable(pairs, min_quality=args.min_quality)
+    usable = filter_usable(pairs, min_quality=args.min_quality)
     languages = sorted({evaluation.language for evaluation in evaluations})
-    totals = export_usable_corpus(corpus, args.out, languages)
-    by_language = corpus.by_language()
-    for language in sorted(totals):
-        print(f"{language}: {len(by_language.get(language, []))} documents, {totals[language]} words")
-    print(f"total usable words: {corpus.total_words}")
+    totals = export_usable_corpus(usable, args.out, languages)
+    for language, (documents, words) in sorted(totals.items()):
+        print(f"{language}: {documents} documents, {words} words")
+    print(f"total usable words: {sum(words for _, words in totals.values())}")
     return EXIT_OK
 
 
@@ -276,11 +266,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"no overlap results at {overlap_path} (run 'evaluate' with --reference)",
                 code=EXIT_DATA,
             )
-        data = json.loads(overlap_path.read_text(encoding="utf-8"))
-        overlaps = [
-            OverlapResult(o["key"], float(o["cosine"]), bool(o["memorization_suspect"]))
-            for o in data["overlaps"]
-        ]
+        overlaps = load_list(OverlapResult, overlap_path, "overlaps")
         content = render_report(spec, overlaps=overlaps)
     else:
         summary_path = results_dir / "summary.json"
@@ -369,12 +355,12 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (DataError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (TaxonomyError, ConfigError, RenderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -1,0 +1,143 @@
+"""JSON codec for the dataclasses the pipeline persists.
+
+Record files, ``evaluations.jsonl``, ``summary.json`` and ``overlap.json``
+hold dataclasses as JSON objects with one key per field: the field's name,
+or the key a field declares with ``field(metadata={JSON_KEY: ...})``.  Field
+types may be ``str``, ``int``, ``float``, ``bool``, a dataclass,
+``tuple[X, ...]`` (a JSON list) or ``X | None`` (an absent key reads as
+None).  Reading coerces numbers and booleans with ``int``/``float``/``bool``
+and rejects a ``str`` field that holds anything but a string.
+"""
+from __future__ import annotations
+
+import functools
+import json
+import types
+import typing
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import Any, Callable
+
+JSON_KEY = "json_key"
+
+_Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
+
+# What from_json or json.loads raise on data that is not a record.
+_BAD_DATA = (KeyError, TypeError, ValueError, OverflowError)
+
+
+class DataError(ValueError):
+    """Persisted run data that cannot be read: bad JSON, a missing field or a wrong type."""
+
+
+def json_file_text(data: Any) -> str:
+    """The text of a JSON file: sorted keys, two-space indents, non-ASCII kept, final newline."""
+    return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def to_json(obj: Any) -> dict:
+    """The JSON object of a dataclass instance."""
+    return _codec(type(obj))[0](obj)
+
+
+def from_json(cls: type, data: Any) -> Any:
+    """Rebuild a ``cls`` instance from its JSON object.
+
+    A missing field raises KeyError, a value of the wrong type TypeError or
+    ValueError, an infinite number in an ``int`` field OverflowError.
+    """
+    return _codec(cls)[1](data)
+
+
+def parse_record(cls: type, raw: bytes, path: object, line: int | None = None) -> Any:
+    """Parse the bytes of one JSON document, read from ``path`` (at ``line``), into a ``cls``.
+
+    Every failure raises DataError with a message that starts with the path
+    and line.
+    """
+    try:
+        return from_json(cls, json.loads(raw))
+    except _BAD_DATA as exc:
+        raise _data_error(exc, path if line is None else f"{path}:{line}") from exc
+
+
+def load_list(cls: type, path: Path, key: str) -> list:
+    """The ``cls`` instances listed under ``key`` in the JSON file at ``path``; DataError names a bad file."""
+    try:
+        return [from_json(cls, item) for item in json.loads(path.read_bytes())[key]]
+    except _BAD_DATA as exc:
+        raise _data_error(exc, path) from exc
+
+
+def _data_error(exc: Exception, where: object) -> DataError:
+    if isinstance(exc, KeyError):
+        return DataError(f"{where}: missing field {exc}")
+    if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
+        return DataError(f"{where}: invalid JSON: {exc}")
+    return DataError(f"{where}: bad value: {exc}")
+
+
+def _text(value: Any) -> str:
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+_SCALARS: dict[type, Callable[[Any], Any]] = {str: _text, int: int, float: float, bool: bool}
+
+
+def _is_optional(hint: Any) -> bool:
+    return typing.get_origin(hint) in (typing.Union, types.UnionType)
+
+
+def _converters(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[[Any], Any]]:
+    """Encoder (None when the value is JSON as it is) and decoder for one field type."""
+    args = typing.get_args(hint)
+    if _is_optional(hint):
+        if len(args) != 2 or type(None) not in args:
+            raise TypeError(f"unsupported union type {hint}; use X | None")
+        encode, decode = _converters(args[0] if args[1] is type(None) else args[1])
+        encode_some = None if encode is None else lambda value: None if value is None else encode(value)
+        return encode_some, lambda value: None if value is None else decode(value)
+    if typing.get_origin(hint) is tuple:
+        if len(args) != 2 or args[1] is not Ellipsis:
+            raise TypeError(f"unsupported tuple type {hint}; use tuple[X, ...]")
+        encode, decode = _converters(args[0])
+        encode_all = list if encode is None else lambda value: [encode(item) for item in value]
+        return encode_all, lambda value: tuple(map(decode, value))
+    if is_dataclass(hint):
+        return _codec(hint)
+    if hint in _SCALARS:
+        return None, _SCALARS[hint]
+    raise TypeError(f"unsupported field type {hint}")
+
+
+@functools.cache
+def _codec(cls: type) -> _Codec:
+    """Encoder and decoder of a dataclass, generated on first use from its type hints.
+
+    The source spells out each field, as ``dataclasses`` does for ``__init__``:
+    closures looping over a per-field plan ran 1.4x (decode) to 2x (encode)
+    slower on CPython 3.11, enough to show in the ``filter`` stage.  Fields are
+    passed positionally, so each must be a positional ``__init__`` parameter.
+    """
+    if not is_dataclass(cls):
+        raise TypeError(f"{cls!r} is not a dataclass")
+    if any(not f.init or f.kw_only for f in fields(cls)):
+        raise TypeError(f"{cls.__name__}: every field must be a positional __init__ parameter")
+    hints = typing.get_type_hints(cls)
+    namespace: dict[str, Any] = {"cls": cls}
+    items, args = [], []
+    for index, f in enumerate(fields(cls)):
+        key = repr(f.metadata.get(JSON_KEY, f.name))
+        encode, namespace[f"decode{index}"] = _converters(hints[f.name])
+        namespace[f"encode{index}"] = encode
+        items.append(f"{key}: obj.{f.name}" if encode is None else f"{key}: encode{index}(obj.{f.name})")
+        value = f"data.get({key})" if _is_optional(hints[f.name]) else f"data[{key}]"
+        args.append(f"decode{index}({value})")
+    source = (
+        f"def encode(obj):\n    return {{{', '.join(items)}}}\n"
+        f"def decode(data):\n    return cls({', '.join(args)})\n"
+    )
+    exec(compile(source, f"<codec of {cls.__qualname__}>", "exec"), namespace)
+    return namespace["encode"], namespace["decode"]

@@ -14,26 +14,25 @@ valid, on-target outputs by the total number of outputs in the cell.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .codec import DataError, json_file_text, load_list, parse_record, to_json
 from .generation import GenerationRecord
 from .langid import FidelityBackend, FidelityResult
 from .taxonomy import LanguageConfig
 from .textstats import (
     DiacriticStats,
     DiversityStats,
-    TrigramProfile,
     cosine,
     diacritic_stats,
     diversity,
+    merged_trigram_profile,
     ngram_repetition,
     segment_sentences,
     sentence_repetition,
     tokenize,
-    trigrams,
 )
 
 DEFAULT_VALIDITY_THRESHOLD = 20
@@ -94,70 +93,6 @@ class EvaluationRecord:
     diacritics: DiacriticStats | None
     quality: float
 
-    def to_json_dict(self) -> dict:
-        diacritics = None
-        if self.diacritics is not None:
-            diacritics = {
-                "alphabetic_count": self.diacritics.alphabetic_count,
-                "combining_mark_count": self.diacritics.combining_mark_count,
-                "diacritic_ratio": self.diacritics.diacritic_ratio,
-                "has_diacritics": self.diacritics.has_diacritics,
-                "tonal_vowel_fraction": self.diacritics.tonal_vowel_fraction,
-            }
-        return {
-            "output_id": self.output_id,
-            "model_id": self.model_id,
-            "language": self.language,
-            "task_type": self.task_type,
-            "word_count": self.word_count,
-            "is_valid": self.is_valid,
-            "diversity": {
-                "total_tokens": self.diversity.total_tokens,
-                "vocab_size": self.diversity.vocab_size,
-                "ttr": self.diversity.ttr,
-                "hapax_count": self.diversity.hapax_count,
-                "hapax_ratio": self.diversity.hapax_ratio,
-            },
-            "fidelity": self.fidelity.to_json_dict(),
-            "repetition_4gram": self.repetition_4gram,
-            "repetition_sentence": self.repetition_sentence,
-            "diacritics": diacritics,
-            "quality": self.quality,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EvaluationRecord":
-        div = data["diversity"]
-        dia = data.get("diacritics")
-        return cls(
-            output_id=data["output_id"],
-            model_id=data["model_id"],
-            language=data["language"],
-            task_type=data["task_type"],
-            word_count=int(data["word_count"]),
-            is_valid=bool(data["is_valid"]),
-            diversity=DiversityStats(
-                int(div["total_tokens"]),
-                int(div["vocab_size"]),
-                float(div["ttr"]),
-                int(div["hapax_count"]),
-                float(div["hapax_ratio"]),
-            ),
-            fidelity=FidelityResult.from_json_dict(data["fidelity"]),
-            repetition_4gram=float(data["repetition_4gram"]),
-            repetition_sentence=float(data["repetition_sentence"]),
-            diacritics=None
-            if dia is None
-            else DiacriticStats(
-                int(dia["alphabetic_count"]),
-                int(dia["combining_mark_count"]),
-                float(dia["diacritic_ratio"]),
-                bool(dia["has_diacritics"]),
-                float(dia["tonal_vowel_fraction"]),
-            ),
-            quality=float(data["quality"]),
-        )
-
 
 def evaluate_output(
     record: GenerationRecord,
@@ -208,49 +143,6 @@ class ConditionSummary:
     usable_words_per_call: float
     diacritic_presence_pct: float | None
     avg_diacritic_ratio: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "language": self.language,
-            "task_type": self.task_type,
-            "n_outputs": self.n_outputs,
-            "valid_pct": self.valid_pct,
-            "avg_words": self.avg_words,
-            "doc_fidelity_pct": self.doc_fidelity_pct,
-            "avg_ttr": self.avg_ttr,
-            "avg_hapax": self.avg_hapax,
-            "avg_vocab": self.avg_vocab,
-            "avg_code_switch": self.avg_code_switch,
-            "avg_lang_conf": self.avg_lang_conf,
-            "avg_quality": self.avg_quality,
-            "usable_words_per_call": self.usable_words_per_call,
-            "diacritic_presence_pct": self.diacritic_presence_pct,
-            "avg_diacritic_ratio": self.avg_diacritic_ratio,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConditionSummary":
-        dia_pct = data.get("diacritic_presence_pct")
-        dia_ratio = data.get("avg_diacritic_ratio")
-        return cls(
-            model_id=data["model_id"],
-            language=data["language"],
-            task_type=data["task_type"],
-            n_outputs=int(data["n_outputs"]),
-            valid_pct=float(data["valid_pct"]),
-            avg_words=float(data["avg_words"]),
-            doc_fidelity_pct=float(data["doc_fidelity_pct"]),
-            avg_ttr=float(data["avg_ttr"]),
-            avg_hapax=float(data["avg_hapax"]),
-            avg_vocab=float(data["avg_vocab"]),
-            avg_code_switch=float(data["avg_code_switch"]),
-            avg_lang_conf=float(data["avg_lang_conf"]),
-            avg_quality=float(data["avg_quality"]),
-            usable_words_per_call=float(data["usable_words_per_call"]),
-            diacritic_presence_pct=None if dia_pct is None else float(dia_pct),
-            avg_diacritic_ratio=None if dia_ratio is None else float(dia_ratio),
-        )
 
 
 def aggregate(records: Iterable[EvaluationRecord]) -> list[ConditionSummary]:
@@ -308,21 +200,6 @@ class OverlapResult:
     cosine: float
     memorization_suspect: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "cosine": self.cosine,
-            "memorization_suspect": self.memorization_suspect,
-        }
-
-
-def _merged_profile(texts: Iterable[str]) -> TrigramProfile:
-    """One trigram profile over several texts; integer counts, so summing is exact."""
-    counts: Counter[str] = Counter()
-    for text in texts:
-        counts.update(trigrams(text))
-    return TrigramProfile(dict(counts), sum(counts.values()))
-
 
 def reference_overlap(
     generated: Sequence[GenerationRecord],
@@ -338,7 +215,7 @@ def reference_overlap(
     reference_lines = [line for line in reference_corpus if line.strip()]
     if not reference_lines:
         raise ValueError("reference corpus is empty")
-    reference_profile = _merged_profile(reference_lines)
+    reference_profile = merged_trigram_profile(reference_lines)
 
     groups: dict[str, list[GenerationRecord]] = {}
     if granularity == "per_condition":
@@ -354,47 +231,19 @@ def reference_overlap(
     results = []
     for key in sorted(groups):
         members = sorted(groups[key], key=lambda r: r.output_id)
-        profile = _merged_profile(r.response_text for r in members)
+        profile = merged_trigram_profile(r.response_text for r in members)
         value = cosine(profile, reference_profile)
         results.append(OverlapResult(key, value, is_memorization_suspect(value)))
     return results
 
 
-@dataclass(frozen=True)
-class UsableEntry:
-    output_id: str
-    model_id: str
-    language: str
-    task_type: str
-    text: str
-    word_count: int
-    quality: float
-
-
-@dataclass
-class UsableCorpus:
-    """Valid, on-target outputs selected for corpus export."""
-
-    entries: list[UsableEntry]
-
-    @property
-    def total_words(self) -> int:
-        return sum(entry.word_count for entry in self.entries)
-
-    def by_language(self) -> dict[str, list[UsableEntry]]:
-        out: dict[str, list[UsableEntry]] = {}
-        for entry in self.entries:
-            out.setdefault(entry.language, []).append(entry)
-        return out
-
-
 def filter_usable(
     pairs: Sequence[tuple[GenerationRecord, EvaluationRecord]],
     min_quality: float | None = None,
-) -> UsableCorpus:
-    """Keep outputs that are valid and on-target (and above ``min_quality``)."""
+) -> list[tuple[GenerationRecord, EvaluationRecord]]:
+    """The valid, on-target pairs (above ``min_quality`` if given), sorted by output id."""
     seen: set[str] = set()
-    entries: list[UsableEntry] = []
+    kept: list[tuple[GenerationRecord, EvaluationRecord]] = []
     for generation, evaluation in pairs:
         if generation.output_id != evaluation.output_id:
             raise ValueError(
@@ -409,56 +258,51 @@ def filter_usable(
             continue
         if min_quality is not None and evaluation.quality < min_quality:
             continue
-        entries.append(
-            UsableEntry(
-                output_id=generation.output_id,
-                model_id=generation.model_id,
-                language=generation.language,
-                task_type=generation.task_type,
-                text=generation.response_text,
-                word_count=evaluation.word_count,
-                quality=evaluation.quality,
-            )
-        )
-    entries.sort(key=lambda e: e.output_id)
-    return UsableCorpus(entries)
+        kept.append((generation, evaluation))
+    kept.sort(key=lambda pair: pair[0].output_id)
+    return kept
 
 
 def export_usable_corpus(
-    corpus: UsableCorpus, out_dir: str | Path, languages: Sequence[str]
-) -> dict[str, int]:
+    usable: Sequence[tuple[GenerationRecord, EvaluationRecord]],
+    out_dir: str | Path,
+    languages: Sequence[str],
+) -> dict[str, tuple[int, int]]:
     """Write one text file per language plus a provenance JSONL sidecar.
 
     Documents are separated by a blank line.  A language with no usable
-    outputs still gets an (empty) corpus file.  Returns words per language.
+    outputs still gets an (empty) corpus file.  Returns (documents, words)
+    per language.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_language = corpus.by_language()
-    totals: dict[str, int] = {}
+    by_language: dict[str, list[tuple[GenerationRecord, EvaluationRecord]]] = {}
+    for pair in usable:
+        by_language.setdefault(pair[0].language, []).append(pair)
+    totals: dict[str, tuple[int, int]] = {}
     for language in sorted(set(languages) | set(by_language)):
-        entries = by_language.get(language, [])
+        group = by_language.get(language, [])
         text_path = out_dir / f"{language}.txt"
         sidecar_path = out_dir / f"{language}.provenance.jsonl"
-        body = "\n\n".join(entry.text for entry in entries)
+        body = "\n\n".join(generation.response_text for generation, _ in group)
         text_path.write_text(body + "\n" if body else "", encoding="utf-8")
         with sidecar_path.open("w", encoding="utf-8") as handle:
-            for entry in entries:
+            for generation, evaluation in group:
                 handle.write(
                     json.dumps(
                         {
-                            "output_id": entry.output_id,
-                            "model_id": entry.model_id,
-                            "task_type": entry.task_type,
-                            "word_count": entry.word_count,
-                            "quality": entry.quality,
+                            "output_id": generation.output_id,
+                            "model_id": generation.model_id,
+                            "task_type": generation.task_type,
+                            "word_count": evaluation.word_count,
+                            "quality": evaluation.quality,
                         },
                         ensure_ascii=False,
                         sort_keys=True,
                     )
                     + "\n"
                 )
-        totals[language] = sum(entry.word_count for entry in entries)
+        totals[language] = (len(group), sum(evaluation.word_count for _, evaluation in group))
     return totals
 
 
@@ -470,33 +314,33 @@ def write_evaluations(records: Sequence[EvaluationRecord], path: str | Path) -> 
     with path.open("w", encoding="utf-8") as handle:
         for record in ordered:
             handle.write(
-                json.dumps(record.to_json_dict(), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+                json.dumps(to_json(record), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
                 + "\n"
             )
 
 
 def read_evaluations(path: str | Path) -> list[EvaluationRecord]:
+    """Load ``evaluations.jsonl``; a bad or repeated line raises DataError naming it."""
     path = Path(path)
-    records = []
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(EvaluationRecord.from_json_dict(json.loads(line)))
-    return records
+    records: dict[str, EvaluationRecord] = {}
+    with path.open("rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            record = parse_record(EvaluationRecord, line, path, lineno)
+            if records.setdefault(record.output_id, record) is not record:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate output_id '{record.output_id}' (corrupted run directory)"
+                )
+    return list(records.values())
 
 
 def write_summaries(summaries: Sequence[ConditionSummary], path: str | Path) -> None:
     """Persist full-precision condition summaries as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"summaries": [s.to_json_dict() for s in summaries]}
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(json_file_text({"summaries": [to_json(s) for s in summaries]}), encoding="utf-8")
 
 
 def read_summaries(path: str | Path) -> list[ConditionSummary]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [ConditionSummary.from_json_dict(entry) for entry in data["summaries"]]
+    return load_list(ConditionSummary, Path(path), "summaries")

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import requests
 
+from .codec import DataError, json_file_text, parse_record, to_json
 from .taxonomy import (
     ConfigError,
     LanguageConfig,
@@ -145,50 +146,6 @@ class GenerationRecord:
     request_timestamp: str
     latency: float
     attempt_count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "output_id": self.output_id,
-            "prompt_id": self.prompt_id,
-            "model_id": self.model_id,
-            "language": self.language,
-            "task_type": self.task_type,
-            "rendered_prompt": self.rendered_prompt,
-            "system_prompt": self.system_prompt,
-            "sampling": {
-                "temperature": self.sampling.temperature,
-                "top_p": self.sampling.top_p,
-                "max_output_tokens": self.sampling.max_output_tokens,
-            },
-            "response_text": self.response_text,
-            "finish_reason": self.finish_reason,
-            "request_timestamp": self.request_timestamp,
-            "latency": self.latency,
-            "attempt_count": self.attempt_count,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GenerationRecord":
-        sampling = data["sampling"]
-        return cls(
-            output_id=data["output_id"],
-            prompt_id=data["prompt_id"],
-            model_id=data["model_id"],
-            language=data["language"],
-            task_type=data["task_type"],
-            rendered_prompt=data["rendered_prompt"],
-            system_prompt=data["system_prompt"],
-            sampling=SamplingParams(
-                float(sampling["temperature"]),
-                float(sampling["top_p"]),
-                int(sampling["max_output_tokens"]),
-            ),
-            response_text=data["response_text"],
-            finish_reason=data["finish_reason"],
-            request_timestamp=data["request_timestamp"],
-            latency=float(data["latency"]),
-            attempt_count=int(data["attempt_count"]),
-        )
 
 
 @dataclass
@@ -484,7 +441,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def dumps_record(record: GenerationRecord) -> str:
-    return json.dumps(record.to_json_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return json_file_text(to_json(record))
 
 
 def run_batch(
@@ -559,31 +516,28 @@ def run_batch(
         executor.shutdown(wait=True)
 
     manifest.failures.sort()
-    _write_atomic(
-        out_dir / MANIFEST_FILENAME,
-        json.dumps(manifest.to_json_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-    )
+    _write_atomic(out_dir / MANIFEST_FILENAME, json_file_text(manifest.to_json_dict()))
     return manifest
 
 
 def read_records(out_dir: str | Path) -> list[GenerationRecord]:
     """Load every record file under a run directory, sorted by output id.
 
-    Duplicate output ids mean a corrupted run directory and raise ValueError.
+    A file that is not a record, or that is not the ``record_path`` of its
+    ``output_id`` (a copied or misplaced file, so also any duplicate id),
+    raises DataError naming the file.
     """
     out_dir = Path(out_dir)
     records: list[GenerationRecord] = []
-    seen: dict[str, Path] = {}
     for path in sorted(out_dir.rglob("*.json")):
         if path.name == MANIFEST_FILENAME:
             continue
-        record = GenerationRecord.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-        if record.output_id in seen:
-            raise ValueError(
-                f"duplicate output_id '{record.output_id}' in {seen[record.output_id]} "
-                f"and {path} (corrupted run directory)"
+        record = parse_record(GenerationRecord, path.read_bytes(), path)
+        if path != record_path(out_dir, record.output_id):
+            raise DataError(
+                f"{path}: holds output_id '{record.output_id}', whose record file is "
+                f"{record_path(out_dir, record.output_id)} (corrupted run directory)"
             )
-        seen[record.output_id] = path
         records.append(record)
     records.sort(key=lambda r: r.output_id)
     return records

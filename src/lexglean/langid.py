@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import mul
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .textstats import TrigramProfile, cosine, merge_profiles, segment_sentences, trigram_profile
+from .codec import JSON_KEY
+from .textstats import TrigramProfile, merged_trigram_profile, segment_sentences, trigram_profile
 
 UNKNOWN_LABEL = "und"
 
@@ -58,40 +59,11 @@ class LidPrediction:
 class FidelityResult:
     """Document- and sentence-level language fidelity for one output."""
 
-    document_prediction: LidPrediction
+    document_prediction: LidPrediction = field(metadata={JSON_KEY: "document"})
     is_target: bool
     target_confidence: float
-    sentence_predictions: tuple[LidPrediction, ...]
+    sentence_predictions: tuple[LidPrediction, ...] = field(metadata={JSON_KEY: "sentences"})
     code_switch_rate: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "document": {
-                "label": self.document_prediction.label,
-                "confidence": self.document_prediction.confidence,
-            },
-            "is_target": self.is_target,
-            "target_confidence": self.target_confidence,
-            "sentences": [
-                {"label": p.label, "confidence": p.confidence}
-                for p in self.sentence_predictions
-            ],
-            "code_switch_rate": self.code_switch_rate,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FidelityResult":
-        return cls(
-            document_prediction=LidPrediction(
-                data["document"]["label"], float(data["document"]["confidence"])
-            ),
-            is_target=bool(data["is_target"]),
-            target_confidence=float(data["target_confidence"]),
-            sentence_predictions=tuple(
-                LidPrediction(p["label"], float(p["confidence"])) for p in data["sentences"]
-            ),
-            code_switch_rate=float(data["code_switch_rate"]),
-        )
 
 
 class LanguageProfileSet:
@@ -176,7 +148,7 @@ def train_profiles(seed_corpora: Mapping[str, Sequence[str]]) -> LanguageProfile
         documents = [doc for doc in seed_corpora[label] if doc.strip()]
         if not documents:
             raise ValueError(f"seed corpus for '{label}' has no nonempty documents")
-        profiles[label] = merge_profiles(trigram_profile(doc) for doc in documents)
+        profiles[label] = merged_trigram_profile(documents)
     return LanguageProfileSet(profiles)
 
 

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .codec import to_json
 from .evaluation import ConditionSummary, OverlapResult
 
 TABLE_KINDS = ("validity", "fidelity", "diversity", "efficiency", "full_summary", "overlap")
@@ -148,11 +149,11 @@ def _render_json(kind: str, columns: Sequence[_Column], rows: Sequence[dict]) ->
 
 def _summary_rows(summaries: Sequence[ConditionSummary]) -> list[dict]:
     ordered = sorted(summaries, key=lambda s: (s.model_id, s.language, s.task_type))
-    return [s.to_json_dict() for s in ordered]
+    return [to_json(s) for s in ordered]
 
 
 def _overlap_rows(overlaps: Sequence[OverlapResult]) -> list[dict]:
-    return [o.to_json_dict() for o in sorted(overlaps, key=lambda o: o.key)]
+    return [to_json(o) for o in sorted(overlaps, key=lambda o: o.key)]
 
 
 def render_report(

@@ -230,11 +230,11 @@ def trigram_profile(text: str) -> TrigramProfile:
     return TrigramProfile(dict(Counter(grams)), len(grams))
 
 
-def merge_profiles(profiles: Iterable[TrigramProfile]) -> TrigramProfile:
-    """Sum several trigram profiles into one."""
+def merged_trigram_profile(texts: Iterable[str]) -> TrigramProfile:
+    """One trigram profile over several texts, as if counted over each in turn."""
     counts: Counter[str] = Counter()
-    for profile in profiles:
-        counts.update(profile.counts)
+    for text in texts:
+        counts.update(trigrams(text))
     return TrigramProfile(dict(counts), sum(counts.values()))
 
 

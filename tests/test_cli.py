@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -272,6 +273,80 @@ def test_filter_exports_corpus(mock_run, tmp_path):
     ]
     document_count = (corpus_dir / "hau.txt").read_text().count("\n\n") + 1
     assert len(provenance) == document_count
+
+
+def _truncate(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+
+
+def _drop_latency(path):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["latency"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def _copy_to_cw_99(path):
+    shutil.copy(path, path.with_name("cw_99.json"))
+    return path.with_name("cw_99.json")
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [(_truncate, "invalid JSON"), (_drop_latency, "missing field 'latency'"), (_copy_to_cw_99, "cw_01")],
+    ids=["truncated", "missing_field", "copied"],
+)
+def test_corrupt_record_is_a_data_error(small_run, tmp_path, corrupt, detail):
+    outputs = tmp_path / "outputs"
+    shutil.copytree(small_run, outputs)
+    record = outputs / "gpt-4o-mini" / "hau" / "creative" / "cw_01.json"
+    bad = corrupt(record) or record
+    code, _, err = run_cli(["evaluate", "--outputs", outputs, "--results", tmp_path / "r"])
+    assert code == 1
+    assert f"error: {bad}: " in err
+    assert detail in err
+
+
+def _truncate_line(lines):
+    lines[4] = lines[4][:40] + "\n"
+
+
+def _repeat_line(lines):
+    lines.insert(5, lines[4])
+
+
+def _infinite_word_count(lines):
+    data = json.loads(lines[4])
+    data["word_count"] = 1e400
+    lines[4] = json.dumps(data).replace("Infinity", "1e400") + "\n"
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [(_truncate_line, "5: invalid JSON"), (_repeat_line, "6: duplicate output_id"), (_infinite_word_count, "5: bad value")],
+    ids=["truncated", "repeated", "infinite_int"],
+)
+def test_corrupt_evaluations_line_is_a_data_error(mock_run, tmp_path, corrupt, detail):
+    results = tmp_path / "results"
+    results.mkdir()
+    lines = (mock_run / "results" / "evaluations.jsonl").read_text(encoding="utf-8").splitlines(True)
+    corrupt(lines)
+    (results / "evaluations.jsonl").write_text("".join(lines), encoding="utf-8")
+    code, _, err = run_cli(
+        ["filter", "--results", results, "--outputs", mock_run / "outputs", "--out", tmp_path / "c"]
+    )
+    assert code == 1
+    assert f"error: {results / 'evaluations.jsonl'}:{detail}" in err
+
+
+@pytest.mark.parametrize("name, kind", [("summary.json", "validity"), ("overlap.json", "overlap")])
+def test_corrupt_results_file_is_a_data_error(mock_run, tmp_path, name, kind):
+    results = tmp_path / "results"
+    shutil.copytree(mock_run / "results", results)
+    _truncate(results / name)
+    code, _, err = run_cli(["report", "--results", results, "--kind", kind, "--format", "csv"])
+    assert code == 1
+    assert f"error: {results / name}: invalid JSON" in err
 
 
 def _write_config_subset(target_dir, iso_codes, model_ids):

@@ -1,0 +1,119 @@
+import json
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass
+
+import pytest
+from hypothesis import given, strategies as st
+
+from lexglean.codec import DataError, from_json, parse_record, to_json
+from lexglean.evaluation import ConditionSummary, EvaluationRecord, OverlapResult
+from lexglean.generation import GenerationRecord, SamplingParams
+from lexglean.langid import FidelityResult, LidPrediction
+
+CODEC_CLASSES = (GenerationRecord, EvaluationRecord, ConditionSummary, FidelityResult, OverlapResult)
+
+_SCALARS = {
+    str: st.text(max_size=8),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    bool: st.booleans(),
+}
+
+
+def _strategy(hint):
+    """Values of a field type, built from the same hints the codec reads."""
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return st.builds(hint, *[_strategy(hints[f.name]) for f in fields(hint)])
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return st.none() | _strategy(inner)
+    if origin is tuple:
+        return st.lists(_strategy(args[0]), max_size=4).map(tuple)
+    return _SCALARS[hint]
+
+
+@pytest.mark.parametrize("cls", CODEC_CLASSES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_roundtrip_through_json_text(cls, data):
+    value = data.draw(_strategy(cls))
+    assert from_json(cls, json.loads(json.dumps(to_json(value)))) == value
+
+
+def test_declared_json_keys():
+    result = FidelityResult(LidPrediction("hau_Latn", 0.5), True, 0.5, (LidPrediction("eng_Latn", 1.0),), 1.0)
+    assert to_json(result) == {
+        "document": {"label": "hau_Latn", "confidence": 0.5},
+        "is_target": True,
+        "target_confidence": 0.5,
+        "sentences": [{"label": "eng_Latn", "confidence": 1.0}],
+        "code_switch_rate": 1.0,
+    }
+
+
+def test_absent_optional_key_reads_as_none():
+    summary = ConditionSummary("m", "hau", "creative", 1, *[1.0] * 10, None, None)
+    data = to_json(summary)
+    del data["diacritic_presence_pct"], data["avg_diacritic_ratio"]
+    assert from_json(ConditionSummary, data) == summary
+
+
+def test_numbers_and_booleans_are_coerced():
+    sampling = from_json(SamplingParams, {"temperature": 1, "top_p": "0.5", "max_output_tokens": 256.0})
+    assert sampling == SamplingParams(1.0, 0.5, 256)
+    assert type(sampling.temperature) is float and type(sampling.max_output_tokens) is int
+    assert from_json(OverlapResult, {"key": "k", "cosine": 0, "memorization_suspect": 1}).memorization_suspect is True
+
+
+def test_decode_errors():
+    with pytest.raises(KeyError, match="label"):
+        from_json(LidPrediction, {"confidence": 0.5})
+    with pytest.raises(TypeError, match="expected a string"):
+        from_json(LidPrediction, {"label": 5, "confidence": 0.5})
+    with pytest.raises(ValueError):
+        from_json(LidPrediction, {"label": "x", "confidence": "high"})
+    with pytest.raises(TypeError):
+        from_json(FidelityResult, {"document": None})
+
+
+def test_unsupported_types_rejected_on_first_use():
+    @dataclass
+    class Listed:
+        items: list[str]
+
+    @dataclass
+    class Either:
+        value: int | str
+
+    with pytest.raises(TypeError, match="unsupported"):
+        to_json(Listed(["a"]))
+    with pytest.raises(TypeError, match="unsupported"):
+        from_json(Either, {"value": 1})
+    with pytest.raises(TypeError, match="not a dataclass"):
+        from_json(dict, {})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"label": "x", "confid', "invalid JSON"),
+        ('{"label": "x"}', "missing field 'confidence'"),
+        ('{"label": "x", "confidence": null}', "bad value"),
+        ("[1, 2]", "bad value"),
+    ],
+)
+def test_parse_record_names_the_source(text, message):
+    with pytest.raises(DataError, match=message) as exc_info:
+        parse_record(LidPrediction, text.encode(), "run/evaluations.jsonl", 7)
+    assert str(exc_info.value).startswith("run/evaluations.jsonl:7: ")
+    with pytest.raises(DataError) as exc_info:
+        parse_record(LidPrediction, text.encode(), "run/m/hau/t/p.json")
+    assert str(exc_info.value).startswith("run/m/hau/t/p.json: ")
+
+
+def test_parse_record_reports_an_infinite_int_as_bad_value():
+    raw = b'{"temperature": 0.7, "top_p": 0.95, "max_output_tokens": 1e400}'
+    with pytest.raises(DataError, match=r"^run/m/hau/t/p\.json: bad value"):
+        parse_record(SamplingParams, raw, "run/m/hau/t/p.json")

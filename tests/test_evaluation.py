@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from lexglean.codec import from_json, to_json
 from lexglean.evaluation import (
     ConditionSummary,
     DEFAULT_QUALITY_WEIGHTS,
@@ -281,17 +282,17 @@ def _pairs():
 
 
 def test_filter_usable_keeps_valid_on_target():
-    corpus = filter_usable(_pairs())
-    assert [e.output_id for e in corpus.entries] == [
+    usable = filter_usable(_pairs())
+    assert [record.output_id for record, _ in usable] == [
         "m/hau/creative/cw_01",
         "m/hau/creative/cw_04",
     ]
-    assert corpus.total_words == 60
+    assert sum(evaluation.word_count for _, evaluation in usable) == 60
 
 
 def test_filter_usable_min_quality():
-    corpus = filter_usable(_pairs(), min_quality=0.5)
-    assert [e.output_id for e in corpus.entries] == ["m/hau/creative/cw_01"]
+    usable = filter_usable(_pairs(), min_quality=0.5)
+    assert [record.output_id for record, _ in usable] == ["m/hau/creative/cw_01"]
 
 
 def test_filter_usable_rejects_mismatch_and_duplicates():
@@ -304,7 +305,7 @@ def test_filter_usable_rejects_mismatch_and_duplicates():
 
 
 def test_export_usable_corpus(tmp_path):
-    corpus = filter_usable(
+    usable = filter_usable(
         [
             (
                 make_record("m/hau/creative/cw_01", text="Jimla ta farko."),
@@ -316,8 +317,8 @@ def test_export_usable_corpus(tmp_path):
             ),
         ]
     )
-    totals = export_usable_corpus(corpus, tmp_path, ["hau", "fon"])
-    assert totals == {"hau": 6, "fon": 0}
+    totals = export_usable_corpus(usable, tmp_path, ["hau", "fon"])
+    assert totals == {"hau": (2, 6), "fon": (0, 0)}
     assert (tmp_path / "hau.txt").read_text() == "Jimla ta farko.\n\nJimla ta biyu.\n"
     assert (tmp_path / "fon.txt").read_text() == ""
     lines = (tmp_path / "hau.provenance.jsonl").read_text().splitlines()
@@ -343,6 +344,46 @@ def test_evaluations_roundtrip(tmp_path):
     assert loaded == sorted(records, key=lambda r: r.output_id)
 
 
+def test_evaluations_jsonl_line_is_pinned(tmp_path):
+    from lexglean.textstats import DiacriticStats, DiversityStats
+
+    record = EvaluationRecord(
+        output_id="m/fon/creative/cw_01",
+        model_id="m",
+        language="fon",
+        task_type="creative",
+        word_count=3,
+        is_valid=False,
+        diversity=DiversityStats(3, 2, 2 / 3, 1, 0.5),
+        fidelity=FidelityResult(
+            document_prediction=LidPrediction("fon_Latn", 0.5),
+            is_target=True,
+            target_confidence=0.5,
+            sentence_predictions=(LidPrediction("fon_Latn", 0.25), LidPrediction("fra_Latn", 0.75)),
+            code_switch_rate=0.5,
+        ),
+        repetition_4gram=0.0,
+        repetition_sentence=0.0,
+        diacritics=DiacriticStats(4, 1, 0.25, True, 0.5),
+        quality=0.5,
+    )
+    path = tmp_path / "evaluations.jsonl"
+    write_evaluations([record], path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"diacritics":{"alphabetic_count":4,"combining_mark_count":1,"diacritic_ratio":0.25,'
+        '"has_diacritics":true,"tonal_vowel_fraction":0.5},'
+        '"diversity":{"hapax_count":1,"hapax_ratio":0.5,"total_tokens":3,'
+        '"ttr":0.6666666666666666,"vocab_size":2},'
+        '"fidelity":{"code_switch_rate":0.5,"document":{"confidence":0.5,"label":"fon_Latn"},'
+        '"is_target":true,"sentences":[{"confidence":0.25,"label":"fon_Latn"},'
+        '{"confidence":0.75,"label":"fra_Latn"}],"target_confidence":0.5},'
+        '"is_valid":false,"language":"fon","model_id":"m","output_id":"m/fon/creative/cw_01",'
+        '"quality":0.5,"repetition_4gram":0.0,"repetition_sentence":0.0,"task_type":"creative",'
+        '"word_count":3}\n'
+    )
+    assert read_evaluations(path) == [record]
+
+
 def test_summaries_roundtrip(tmp_path):
     summaries = aggregate([make_eval("m/hau/creative/cw_01")])
     path = tmp_path / "summary.json"
@@ -354,4 +395,4 @@ def test_summaries_roundtrip(tmp_path):
 def test_condition_summary_roundtrip_none_fields():
     summary = aggregate([make_eval("m/hau/creative/cw_01")])[0]
     assert summary.diacritic_presence_pct is None
-    assert ConditionSummary.from_json_dict(summary.to_json_dict()) == summary
+    assert from_json(ConditionSummary, to_json(summary)) == summary

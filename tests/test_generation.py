@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lexglean.codec import DataError, from_json
 from lexglean.generation import (
     BackendResponse,
     BackendUnavailable,
@@ -329,10 +330,28 @@ def test_dumps_record_shape():
         attempt_count=1,
     )
     text = dumps_record(record)
-    assert text.endswith("\n")
-    data = json.loads(text)
-    assert list(data) == sorted(data)
-    assert GenerationRecord.from_json_dict(data) == record
+    assert text == (
+        "{\n"
+        '  "attempt_count": 1,\n'
+        '  "finish_reason": "stop",\n'
+        '  "language": "hau",\n'
+        '  "latency": 0.0,\n'
+        '  "model_id": "m",\n'
+        '  "output_id": "m/hau/creative/cw_01",\n'
+        '  "prompt_id": "cw_01",\n'
+        '  "rendered_prompt": "p",\n'
+        '  "request_timestamp": "1970-01-01T00:00:00+00:00",\n'
+        '  "response_text": "amsa",\n'
+        '  "sampling": {\n'
+        '    "max_output_tokens": 256,\n'
+        '    "temperature": 0.7,\n'
+        '    "top_p": 0.95\n'
+        "  },\n"
+        '  "system_prompt": "s",\n'
+        '  "task_type": "creative"\n'
+        "}\n"
+    )
+    assert from_json(GenerationRecord, json.loads(text)) == record
 
 
 def test_read_records_rejects_duplicates(tmp_path):
@@ -342,6 +361,22 @@ def test_read_records_rejects_duplicates(tmp_path):
     clone = source.with_name("zz_99.json")
     clone.write_text(source.read_text())
     with pytest.raises(ValueError, match="corrupted run directory"):
+        read_records(tmp_path)
+
+
+def test_read_records_compares_dotted_names_with_record_path(tmp_path):
+    # record_path replaces the suffix of a dotted prompt id: ".../cw.1" lives in cw.json.
+    record = GenerationRecord(
+        "m/hau/creative/cw.1", "cw.1", "m", "hau", "creative", "p", "s",
+        SamplingParams(0.7, 0.95, 256), "amsa", "stop", MOCK_TIMESTAMP, 0.0, 1,
+    )
+    path = record_path(tmp_path, record.output_id)
+    assert path.name == "cw.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(dumps_record(record), encoding="utf-8")
+    assert read_records(tmp_path) == [record]
+    path.rename(path.with_name("cw.1.json"))
+    with pytest.raises(DataError, match=r"cw\.1\.json: holds output_id"):
         read_records(tmp_path)
 
 

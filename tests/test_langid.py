@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexglean import data_dir
+from lexglean.codec import from_json, to_json
 from lexglean.langid import (
     BackendError,
     BuiltinClassifier,
@@ -186,7 +187,7 @@ def test_fidelity_result_json_roundtrip():
         sentence_predictions=(LidPrediction("hau_Latn", 0.8), LidPrediction("eng_Latn", 0.7)),
         code_switch_rate=0.5,
     )
-    assert FidelityResult.from_json_dict(result.to_json_dict()) == result
+    assert from_json(FidelityResult, to_json(result)) == result
 
 
 def _write_predictions(path, rows):

@@ -1,4 +1,5 @@
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,7 +10,7 @@ from lexglean.textstats import (
     cosine,
     diacritic_stats,
     diversity,
-    merge_profiles,
+    merged_trigram_profile,
     ngram_repetition,
     segment_sentences,
     sentence_repetition,
@@ -163,8 +164,8 @@ def test_trigram_profile_empty():
     assert profile.total == 0
 
 
-def test_merge_profiles():
-    merged = merge_profiles([trigram_profile("ab"), trigram_profile("ab")])
+def test_merged_trigram_profile():
+    merged = merged_trigram_profile(["ab", "ab"])
     assert merged.counts == {" ab": 2, "ab ": 2}
     assert merged.total == 4
 
@@ -266,3 +267,14 @@ def test_cosine_symmetric(a, b):
     p, q = trigram_profile(a), trigram_profile(b)
     assert cosine(p, q) == pytest.approx(cosine(q, p), abs=1e-12)
     assert -1e-12 <= cosine(p, q) <= 1.0 + 1e-12
+
+
+@given(st.lists(token_texts, max_size=4))
+def test_merged_trigram_profile_sums_text_profiles(texts):
+    merged = merged_trigram_profile(texts)
+    expected = Counter()
+    for text in texts:
+        expected.update(trigram_profile(text).counts)
+    assert merged.counts == expected
+    assert list(merged.counts) == list(expected)
+    assert merged.total == sum(trigram_profile(text).total for text in texts)

@@ -26,7 +26,7 @@ from . import __version__, data_dir
 from .codec import DataError, json_file_text, load_list, to_json
 from .evaluation import (
     DEFAULT_VALIDITY_THRESHOLD,
-    QualityWeights,
+    DEFAULT_W_CONF,
     aggregate,
     evaluate_output,
     filter_usable,
@@ -47,6 +47,7 @@ from .generation import (
     run_batch,
 )
 from .langid import (
+    BackendError,
     BuiltinClassifier,
     ExternalPredictionsClassifier,
     load_external_predictions,
@@ -55,9 +56,6 @@ from .langid import (
 )
 from .reporting import FORMATS, TABLE_KINDS, ReportSpec, format_condition_table, render_report
 from .taxonomy import (
-    ConfigError,
-    RenderError,
-    TaxonomyError,
     load_language_configs,
     load_model_configs,
     load_taxonomy,
@@ -179,7 +177,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"no records under {args.outputs}", code=EXIT_DATA)
 
     backend, backend_name = _make_lid_backend(args.lid)
-    weights = QualityWeights(args.w_conf, 1.0 - args.w_conf)
     references = _parse_references(args.reference)
 
     evaluations = []
@@ -188,7 +185,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if language is None:
             raise CliError(f"record {record.output_id}: unknown language '{record.language}'")
         evaluations.append(
-            evaluate_output(record, language, backend, threshold=args.threshold, weights=weights)
+            evaluate_output(record, language, backend, threshold=args.threshold, w_conf=args.w_conf)
         )
     summaries = aggregate(evaluations)
 
@@ -206,7 +203,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         subset = [record for record in records if record.language == language]
         if not subset:
             raise CliError(f"--reference {language}: no records for that language")
-        overlaps.extend(reference_overlap(subset, reference_lines, granularity="per_condition"))
+        overlaps.extend(reference_overlap(subset, reference_lines))
     if overlaps:
         (results_dir / "overlap.json").write_text(
             json_file_text({"overlaps": [to_json(o) for o in overlaps]}), encoding="utf-8"
@@ -216,8 +213,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "lid_backend": backend_name,
         "validity_threshold": args.threshold,
         "quality_formula": (
-            f"quality = {weights.confidence:g}*lang_conf"
-            f" + {weights.code_switch:g}*(1 - code_switch_rate)"
+            f"quality = {args.w_conf:g}*lang_conf"
+            f" + {1.0 - args.w_conf:g}*(1 - code_switch_rate)"
         ),
         "n_records": len(records),
         "n_conditions": len(summaries),
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evaluate.add_argument(
         "--w-conf",
         type=float,
-        default=0.5,
+        default=DEFAULT_W_CONF,
         help="weight of language confidence in the quality score (code-switch gets 1 - w)",
     )
     p_evaluate.add_argument(
@@ -355,10 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, BackendError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TaxonomyError, ConfigError, RenderError, ValueError) as exc:
+    except ValueError as exc:  # TaxonomyError, ConfigError and RenderError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,12 +4,12 @@ An output is *valid* when it has at least ``DEFAULT_VALIDITY_THRESHOLD``
 word tokens (inclusive).  The composite quality score is a weighted mean of
 the target-language confidence and the inverse code-switch rate::
 
-    quality = w_conf * lang_conf + w_cs * (1 - code_switch_rate)
+    quality = w_conf * lang_conf + (1 - w_conf) * (1 - code_switch_rate)
 
-with weights that must sum to 1 (default 0.5 / 0.5).  Aggregation groups
-records by (model, language, task_type) and averages over *all* records in
-the cell, valid or not; ``usable_words_per_call`` divides the words of
-valid, on-target outputs by the total number of outputs in the cell.
+with ``w_conf`` in [0, 1] (default 0.5).  Aggregation groups records by
+(model, language, task_type) and averages over *all* records in the cell,
+valid or not; ``usable_words_per_call`` divides the words of valid,
+on-target outputs by the total number of outputs in the cell.
 """
 from __future__ import annotations
 
@@ -41,39 +41,18 @@ DEFAULT_VALIDITY_THRESHOLD = 20
 # memorisation / regurgitation.  Strictly greater-than flags.
 MEMORIZATION_COSINE_THRESHOLD = 0.15
 
-_WEIGHT_TOLERANCE = 1e-9
+DEFAULT_W_CONF = 0.5
 
 
-@dataclass(frozen=True)
-class QualityWeights:
-    confidence: float = 0.5
-    code_switch: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.confidence < 0 or self.code_switch < 0:
-            raise ValueError("quality weights must be nonnegative")
-        if abs(self.confidence + self.code_switch - 1.0) > _WEIGHT_TOLERANCE:
-            raise ValueError(
-                f"quality weights must sum to 1, got {self.confidence + self.code_switch!r}"
-            )
-
-
-DEFAULT_QUALITY_WEIGHTS = QualityWeights()
-
-
-def composite_quality(
-    lang_conf: float,
-    code_switch: float,
-    weights: QualityWeights = DEFAULT_QUALITY_WEIGHTS,
-) -> float:
+def composite_quality(lang_conf: float, code_switch: float, w_conf: float = DEFAULT_W_CONF) -> float:
     """Weighted mean of language confidence and inverse code-switch rate."""
-    return weights.confidence * lang_conf + weights.code_switch * (1.0 - code_switch)
+    if not 0.0 <= w_conf <= 1.0:
+        raise ValueError(f"quality weights must be nonnegative: w_conf {w_conf!r} is not in [0, 1]")
+    return w_conf * lang_conf + (1.0 - w_conf) * (1.0 - code_switch)
 
 
-def is_memorization_suspect(
-    cosine_value: float, threshold: float = MEMORIZATION_COSINE_THRESHOLD
-) -> bool:
-    return cosine_value > threshold
+def is_memorization_suspect(cosine_value: float) -> bool:
+    return cosine_value > MEMORIZATION_COSINE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -100,12 +79,12 @@ def evaluate_output(
     backend: FidelityBackend,
     *,
     threshold: int = DEFAULT_VALIDITY_THRESHOLD,
-    weights: QualityWeights = DEFAULT_QUALITY_WEIGHTS,
+    w_conf: float = DEFAULT_W_CONF,
 ) -> EvaluationRecord:
     """Score one generation record against its target language."""
     text = record.response_text
     tokens = tokenize(text)
-    word_count = tokens.total
+    word_count = len(tokens)
     fidelity = backend.assess(text, lang.target_lid_label, output_id=record.output_id)
     return EvaluationRecord(
         output_id=record.output_id,
@@ -119,7 +98,7 @@ def evaluate_output(
         repetition_4gram=ngram_repetition(tokens, 4),
         repetition_sentence=sentence_repetition(segment_sentences(text)),
         diacritics=diacritic_stats(text) if lang.tonal_orthography else None,
-        quality=composite_quality(fidelity.target_confidence, fidelity.code_switch_rate, weights),
+        quality=composite_quality(fidelity.target_confidence, fidelity.code_switch_rate, w_conf),
     )
 
 
@@ -204,13 +183,12 @@ class OverlapResult:
 def reference_overlap(
     generated: Sequence[GenerationRecord],
     reference_corpus: Sequence[str],
-    granularity: str = "per_condition",
 ) -> list[OverlapResult]:
     """Trigram-cosine overlap of generated text against a reference corpus.
 
-    ``granularity`` is "per_condition" (one result per model/language/task
-    cell) or "per_output".  A cosine strictly above
-    MEMORIZATION_COSINE_THRESHOLD marks the group as a memorisation suspect.
+    One result per model/language/task cell, keyed ``model/language/task``.
+    A cosine strictly above MEMORIZATION_COSINE_THRESHOLD marks the cell as
+    a memorisation suspect.
     """
     reference_lines = [line for line in reference_corpus if line.strip()]
     if not reference_lines:
@@ -218,15 +196,9 @@ def reference_overlap(
     reference_profile = merged_trigram_profile(reference_lines)
 
     groups: dict[str, list[GenerationRecord]] = {}
-    if granularity == "per_condition":
-        for record in generated:
-            key = f"{record.model_id}/{record.language}/{record.task_type}"
-            groups.setdefault(key, []).append(record)
-    elif granularity == "per_output":
-        for record in generated:
-            groups.setdefault(record.output_id, []).append(record)
-    else:
-        raise ValueError(f"unknown granularity '{granularity}'")
+    for record in generated:
+        key = f"{record.model_id}/{record.language}/{record.task_type}"
+        groups.setdefault(key, []).append(record)
 
     results = []
     for key in sorted(groups):

@@ -195,7 +195,8 @@ def output_id_for(model_id: str, iso_code: str, task_type: str, prompt_id: str) 
 
 
 def record_path(out_dir: str | Path, output_id: str) -> Path:
-    return Path(out_dir).joinpath(*output_id.split("/")).with_suffix(".json")
+    """``<out_dir>/<output_id>.json``; a dot in the prompt id stays in the file name."""
+    return Path(out_dir, output_id + ".json")
 
 
 def build_request(
@@ -338,14 +339,25 @@ class MockFixture:
 
 
 def load_mock_fixtures(path: str | Path) -> dict[str, MockFixture]:
-    """Load a fixtures file: a JSON map of output_id -> canned response."""
+    """Load a fixtures file: a JSON map of output_id -> canned response.
+
+    A file that is not such a map raises DataError naming it.
+    """
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: fixtures file must be a JSON object keyed by output_id")
+        raise DataError(f"{path}: fixtures file must be a JSON object keyed by output_id")
     fixtures: dict[str, MockFixture] = {}
     for output_id, entry in data.items():
-        schedule = tuple(int(s) for s in entry.get("status_schedule", [200])) or (200,)
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: fixture '{output_id}' is not a JSON object")
+        try:
+            schedule = tuple(int(s) for s in entry.get("status_schedule", [200])) or (200,)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: fixture '{output_id}': bad status_schedule: {exc}") from exc
         fixtures[output_id] = MockFixture(
             response_text=str(entry.get("response_text", "")),
             status_schedule=schedule,

@@ -11,7 +11,8 @@ Two interchangeable classifier backends are provided:
 
 Both expose ``assess(text, target, output_id=...)`` returning a
 ``FidelityResult`` with a document-level prediction, per-sentence
-predictions and a sentence-level code-switch rate.
+predictions and a sentence-level code-switch rate.  Each backend has its own
+target-confidence rule; one builder derives the rest from the predictions.
 
 A score is the cosine ``dot / (norm * ref_norm)`` of integer trigram counts.
 ``LanguageProfileSet.scores`` gets every label's dot from one sum: a table
@@ -31,7 +32,7 @@ from operator import mul
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .codec import JSON_KEY
+from .codec import JSON_KEY, DataError
 from .textstats import TrigramProfile, merged_trigram_profile, segment_sentences, trigram_profile
 
 UNKNOWN_LABEL = "und"
@@ -64,6 +65,19 @@ class FidelityResult:
     target_confidence: float
     sentence_predictions: tuple[LidPrediction, ...] = field(metadata={JSON_KEY: "sentences"})
     code_switch_rate: float
+
+
+def _fidelity_result(
+    target: str, document: LidPrediction, confidence: float, sentences: Sequence[LidPrediction]
+) -> FidelityResult:
+    """The fidelity of an output with these predictions and target confidence.
+
+    It is on target when the document label is ``target``; its code-switch
+    rate is the share of sentences labelled otherwise (0.0 without any).
+    """
+    switched = sum(1 for p in sentences if p.label != target)
+    rate = switched / len(sentences) if sentences else 0.0
+    return FidelityResult(document, document.label == target, confidence, tuple(sentences), rate)
 
 
 class LanguageProfileSet:
@@ -201,19 +215,7 @@ class BuiltinClassifier:
                 sentence_predictions.append(document)
             else:
                 sentence_predictions.append(_classify_profile(profile, self.profile_set)[0])
-        if sentence_predictions:
-            switched = sum(1 for p in sentence_predictions if p.label != target)
-            code_switch_rate = switched / len(sentence_predictions)
-        else:
-            code_switch_rate = 0.0
-
-        return FidelityResult(
-            document_prediction=document,
-            is_target=document.label == target,
-            target_confidence=target_confidence,
-            sentence_predictions=tuple(sentence_predictions),
-            code_switch_rate=code_switch_rate,
-        )
+        return _fidelity_result(target, document, target_confidence, sentence_predictions)
 
 
 @dataclass(frozen=True)
@@ -226,19 +228,20 @@ def load_external_predictions(path: str | Path) -> dict[str, PredictionBundle]:
     """Load externally produced predictions from a JSONL file.
 
     Each row needs ``output_id``, ``doc_label``, ``doc_conf`` and parallel
-    ``sentence_labels`` / ``sentence_confs`` arrays.  Malformed rows raise
-    ValueError with the line number; duplicate output ids are rejected.
+    ``sentence_labels`` / ``sentence_confs`` arrays.  A malformed row or a
+    repeated output id raises DataError naming ``path:line``.
     """
     path = Path(path)
     bundles: dict[str, PredictionBundle] = {}
-    with path.open(encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
                 row = json.loads(line)
                 output_id = row["output_id"]
+                if not isinstance(output_id, str):
+                    raise TypeError(f"output_id must be a string, got {output_id!r}")
                 doc = LidPrediction(str(row["doc_label"]), float(row["doc_conf"]))
                 labels = row["sentence_labels"]
                 confs = row["sentence_confs"]
@@ -247,10 +250,10 @@ def load_external_predictions(path: str | Path) -> dict[str, PredictionBundle]:
                 sentences = tuple(
                     LidPrediction(str(l), float(c)) for l, c in zip(labels, confs)
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed prediction row: {exc}") from exc
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed prediction row: {exc}") from exc
             if output_id in bundles:
-                raise ValueError(f"{path}:{lineno}: duplicate output_id '{output_id}'")
+                raise DataError(f"{path}:{lineno}: duplicate output_id '{output_id}'")
             bundles[output_id] = PredictionBundle(doc, sentences)
     return bundles
 
@@ -276,18 +279,8 @@ class ExternalPredictionsClassifier:
         if bundle is None:
             raise BackendError("no external prediction", output_id=output_id)
         document = bundle.document
-        if bundle.sentences:
-            switched = sum(1 for p in bundle.sentences if p.label != target)
-            code_switch_rate = switched / len(bundle.sentences)
-        else:
-            code_switch_rate = 0.0
-        return FidelityResult(
-            document_prediction=document,
-            is_target=document.label == target,
-            target_confidence=document.confidence if document.label == target else 0.0,
-            sentence_predictions=bundle.sentences,
-            code_switch_rate=code_switch_rate,
-        )
+        target_confidence = document.confidence if document.label == target else 0.0
+        return _fidelity_result(target, document, target_confidence, bundle.sentences)
 
 
 class FidelityBackend(Protocol):

@@ -8,6 +8,7 @@ of them are breaking:
 * tokenize: NFC-normalise, case-fold, then take maximal runs of Unicode
   letters, combining marks and apostrophes; a hyphen joins a run only when
   it sits between two run characters.  Digits and punctuation are dropped.
+  The tokens come back as a plain tuple of strings.
 * segment_sentences: split on ``.``, ``!``, ``?``, ``…`` and newline runs;
   a run of terminators stays attached to its sentence; sentences are
   trimmed and empties dropped.
@@ -34,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 APOSTROPHES = frozenset({"'", "’", "ʼ"})
 HYPHENS = frozenset({"-", "‐"})
@@ -48,24 +49,6 @@ VOWELS = frozenset("aeiouɛɔ")
 
 _COMBINING_LO = 0x0300
 _COMBINING_HI = 0x036F
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Tokens extracted from one text plus the original character count."""
-
-    tokens: tuple[str, ...]
-    source_char_count: int
-
-    @property
-    def total(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -142,7 +125,7 @@ _TONED_VOWEL = re.compile(r"V[mn]*T")
 _TRIGRAM = re.compile(r"(?=(...))", re.S)
 
 
-def tokenize(text: str) -> TokenSequence:
+def tokenize(text: str) -> tuple[str, ...]:
     """Split a text into word tokens.
 
     The text is NFC-normalised and case-folded first; each token is
@@ -150,11 +133,10 @@ def tokenize(text: str) -> TokenSequence:
     """
     normalized = unicodedata.normalize("NFC", text).casefold()
     classes = normalized.translate(_TOKEN_CLASSES)
-    tokens = tuple(
+    return tuple(
         unicodedata.normalize("NFC", normalized[start:end])
         for start, end in map(re.Match.span, _TOKEN_RUN.finditer(classes))
     )
-    return TokenSequence(tokens, len(text))
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -162,31 +144,29 @@ def segment_sentences(text: str) -> list[str]:
     return [sentence for sentence in map(str.strip, _SENTENCE.findall(text)) if sentence]
 
 
-def diversity(tokens: TokenSequence | Sequence[str]) -> DiversityStats:
+def diversity(tokens: Sequence[str]) -> DiversityStats:
     """Type-token ratio and hapax statistics for a token sequence.
 
     Note the hapax ratio is hapax_count / vocab_size (share of the
     vocabulary seen once), not hapax_count / total_tokens.
     """
-    toks = list(tokens)
-    total = len(toks)
+    total = len(tokens)
     if total == 0:
         return DiversityStats(0, 0, 0.0, 0, 0.0)
-    counts = Counter(toks)
+    counts = Counter(tokens)
     vocab = len(counts)
     hapax = sum(1 for c in counts.values() if c == 1)
     return DiversityStats(total, vocab, vocab / total, hapax, hapax / vocab)
 
 
-def ngram_repetition(tokens: TokenSequence | Sequence[str], n: int = 4) -> float:
+def ngram_repetition(tokens: Sequence[str], n: int = 4) -> float:
     """1 - unique/total token n-grams; 0.0 when fewer than n tokens."""
     if n < 1:
         raise ValueError(f"n-gram size must be >= 1, got {n}")
-    toks = list(tokens)
-    total = len(toks) - n + 1
+    total = len(tokens) - n + 1
     if total <= 0:
         return 0.0
-    unique = len(set(zip(*(toks[i:] for i in range(n)))))
+    unique = len(set(zip(*(tokens[i:] for i in range(n)))))
     return 1.0 - unique / total
 
 

@@ -162,7 +162,7 @@ def test_builtin_lid_holdout_accuracy():
         (label, line)
         for label, lines in corpora.items()
         for line in lines[50:]
-        if textstats.tokenize(line).total >= 30
+        if len(textstats.tokenize(line)) >= 30
     ]
     assert len(heldout) >= 30
     assert len({label for label, _ in heldout}) == 5

@@ -179,6 +179,56 @@ def test_evaluate_bad_weight(small_run, tmp_path):
     assert "nonnegative" in err
 
 
+def test_evaluate_non_default_weight(small_run, tmp_path):
+    results = tmp_path / "r"
+    code, stdout, err = run_cli(
+        ["evaluate", "--outputs", small_run, "--results", results, "--w-conf", "0.3"]
+    )
+    assert code == 0, err
+    formula = "quality = 0.3*lang_conf + 0.7*(1 - code_switch_rate)"
+    assert json.loads((results / "run_meta.json").read_text())["quality_formula"] == formula
+    assert formula in stdout
+    evaluations = {
+        row["output_id"]: row
+        for row in map(json.loads, (results / "evaluations.jsonl").read_text().splitlines())
+    }
+    row = evaluations["gpt-4o-mini/hau/creative/cw_01"]
+    assert row["fidelity"]["code_switch_rate"] == 1 / 13
+    assert row["quality"] == 0.7494478889760179
+
+
+_PREDICTION_ROW = (
+    '{"output_id": "elsewhere", "doc_label": "hau_Latn", "doc_conf": 1.0,'
+    ' "sentence_labels": [], "sentence_confs": []}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "command, content, detail",
+    [
+        ("evaluate", _PREDICTION_ROW, "no external prediction (output gpt-4o-mini/hau/constrained/cg_01)"),
+        ("evaluate", '{"output_id": "x", "doc_label": "hau_Latn"}\n', "{path}:1: malformed prediction row"),
+        ("generate", '{"m/hau/creative/cw_01": "amsa"}', "{path}: fixture 'm/hau/creative/cw_01' is not"),
+        ("generate", '{"m/hau/creative/cw_01": {', "{path}: invalid JSON"),
+        ("generate", '{"m/hau/creative/cw_01": {"status_schedule": [null]}}', "{path}: fixture 'm/hau/creative/cw_01': bad"),
+    ],
+    ids=[
+        "prediction_missing", "malformed_prediction_row", "fixture_not_object", "malformed_fixtures",
+        "bad_status_schedule",
+    ],
+)
+def test_bad_lid_or_fixture_input_is_a_data_error(small_run, tmp_path, command, content, detail):
+    path = tmp_path / "input.json"
+    path.write_text(content, encoding="utf-8")
+    if command == "evaluate":
+        argv = ["evaluate", "--outputs", small_run, "--results", tmp_path / "r", "--lid", f"external:{path}"]
+    else:
+        argv = ["generate", "--mock", path, "--out", tmp_path / "o"]
+    code, _, err = run_cli(argv)
+    assert code == 1
+    assert f"error: {detail.format(path=path)}" in err
+
+
 def test_filter_requires_evaluate(small_run, tmp_path):
     code, _, err = run_cli(
         ["filter", "--results", tmp_path / "empty", "--outputs", small_run, "--out", tmp_path / "c"]

@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 from lexglean.codec import from_json, to_json
 from lexglean.evaluation import (
     ConditionSummary,
-    DEFAULT_QUALITY_WEIGHTS,
+    DEFAULT_W_CONF,
     EvaluationRecord,
     MEMORIZATION_COSINE_THRESHOLD,
-    QualityWeights,
     aggregate,
     composite_quality,
     evaluate_output,
@@ -103,16 +102,16 @@ def test_composite_quality_frozen():
 
 
 def test_composite_quality_custom_weights():
-    weights = QualityWeights(0.7, 0.3)
-    assert composite_quality(0.5, 0.2, weights) == pytest.approx(0.7 * 0.5 + 0.3 * 0.8, abs=1e-12)
+    assert composite_quality(0.5, 0.2, w_conf=0.7) == pytest.approx(0.7 * 0.5 + 0.3 * 0.8, abs=1e-12)
 
 
 def test_quality_weights_validation():
-    with pytest.raises(ValueError, match="sum to 1"):
-        QualityWeights(0.6, 0.6)
-    with pytest.raises(ValueError, match="nonnegative"):
-        QualityWeights(-0.2, 1.2)
-    assert DEFAULT_QUALITY_WEIGHTS.confidence == 0.5
+    for w_conf in (-0.2, 1.2, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            composite_quality(0.5, 0.5, w_conf)
+    assert composite_quality(0.25, 0.5, 0.0) == 0.5
+    assert composite_quality(0.25, 0.5, 1.0) == 0.25
+    assert DEFAULT_W_CONF == 0.5
 
 
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
@@ -133,8 +132,6 @@ def test_memorization_threshold_is_strict():
     assert not is_memorization_suspect(MEMORIZATION_COSINE_THRESHOLD)
     assert is_memorization_suspect(MEMORIZATION_COSINE_THRESHOLD + 1e-12)
     assert not is_memorization_suspect(0.1)
-    assert is_memorization_suspect(0.5, threshold=0.4)
-    assert not is_memorization_suspect(0.5, threshold=0.6)
 
 
 # ------------------------------------------------------------- evaluate_output
@@ -245,9 +242,6 @@ def test_reference_overlap_groups():
     assert [o.key for o in per_condition] == ["m/hau/creative", "m/hau/dialogue"]
     assert all(o.memorization_suspect for o in per_condition)
 
-    per_output = reference_overlap(records, reference, granularity="per_output")
-    assert [o.key for o in per_output] == [r.output_id for r in records]
-
 
 def test_reference_overlap_disjoint_text_not_flagged():
     records = [make_record(text="πολλά γράμματα εδώ")]
@@ -259,8 +253,6 @@ def test_reference_overlap_disjoint_text_not_flagged():
 def test_reference_overlap_errors():
     with pytest.raises(ValueError, match="reference corpus is empty"):
         reference_overlap([make_record()], ["", "  "])
-    with pytest.raises(ValueError, match="granularity"):
-        reference_overlap([make_record()], ["x"], granularity="per_universe")
 
 
 # ------------------------------------------------------------- filter/export

@@ -211,7 +211,7 @@ def test_load_mock_fixtures(tmp_path):
     assert fixtures["a"] == MockFixture("hi", (200,), "stop")
     assert fixtures["b"] == MockFixture("yo", (500, 200), "length")
     path.write_text("[]")
-    with pytest.raises(ValueError, match="JSON object"):
+    with pytest.raises(DataError, match="JSON object"):
         load_mock_fixtures(path)
 
 
@@ -365,19 +365,33 @@ def test_read_records_rejects_duplicates(tmp_path):
 
 
 def test_read_records_compares_dotted_names_with_record_path(tmp_path):
-    # record_path replaces the suffix of a dotted prompt id: ".../cw.1" lives in cw.json.
+    # A dotted prompt id keeps its dot: ".../cw.1" lives in cw.1.json.
     record = GenerationRecord(
         "m/hau/creative/cw.1", "cw.1", "m", "hau", "creative", "p", "s",
         SamplingParams(0.7, 0.95, 256), "amsa", "stop", MOCK_TIMESTAMP, 0.0, 1,
     )
     path = record_path(tmp_path, record.output_id)
-    assert path.name == "cw.json"
+    assert path.name == "cw.1.json"
     path.parent.mkdir(parents=True)
     path.write_text(dumps_record(record), encoding="utf-8")
     assert read_records(tmp_path) == [record]
-    path.rename(path.with_name("cw.1.json"))
-    with pytest.raises(DataError, match=r"cw\.1\.json: holds output_id"):
+    path.rename(path.with_name("cw.json"))
+    with pytest.raises(DataError, match=r"cw\.json: holds output_id"):
         read_records(tmp_path)
+
+
+def test_dotted_prompt_ids_get_their_own_record_files(tmp_path):
+    templates = [
+        PromptTemplate(f"cw.{n}", "creative", "poem", "Write a poem in {language}.", frozenset({"language"}))
+        for n in (1, 2)
+    ]
+    backend = MockBackend(_fixtures_for(templates))
+    manifest = run_batch(templates, [LANG], [MODEL], tmp_path, backend)
+    ids = ["test-model/hau/creative/cw.1", "test-model/hau/creative/cw.2"]
+    assert sorted(backend.call_log) == ids
+    assert len(manifest.completed) == 2
+    assert len({record_path(tmp_path, output_id) for output_id in ids}) == 2
+    assert [record.output_id for record in read_records(tmp_path)] == ids
 
 
 def test_read_records_sorted(tmp_path):

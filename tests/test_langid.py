@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexglean import data_dir
-from lexglean.codec import from_json, to_json
+from lexglean.codec import DataError, from_json, to_json
 from lexglean.langid import (
     BackendError,
     BuiltinClassifier,
@@ -249,6 +249,9 @@ def test_external_predictions_malformed_rows(tmp_path):
         load_external_predictions(path)
     path.write_text("not json\n")
     with pytest.raises(ValueError, match=":1: malformed"):
+        load_external_predictions(path)
+    path.write_text('{"output_id": ["a"], "doc_label": "x", "doc_conf": 1.0, "sentence_labels": [], "sentence_confs": []}\n')
+    with pytest.raises(DataError, match=":1: malformed prediction row: output_id must be a string"):
         load_external_predictions(path)
 
 

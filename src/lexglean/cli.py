@@ -67,6 +67,7 @@ log = logging.getLogger("lexglean")
 EXIT_OK = 0
 EXIT_DATA = 1  # missing or corrupt input data
 EXIT_USAGE = 2  # bad flags / configuration
+EXIT_CALLS_FAILED = 3  # generate: some calls failed; a re-run retries only those
 
 
 class CliError(Exception):
@@ -141,7 +142,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     print(f"completed {done}/{manifest.expected_calls}, failed {len(manifest.failures)}")
     for output_id, message in manifest.failures:
         print(f"failed: {output_id}: {message}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_CALLS_FAILED if manifest.failures else EXIT_OK
 
 
 def _make_lid_backend(spec: str):
@@ -177,7 +178,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"no records under {args.outputs}", code=EXIT_DATA)
 
     backend, backend_name = _make_lid_backend(args.lid)
-    references = _parse_references(args.reference)
+
+    # Every reference is read before anything is written, so a bad one
+    # leaves the results directory as it was.
+    overlaps: list[OverlapResult] = []
+    for language, reference_path in sorted(_parse_references(args.reference).items()):
+        reference_lines = reference_path.read_text(encoding="utf-8").splitlines()
+        subset = [record for record in records if record.language == language]
+        if not subset:
+            raise CliError(f"--reference {language}: no records for that language")
+        overlaps.extend(reference_overlap(subset, reference_lines))
 
     evaluations = []
     for record in records:
@@ -196,14 +206,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     (results_dir / "summary.csv").write_text(
         render_report(ReportSpec("full_summary", "csv"), summaries), encoding="utf-8"
     )
-
-    overlaps: list[OverlapResult] = []
-    for language, reference_path in sorted(references.items()):
-        reference_lines = reference_path.read_text(encoding="utf-8").splitlines()
-        subset = [record for record in records if record.language == language]
-        if not subset:
-            raise CliError(f"--reference {language}: no records for that language")
-        overlaps.extend(reference_overlap(subset, reference_lines))
     if overlaps:
         (results_dir / "overlap.json").write_text(
             json_file_text({"overlaps": [to_json(o) for o in overlaps]}), encoding="utf-8"

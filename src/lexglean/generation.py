@@ -11,6 +11,11 @@ Two backends implement the same small protocol: ``HttpBackend`` posts
 OpenAI-style chat-completion requests, ``MockBackend`` serves canned
 responses keyed by output id from a fixtures file and is the workhorse for
 offline runs and tests.
+
+A call that fails for good (a non-retryable HTTP status, or retryable
+failures past the model's ``max_retries``) raises ``CallError``;
+``run_batch`` records its message in the manifest's ``failures`` and goes on
+with the other triples.
 """
 from __future__ import annotations
 
@@ -21,10 +26,10 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import requests
 
@@ -33,7 +38,6 @@ from .taxonomy import (
     ConfigError,
     LanguageConfig,
     ModelConfig,
-    PromptInstance,
     PromptTemplate,
     render_prompt,
     render_text,
@@ -46,29 +50,22 @@ MANIFEST_FILENAME = "manifest.json"
 # Timestamp used by the mock backend so record files are byte-reproducible.
 MOCK_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF = 60.0  # seconds
+
+# (connect, read) timeouts of one HTTP call, in seconds.
+HTTP_TIMEOUT = (10.0, 120.0)
+
 
 class BackendUnavailable(RuntimeError):
     """Transport-level failure (timeout, connection error); retryable."""
 
 
-class PermanentCallError(RuntimeError):
-    """Non-retryable API failure (4xx other than 429)."""
-
-    def __init__(self, output_id: str, status: int):
-        super().__init__(f"{output_id}: permanent failure, HTTP {status}")
-        self.output_id = output_id
-        self.status = status
-
-
-class TransientCallError(RuntimeError):
-    """Retries exhausted on a retryable failure."""
+class CallError(RuntimeError):
+    """A call failed for good: a non-retryable status, or retries exhausted."""
 
     def __init__(self, output_id: str, message: str):
         super().__init__(f"{output_id}: {message}")
-        self.output_id = output_id
-
-
-CALL_ERRORS = (PermanentCallError, TransientCallError)
 
 
 @dataclass(frozen=True)
@@ -76,10 +73,6 @@ class SamplingParams:
     temperature: float
     top_p: float
     max_output_tokens: int
-
-    @classmethod
-    def from_model(cls, model: ModelConfig) -> "SamplingParams":
-        return cls(model.temperature, model.top_p, model.max_output_tokens)
 
 
 @dataclass(frozen=True)
@@ -96,6 +89,7 @@ class ChatRequest:
     prompt_id: str
     language: str
     task_type: str
+    max_retries: int
 
     def body(self) -> dict:
         """OpenAI-style chat-completions request body."""
@@ -152,20 +146,18 @@ class GenerationRecord:
 class RetryPolicy:
     """Exponential backoff with full jitter for retryable failures.
 
-    ``max_retries`` counts retries after the first attempt; the default of
-    5 retries with base delay 1s and factor 2 caps the per-call wall time at
-    roughly a minute.
+    Retry n sleeps a uniform draw from [0, min(MAX_BACKOFF, base_delay *
+    BACKOFF_FACTOR ** (n - 1))] seconds.  How many retries a call gets is
+    its request's ``max_retries``; with the default of 5 and a base delay
+    of 1s a call sleeps at most 31s in all.
     """
 
-    max_retries: int = 5
     base_delay: float = 1.0
-    factor: float = 2.0
-    max_delay: float = 60.0
     rng: random.Random = field(default_factory=random.Random, repr=False)
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def backoff(self, attempt: int) -> float:
-        cap = min(self.max_delay, self.base_delay * self.factor ** (attempt - 1))
+        cap = min(MAX_BACKOFF, self.base_delay * BACKOFF_FACTOR ** (attempt - 1))
         return self.rng.uniform(0.0, cap)
 
 
@@ -200,13 +192,14 @@ def record_path(out_dir: str | Path, output_id: str) -> Path:
 
 
 def build_request(
-    instance: PromptInstance,
+    template: PromptTemplate,
+    user_prompt: str,
     model: ModelConfig,
     lang: LanguageConfig,
     *,
     require_api_key: bool = True,
 ) -> ChatRequest:
-    """Assemble the wire request for one rendered prompt.
+    """Assemble the wire request for ``template`` rendered as ``user_prompt``.
 
     The API key is read from the environment variable named by the model
     config and never persisted anywhere; a missing variable is a
@@ -224,16 +217,17 @@ def build_request(
         model.system_prompt_template, lang, context=f"system prompt for '{model.model_id}'"
     )
     return ChatRequest(
-        output_id=output_id_for(model.model_id, lang.iso_code, instance.task_type, instance.template_id),
+        output_id=output_id_for(model.model_id, lang.iso_code, template.task_type, template.id),
         endpoint_url=model.endpoint_url,
         model_id=model.model_id,
         api_key=api_key,
         system_prompt=system_prompt,
-        user_prompt=instance.rendered_text,
-        sampling=SamplingParams.from_model(model),
-        prompt_id=instance.template_id,
-        language=instance.iso_code,
-        task_type=instance.task_type,
+        user_prompt=user_prompt,
+        sampling=SamplingParams(model.temperature, model.top_p, model.max_output_tokens),
+        prompt_id=template.id,
+        language=lang.iso_code,
+        task_type=template.task_type,
+        max_retries=model.max_retries,
     )
 
 
@@ -244,9 +238,9 @@ def _is_retryable_status(status: int) -> bool:
 def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> GenerationRecord:
     """Run one request to completion, retrying 429/5xx/transport failures.
 
-    Returns a GenerationRecord on success.  Raises PermanentCallError for
-    non-retryable HTTP statuses and TransientCallError once retries are
-    exhausted; neither leaves any partial state behind.
+    Returns a GenerationRecord on success.  Raises CallError for a
+    non-retryable HTTP status and once ``request.max_retries`` retries are
+    spent; neither leaves any partial state behind.
     """
     attempt = 0
     while True:
@@ -279,10 +273,10 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
                     attempt_count=attempt,
                 )
             if not _is_retryable_status(response.status):
-                raise PermanentCallError(request.output_id, response.status)
+                raise CallError(request.output_id, f"permanent failure, HTTP {response.status}")
             failure = f"HTTP {response.status}"
-        if attempt > policy.max_retries:
-            raise TransientCallError(
+        if attempt > request.max_retries:
+            raise CallError(
                 request.output_id, f"retries exhausted after {attempt} attempts ({failure})"
             )
         delay = policy.backoff(attempt)
@@ -295,8 +289,7 @@ class HttpBackend:
 
     requires_api_key = True
 
-    def __init__(self, timeout: tuple[float, float] = (10.0, 120.0)):
-        self._timeout = timeout
+    def __init__(self):
         self._session = requests.Session()
 
     def timestamp(self) -> str:
@@ -311,7 +304,7 @@ class HttpBackend:
                 request.endpoint_url,
                 json=request.body(),
                 headers=headers,
-                timeout=self._timeout,
+                timeout=HTTP_TIMEOUT,
             )
         except requests.RequestException as exc:
             raise BackendUnavailable(str(exc)) from exc
@@ -371,28 +364,19 @@ class MockBackend:
 
     Per output id, the nth call returns the nth status in the fixture's
     ``status_schedule`` (the last entry repeats).  Every call is appended to
-    ``call_log`` before it runs, which makes duplicate-request and
-    concurrency assertions straightforward in tests.  Setting ``fail_after``
-    raises MockAborted instead of serving call N+1, simulating a kill at
-    record granularity.
+    ``call_log`` and its start time to ``call_times`` before it runs, which
+    makes duplicate-request and rate-limit assertions straightforward in
+    tests.  Setting ``fail_after`` raises MockAborted instead of serving
+    call N+1, simulating a kill at record granularity.
     """
 
     requires_api_key = False
 
-    def __init__(
-        self,
-        fixtures: dict[str, MockFixture],
-        *,
-        delay: float = 0.0,
-        fail_after: int | None = None,
-    ):
+    def __init__(self, fixtures: dict[str, MockFixture], *, fail_after: int | None = None):
         self.fixtures = fixtures
-        self.delay = delay
         self.fail_after = fail_after
         self.call_log: list[str] = []
         self.call_times: list[float] = []
-        self.max_in_flight = 0
-        self._in_flight = 0
         self._attempts: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -407,23 +391,13 @@ class MockBackend:
             self.call_times.append(time.monotonic())
             attempt = self._attempts.get(request.output_id, 0)
             self._attempts[request.output_id] = attempt + 1
-            self._in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self._in_flight)
-        try:
-            if self.delay:
-                time.sleep(self.delay)
-            fixture = self.fixtures.get(request.output_id)
-            if fixture is None:
-                return BackendResponse(404, latency=0.0)
-            status = fixture.status_schedule[min(attempt, len(fixture.status_schedule) - 1)]
-            if 200 <= status < 300:
-                return BackendResponse(
-                    status, fixture.response_text, fixture.finish_reason, latency=0.0
-                )
-            return BackendResponse(status, latency=0.0)
-        finally:
-            with self._lock:
-                self._in_flight -= 1
+        fixture = self.fixtures.get(request.output_id)
+        if fixture is None:
+            return BackendResponse(404, latency=0.0)
+        status = fixture.status_schedule[min(attempt, len(fixture.status_schedule) - 1)]
+        if 200 <= status < 300:
+            return BackendResponse(status, fixture.response_text, fixture.finish_reason, latency=0.0)
+        return BackendResponse(status, latency=0.0)
 
 
 class _RateGate:
@@ -503,9 +477,11 @@ def run_batch(
     def run_one(job: tuple[str, PromptTemplate, LanguageConfig, ModelConfig, Path]) -> str:
         output_id, template, lang, model, path = job
         gates[model.model_id].wait()
-        instance = render_prompt(template, lang)
-        request = build_request(instance, model, lang, require_api_key=backend.requires_api_key)
-        record = execute(request, replace(policy, max_retries=model.max_retries), backend)
+        user_prompt = render_prompt(template, lang)
+        request = build_request(
+            template, user_prompt, model, lang, require_api_key=backend.requires_api_key
+        )
+        record = execute(request, policy, backend)
         _write_atomic(path, dumps_record(record))
         return output_id
 
@@ -517,7 +493,7 @@ def run_batch(
                 output_id = futures[future]
                 try:
                     manifest.completed.add(future.result())
-                except CALL_ERRORS as exc:
+                except CallError as exc:
                     log.warning("call failed: %s", exc)
                     manifest.failures.append((output_id, str(exc)))
         except BaseException:

@@ -70,16 +70,6 @@ class PromptTemplate:
 
 
 @dataclass(frozen=True)
-class PromptInstance:
-    """A template rendered for one concrete target language."""
-
-    template_id: str
-    iso_code: str
-    task_type: str
-    rendered_text: str
-
-
-@dataclass(frozen=True)
 class LanguageConfig:
     """Target-language settings used for rendering and evaluation."""
 
@@ -289,15 +279,9 @@ def render_text(text: str, lang: LanguageConfig, *, context: str = "template") -
     return _PLACEHOLDER.sub(_substitute, text)
 
 
-def render_prompt(template: PromptTemplate, lang: LanguageConfig) -> PromptInstance:
-    """Render one template for one language."""
-    rendered = render_text(template.template_text, lang, context=f"template '{template.id}'")
-    return PromptInstance(
-        template_id=template.id,
-        iso_code=lang.iso_code,
-        task_type=template.task_type,
-        rendered_text=rendered,
-    )
+def render_prompt(template: PromptTemplate, lang: LanguageConfig) -> str:
+    """Render one template's text for one language."""
+    return render_text(template.template_text, lang, context=f"template '{template.id}'")
 
 
 def _as_language(entry: dict, path: Path, index: int) -> LanguageConfig:

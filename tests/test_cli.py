@@ -105,6 +105,31 @@ def test_generate_small_run_and_resume(small_run):
     assert "completed 150/150, failed 0" in stdout
 
 
+def test_generate_exits_3_when_calls_fail(tmp_path):
+    fixtures = json.loads(FIXTURES_PATH.read_text(encoding="utf-8"))
+    bad_id = "gpt-4o-mini/hau/creative/cw_01"
+    fixtures[bad_id]["status_schedule"] = [400]
+    fixtures_path = tmp_path / "fixtures.json"
+    fixtures_path.write_text(json.dumps(fixtures), encoding="utf-8")
+    argv = [
+        "generate", "--mock", fixtures_path,
+        "--languages", "hau", "--models", "gpt-4o-mini",
+        "--out", tmp_path / "o",
+    ]
+
+    code, stdout, err = run_cli(argv)
+    assert code == 3
+    assert "completed 149/150, failed 1" in stdout
+    assert f"failed: {bad_id}: {bad_id}: permanent failure, HTTP 400" in err
+
+    fixtures[bad_id]["status_schedule"] = [200]
+    fixtures_path.write_text(json.dumps(fixtures), encoding="utf-8")
+    code, stdout, err = run_cli(argv)
+    assert code == 0, err
+    assert "1 new requests, 150 expected" in stdout
+    assert "completed 150/150, failed 0" in stdout
+
+
 def test_evaluate_missing_outputs(tmp_path):
     code, _, err = run_cli(
         ["evaluate", "--outputs", tmp_path / "nowhere", "--results", tmp_path / "r"]
@@ -169,6 +194,17 @@ def test_evaluate_reference_without_records(small_run, tmp_path):
     )
     assert code == 2
     assert "no records for that language" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_missing_reference_writes_nothing(small_run, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, _, err = run_cli(
+        ["evaluate", "--outputs", small_run, "--results", tmp_path / "r", "--reference", f"hau={missing}"]
+    )
+    assert code == 1
+    assert str(missing) in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_evaluate_bad_weight(small_run, tmp_path):

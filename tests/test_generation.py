@@ -7,6 +7,7 @@ from lexglean.codec import DataError, from_json
 from lexglean.generation import (
     BackendResponse,
     BackendUnavailable,
+    CallError,
     ChatRequest,
     GenerationRecord,
     MANIFEST_FILENAME,
@@ -14,10 +15,8 @@ from lexglean.generation import (
     MockAborted,
     MockBackend,
     MockFixture,
-    PermanentCallError,
     RetryPolicy,
     SamplingParams,
-    TransientCallError,
     build_request,
     dumps_record,
     execute,
@@ -56,7 +55,7 @@ TEMPLATES = [
 ]
 
 
-def _request(output_id="test-model/hau/creative/cw_01"):
+def _request(output_id="test-model/hau/creative/cw_01", max_retries=5):
     return ChatRequest(
         output_id=output_id,
         endpoint_url=MODEL.endpoint_url,
@@ -68,6 +67,7 @@ def _request(output_id="test-model/hau/creative/cw_01"):
         prompt_id="cw_01",
         language="hau",
         task_type="creative",
+        max_retries=max_retries,
     )
 
 
@@ -91,9 +91,9 @@ class ScriptedBackend:
         return step
 
 
-def _policy(max_retries=5):
+def _policy():
     sleeps = []
-    policy = RetryPolicy(max_retries=max_retries, rng=random.Random(0), sleep=sleeps.append)
+    policy = RetryPolicy(rng=random.Random(0), sleep=sleeps.append)
     return policy, sleeps
 
 
@@ -105,9 +105,12 @@ def test_output_id_and_record_path(tmp_path):
 
 def test_build_request_reads_key_from_env(monkeypatch):
     monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
-    instance = render_prompt(TEMPLATES[0], LANG)
-    request = build_request(instance, MODEL, LANG)
+    user_prompt = render_prompt(TEMPLATES[0], LANG)
+    request = build_request(TEMPLATES[0], user_prompt, MODEL, LANG)
     assert request.api_key == "sekrit"
+    assert request.output_id == "test-model/hau/creative/cw_01"
+    assert (request.prompt_id, request.language, request.task_type) == ("cw_01", "hau", "creative")
+    assert request.max_retries == 2
     assert request.system_prompt == "Answer only in Hausa."
     body = request.body()
     assert body["model"] == "test-model"
@@ -119,16 +122,16 @@ def test_build_request_reads_key_from_env(monkeypatch):
 
 def test_build_request_missing_key(monkeypatch):
     monkeypatch.delenv("TEST_MODEL_KEY", raising=False)
-    instance = render_prompt(TEMPLATES[0], LANG)
+    user_prompt = render_prompt(TEMPLATES[0], LANG)
     with pytest.raises(ConfigError, match="TEST_MODEL_KEY"):
-        build_request(instance, MODEL, LANG)
+        build_request(TEMPLATES[0], user_prompt, MODEL, LANG)
     # mock runs skip the key entirely
-    request = build_request(instance, MODEL, LANG, require_api_key=False)
+    request = build_request(TEMPLATES[0], user_prompt, MODEL, LANG, require_api_key=False)
     assert request.api_key is None
 
 
 def test_backoff_bounds():
-    policy = RetryPolicy(base_delay=1.0, factor=2.0, max_delay=60.0, rng=random.Random(7))
+    policy = RetryPolicy(base_delay=1.0, rng=random.Random(7))
     for attempt in range(1, 12):
         cap = min(60.0, 2.0 ** (attempt - 1))
         for _ in range(20):
@@ -157,18 +160,17 @@ def test_execute_retries_then_succeeds():
 def test_execute_permanent_failure_no_retry():
     backend = ScriptedBackend([BackendResponse(403)])
     policy, sleeps = _policy()
-    with pytest.raises(PermanentCallError) as info:
+    with pytest.raises(CallError, match=r"cw_01: permanent failure, HTTP 403\Z"):
         execute(_request(), policy, backend)
-    assert info.value.status == 403
     assert backend.calls == 1
     assert sleeps == []
 
 
 def test_execute_exhausts_retries():
     backend = ScriptedBackend([BackendResponse(503)])
-    policy, sleeps = _policy(max_retries=2)
-    with pytest.raises(TransientCallError, match="after 3 attempts"):
-        execute(_request(), policy, backend)
+    policy, sleeps = _policy()
+    with pytest.raises(CallError, match=r"cw_01: retries exhausted after 3 attempts \(HTTP 503\)\Z"):
+        execute(_request(max_retries=2), policy, backend)
     assert backend.calls == 3
     assert len(sleeps) == 2
 
@@ -185,9 +187,8 @@ def test_mock_backend_status_schedule():
 def test_mock_backend_unknown_id_is_permanent():
     backend = MockBackend({})
     policy, _ = _policy()
-    with pytest.raises(PermanentCallError) as info:
+    with pytest.raises(CallError, match=r"nope: permanent failure, HTTP 404\Z"):
         execute(_request("nope"), policy, backend)
-    assert info.value.status == 404
 
 
 def test_mock_backend_fail_after_raises_before_logging():
@@ -274,7 +275,7 @@ def test_run_batch_respects_model_retry_budget(tmp_path):
     output_id = "test-model/hau/creative/cw_01"
     fixtures[output_id] = MockFixture("late", status_schedule=(500, 500, 500, 200))
     backend = MockBackend(fixtures)
-    policy, _ = _policy(max_retries=9)  # overridden per model
+    policy, _ = _policy()
     manifest = run_batch(TEMPLATES[:1], [LANG], [MODEL], tmp_path, backend, policy=policy)
     assert [f[0] for f in manifest.failures] == [output_id]
     assert len(backend.call_log) == 3  # 1 + max_retries

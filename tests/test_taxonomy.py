@@ -43,12 +43,10 @@ def test_shipped_taxonomy_cg01_render(shipped_languages):
     templates = {t.id: t for t in load_taxonomy(data_dir() / "taxonomy.json")}
     hausa = next(l for l in shipped_languages if l.iso_code == "hau")
     rendered = render_prompt(templates["cg_01"], hausa)
-    assert rendered.rendered_text == (
+    assert rendered == (
         "Write a short paragraph in Hausa using ALL of the following words: "
         "ruwa, gona, kasuwa, gida, rana, abinci. Do not use any English words."
     )
-    assert rendered.task_type == "constrained"
-    assert rendered.iso_code == "hau"
 
 
 def test_load_taxonomy_bare_array(tmp_path):

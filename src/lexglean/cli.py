@@ -20,6 +20,8 @@ import logging
 import os
 import random
 import sys
+from collections import Counter
+from itertools import groupby
 from pathlib import Path
 
 from . import __version__, data_dir
@@ -34,6 +36,7 @@ from .evaluation import (
     read_evaluations,
     read_summaries,
     reference_overlap,
+    reference_profile,
     write_evaluations,
     write_summaries,
     OverlapResult,
@@ -61,6 +64,7 @@ from .taxonomy import (
     load_taxonomy,
     validate_taxonomy,
 )
+from .textstats import analyze
 
 log = logging.getLogger("lexglean")
 
@@ -140,8 +144,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     done = len(manifest.completed)
     print(f"{manifest.new_requests} new requests, {manifest.expected_calls} expected")
     print(f"completed {done}/{manifest.expected_calls}, failed {len(manifest.failures)}")
-    for output_id, message in manifest.failures:
-        print(f"failed: {output_id}: {message}", file=sys.stderr)
+    for _, message in manifest.failures:
+        print(f"failed: {message}", file=sys.stderr)  # the message starts with the output id
     return EXIT_CALLS_FAILED if manifest.failures else EXIT_OK
 
 
@@ -168,6 +172,11 @@ def _parse_references(pairs: list[str]) -> dict[str, Path]:
     return references
 
 
+def _cell(record) -> tuple[str, str]:
+    """Language and ``model/language/task`` key: the order of the overlap results."""
+    return record.language, f"{record.model_id}/{record.language}/{record.task_type}"
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config_dir = _resolve_config_dir(args.config)
     languages_all, _ = _load_run_config(config_dir)
@@ -181,22 +190,33 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     # Every reference is read before anything is written, so a bad one
     # leaves the results directory as it was.
-    overlaps: list[OverlapResult] = []
+    references = {}
     for language, reference_path in sorted(_parse_references(args.reference).items()):
         reference_lines = reference_path.read_text(encoding="utf-8").splitlines()
-        subset = [record for record in records if record.language == language]
-        if not subset:
+        if not any(record.language == language for record in records):
             raise CliError(f"--reference {language}: no records for that language")
-        overlaps.extend(reference_overlap(subset, reference_lines))
+        references[language] = reference_profile(reference_lines)
 
+    # Records are scored one model/language/task cell at a time, so only the
+    # open cell's trigram counts are held for the overlap check.
     evaluations = []
-    for record in records:
-        language = languages.get(record.language)
+    overlaps = []
+    for (code, key), cell in groupby(sorted(records, key=_cell), _cell):
+        language = languages.get(code)
         if language is None:
-            raise CliError(f"record {record.output_id}: unknown language '{record.language}'")
-        evaluations.append(
-            evaluate_output(record, language, backend, threshold=args.threshold, w_conf=args.w_conf)
-        )
+            raise CliError(f"record {next(cell).output_id}: unknown language '{code}'")
+        reference = references.get(code)
+        counts: Counter[str] = Counter()
+        for record in cell:
+            analysis = analyze(record.response_text)
+            evaluations.append(evaluate_output(
+                record, language, backend, analysis=analysis,
+                threshold=args.threshold, w_conf=args.w_conf,
+            ))
+            if reference is not None:
+                counts.update(analysis.grams)
+        if reference is not None:
+            overlaps.append(reference_overlap(key, counts, reference))
     summaries = aggregate(evaluations)
 
     results_dir = Path(args.results)
@@ -206,10 +226,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     (results_dir / "summary.csv").write_text(
         render_report(ReportSpec("full_summary", "csv"), summaries), encoding="utf-8"
     )
+    overlap_path = results_dir / "overlap.json"
     if overlaps:
-        (results_dir / "overlap.json").write_text(
+        overlap_path.write_text(
             json_file_text({"overlaps": [to_json(o) for o in overlaps]}), encoding="utf-8"
         )
+    else:
+        overlap_path.unlink(missing_ok=True)  # a stale one would be reported as current
 
     meta = {
         "lid_backend": backend_name,

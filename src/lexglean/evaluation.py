@@ -25,14 +25,15 @@ from .taxonomy import LanguageConfig
 from .textstats import (
     DiacriticStats,
     DiversityStats,
+    TextAnalysis,
+    TrigramProfile,
+    analyze,
     cosine,
     diacritic_stats,
     diversity,
     merged_trigram_profile,
     ngram_repetition,
-    segment_sentences,
     sentence_repetition,
-    tokenize,
 )
 
 DEFAULT_VALIDITY_THRESHOLD = 20
@@ -78,14 +79,20 @@ def evaluate_output(
     lang: LanguageConfig,
     backend: FidelityBackend,
     *,
+    analysis: TextAnalysis | None = None,
     threshold: int = DEFAULT_VALIDITY_THRESHOLD,
     w_conf: float = DEFAULT_W_CONF,
 ) -> EvaluationRecord:
-    """Score one generation record against its target language."""
+    """Score one generation record against its target language.
+
+    ``analysis`` is ``analyze(record.response_text)``, computed here if not given.
+    """
     text = record.response_text
-    tokens = tokenize(text)
+    if analysis is None:
+        analysis = analyze(text)
+    tokens = analysis.tokens
     word_count = len(tokens)
-    fidelity = backend.assess(text, lang.target_lid_label, output_id=record.output_id)
+    fidelity = backend.assess(analysis, lang.target_lid_label, output_id=record.output_id)
     return EvaluationRecord(
         output_id=record.output_id,
         model_id=record.model_id,
@@ -96,7 +103,7 @@ def evaluate_output(
         diversity=diversity(tokens),
         fidelity=fidelity,
         repetition_4gram=ngram_repetition(tokens, 4),
-        repetition_sentence=sentence_repetition(segment_sentences(text)),
+        repetition_sentence=sentence_repetition(analysis.sentences),
         diacritics=diacritic_stats(text) if lang.tonal_orthography else None,
         quality=composite_quality(fidelity.target_confidence, fidelity.code_switch_rate, w_conf),
     )
@@ -180,33 +187,25 @@ class OverlapResult:
     memorization_suspect: bool
 
 
-def reference_overlap(
-    generated: Sequence[GenerationRecord],
-    reference_corpus: Sequence[str],
-) -> list[OverlapResult]:
-    """Trigram-cosine overlap of generated text against a reference corpus.
-
-    One result per model/language/task cell, keyed ``model/language/task``.
-    A cosine strictly above MEMORIZATION_COSINE_THRESHOLD marks the cell as
-    a memorisation suspect.
-    """
+def reference_profile(reference_corpus: Sequence[str]) -> TrigramProfile:
+    """Merged trigram profile of the nonblank lines of a reference corpus."""
     reference_lines = [line for line in reference_corpus if line.strip()]
     if not reference_lines:
         raise ValueError("reference corpus is empty")
-    reference_profile = merged_trigram_profile(reference_lines)
+    return merged_trigram_profile(reference_lines)
 
-    groups: dict[str, list[GenerationRecord]] = {}
-    for record in generated:
-        key = f"{record.model_id}/{record.language}/{record.task_type}"
-        groups.setdefault(key, []).append(record)
 
-    results = []
-    for key in sorted(groups):
-        members = sorted(groups[key], key=lambda r: r.output_id)
-        profile = merged_trigram_profile(r.response_text for r in members)
-        value = cosine(profile, reference_profile)
-        results.append(OverlapResult(key, value, is_memorization_suspect(value)))
-    return results
+def reference_overlap(
+    key: str, counts: dict[str, int], reference: TrigramProfile
+) -> OverlapResult:
+    """Trigram-cosine overlap of one cell's generated text against a reference.
+
+    ``counts`` are the trigram counts of every response in the
+    model/language/task cell named by ``key``.  A cosine strictly above
+    MEMORIZATION_COSINE_THRESHOLD marks the cell as a memorisation suspect.
+    """
+    value = cosine(TrigramProfile(counts, sum(counts.values())), reference)
+    return OverlapResult(key, value, is_memorization_suspect(value))
 
 
 def filter_usable(

@@ -9,31 +9,41 @@ Two interchangeable classifier backends are provided:
 * ``ExternalPredictionsClassifier`` -- pass-through adapter for label and
   confidence columns produced by an external tool, keyed by output id.
 
-Both expose ``assess(text, target, output_id=...)`` returning a
-``FidelityResult`` with a document-level prediction, per-sentence
-predictions and a sentence-level code-switch rate.  Each backend has its own
-target-confidence rule; one builder derives the rest from the predictions.
+Both expose ``assess(analysis, target, output_id=...)``, taking the
+``textstats.analyze`` result of the output, and return a ``FidelityResult``
+with a document-level prediction, per-sentence predictions and a
+sentence-level code-switch rate.  Each backend has its own target-confidence
+rule; one builder derives the rest from the predictions.  The builtin
+backend scores from the grams it is handed; the external one ignores them.
 
 A score is the cosine ``dot / (norm * ref_norm)`` of integer trigram counts.
-``LanguageProfileSet.scores`` gets every label's dot from one sum: a table
+``LanguageProfileSet.dot`` gets every label's dot from one sum: a table
 built on first use maps each gram to all labels' reference counts, each
 shifted into its own bit field of one Python int.  The fields are wide enough
 that no sum carries from one into the next, and integer sums do not depend on
 their order, so each unpacked dot, and each score, equals the per-label
 computation exactly.
+
+The dot is linear in the counts, so when the sentences tile the document
+(see ``textstats``) the document's packed dot is the sum of the sentence
+dots plus the dots of the cross grams between neighbours: the same multiset
+of grams, summed in another order.  ``BuiltinClassifier`` sums it that way
+and computes it directly only when the sentences do not tile.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import mul
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .codec import JSON_KEY, DataError
-from .textstats import TrigramProfile, merged_trigram_profile, segment_sentences, trigram_profile
+from .textstats import TextAnalysis, TrigramProfile, merged_trigram_profile, trigrams
 
 UNKNOWN_LABEL = "und"
 
@@ -96,18 +106,20 @@ class LanguageProfileSet:
         self.labels: list[str] = sorted(profiles)
         self.profiles: dict[str, TrigramProfile] = {l: profiles[l] for l in self.labels}
         self._norms: list[float] = [self.profiles[l].norm() for l in self.labels]
-        self._packed: tuple[dict[str, int], int] | None = None
 
-    def _pack(self) -> tuple[dict[str, int], int]:
-        """Map each gram to all labels' reference counts, one bit field per label.
+    @cached_property
+    def _packed(self) -> tuple[dict[str, int], int]:
+        """A table mapping each gram to all labels' reference counts, one bit
+        field per label, and the field width; built on first use.
 
-        Returns the table and the field width.  A profile's dot with one
-        label is at most ``total * max_count``, where ``total`` is its gram
-        count and ``max_count`` is below 2**max_count.bit_length().  A text
-        has fewer than 2**63 grams (no Python string is longer) and
-        ``scores`` rejects profiles with 2**64 or more, so with fields of
-        ``max_count.bit_length() + 64`` bits no field's sum carries into the
-        next, and the packed sum holds every label's dot exactly.
+        A profile's dot with one label is at most ``total * max_count``, where
+        ``total`` is its gram count and ``max_count`` is below
+        2**max_count.bit_length().  A text has fewer than 2**63 grams (no
+        Python string is longer) and ``scores`` rejects profiles with 2**64
+        or more, so with fields of ``max_count.bit_length() + 64`` bits no
+        field's sum carries into the next, and the packed sum holds every
+        label's dot exactly.  A document dot summed from its sentences sums
+        the document's own grams, so the same bound holds.
         """
         max_count = max(max(p.counts.values()) for p in self.profiles.values())
         bits = max_count.bit_length() + 64
@@ -117,25 +129,31 @@ class LanguageProfileSet:
                 packed[gram] = packed.get(gram, 0) + (count << (bits * index))
         return packed, bits
 
-    def scores(self, profile: TrigramProfile) -> list[float]:
-        """Cosine similarity of ``profile`` against every label, in label order."""
-        if profile.total == 0:
-            return [0.0 for _ in self.labels]
-        if profile.total >> 64:
-            raise ValueError("profile has 2**64 or more grams; its dot products could overflow")
-        if self._packed is None:
-            self._packed = self._pack()
-        packed, bits = self._packed
-        counts = profile.counts
-        dots = sum(map(mul, map(packed.get, counts, repeat(0)), counts.values()))
+    def dot(self, grams: Iterable[str]) -> int:
+        """Every label's dot product with the counts of ``grams``, packed."""
+        return sum(map(self._packed[0].get, grams, repeat(0)))
+
+    def cosines(self, dots: int, norm: float) -> list[float]:
+        """Unpack packed dots into each label's cosine with a profile of this norm."""
+        bits = self._packed[1]
         mask = (1 << bits) - 1
-        norm = profile.norm()
         out = []
         for ref_norm in self._norms:
             dot = dots & mask
             dots >>= bits
             out.append(dot / (norm * ref_norm) if dot else 0.0)
         return out
+
+    def scores(self, profile: TrigramProfile) -> list[float]:
+        """Cosine similarity of ``profile`` against every label, in label order."""
+        if profile.total == 0:
+            return [0.0 for _ in self.labels]
+        if profile.total >> 64:
+            raise ValueError("profile has 2**64 or more grams; its dot products could overflow")
+        packed = self._packed[0]
+        counts = profile.counts
+        dots = sum(map(mul, map(packed.get, counts, repeat(0)), counts.values()))
+        return self.cosines(dots, profile.norm())
 
 
 def load_seed_corpora(seeds_dir: str | Path) -> dict[str, list[str]]:
@@ -166,31 +184,30 @@ def train_profiles(seed_corpora: Mapping[str, Sequence[str]]) -> LanguageProfile
     return LanguageProfileSet(profiles)
 
 
-def _softmax(scores: Sequence[float]) -> list[float]:
+def _prediction(
+    profile_set: LanguageProfileSet, dots: int, grams: list[str]
+) -> tuple[LidPrediction, list[float]]:
+    """Best label for these grams, whose packed dot is ``dots``, with its
+    softmax confidence, plus the softmax over all labels.
+
+    No grams map to ('und', 0.0) and an empty softmax.
+    """
+    if not grams:
+        return LidPrediction(UNKNOWN_LABEL, 0.0), []
+    counts = Counter(grams).values()
+    norm = math.sqrt(sum(map(mul, counts, counts)))  # TrigramProfile.norm
+    scores = profile_set.cosines(dots, norm)
     peak = max(scores)
+    best = scores.index(peak)  # first index wins ties -> smallest label
     exps = [math.exp(s - peak) for s in scores]
     denom = sum(exps)
-    return [e / denom for e in exps]
-
-
-def _classify_profile(
-    profile: TrigramProfile, profile_set: LanguageProfileSet
-) -> tuple[LidPrediction, list[float]]:
-    """Best label with its softmax confidence, plus the softmax over all labels.
-
-    An empty profile maps to ('und', 0.0) and an empty softmax.
-    """
-    if profile.total == 0:
-        return LidPrediction(UNKNOWN_LABEL, 0.0), []
-    scores = profile_set.scores(profile)
-    best = scores.index(max(scores))  # first index wins ties -> smallest label
-    probs = _softmax(scores)
-    return LidPrediction(profile_set.labels[best], probs[best]), probs
+    return LidPrediction(profile_set.labels[best], exps[best] / denom), [e / denom for e in exps]
 
 
 def classify(text: str, profile_set: LanguageProfileSet) -> LidPrediction:
     """Predict the language of a text; empty text maps to ('und', 0.0)."""
-    return _classify_profile(trigram_profile(text), profile_set)[0]
+    grams = trigrams(text)
+    return _prediction(profile_set, profile_set.dot(grams), grams)[0]
 
 
 class BuiltinClassifier:
@@ -201,20 +218,27 @@ class BuiltinClassifier:
     def __init__(self, profile_set: LanguageProfileSet):
         self.profile_set = profile_set
 
-    def assess(self, text: str, target: str, output_id: str | None = None) -> FidelityResult:
+    def assess(
+        self, analysis: TextAnalysis, target: str, output_id: str | None = None
+    ) -> FidelityResult:
+        dot = self.profile_set.dot
+        sentence_dots = [dot(grams) for grams in analysis.sentence_grams]
+        if analysis.cross_grams is None:
+            document_dot = dot(analysis.grams)
+        else:
+            document_dot = sum(sentence_dots, dot(analysis.cross_grams))
+        document, probs = _prediction(self.profile_set, document_dot, analysis.grams)
         labels = self.profile_set.labels
-        document, probs = _classify_profile(trigram_profile(text), self.profile_set)
         target_confidence = probs[labels.index(target)] if probs and target in labels else 0.0
 
         # A sentence's gram count equals its normalised length, so short
-        # sentences are recognised from the profile itself.
-        sentence_predictions: list[LidPrediction] = []
-        for sentence in segment_sentences(text):
-            profile = trigram_profile(sentence)
-            if profile.total < MIN_SENTENCE_CHARS:
-                sentence_predictions.append(document)
-            else:
-                sentence_predictions.append(_classify_profile(profile, self.profile_set)[0])
+        # sentences are recognised from their grams.
+        sentence_predictions = [
+            document
+            if len(grams) < MIN_SENTENCE_CHARS
+            else _prediction(self.profile_set, dots, grams)[0]
+            for grams, dots in zip(analysis.sentence_grams, sentence_dots)
+        ]
         return _fidelity_result(target, document, target_confidence, sentence_predictions)
 
 
@@ -272,7 +296,9 @@ class ExternalPredictionsClassifier:
     def __init__(self, predictions: Mapping[str, PredictionBundle]):
         self.predictions = dict(predictions)
 
-    def assess(self, text: str, target: str, output_id: str | None = None) -> FidelityResult:
+    def assess(
+        self, analysis: TextAnalysis, target: str, output_id: str | None = None
+    ) -> FidelityResult:
         if output_id is None:
             raise BackendError("external predictions need an output id")
         bundle = self.predictions.get(output_id)
@@ -286,6 +312,8 @@ class ExternalPredictionsClassifier:
 class FidelityBackend(Protocol):
     name: str
 
-    def assess(self, text: str, target: str, output_id: str | None = None) -> FidelityResult:
+    def assess(
+        self, analysis: TextAnalysis, target: str, output_id: str | None = None
+    ) -> FidelityResult:
         ...
 

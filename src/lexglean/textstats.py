@@ -19,12 +19,36 @@ of them are breaking:
   U+0300..U+036F; tone marks are grave, acute, circumflex, caron, macron.
 
 The per-character work runs in C.  ``tokenize`` and ``diacritic_stats`` map
-the text through a code point -> class table with ``str.translate`` (an entry
-is filled from ``unicodedata`` the first time its code point is seen), then
-run one compiled regex, or ``str.count``, over the class string; it has the
-text's length, so match offsets index the text.  Sentences and trigrams are
+the text through a code point table with ``str.translate`` (an entry is
+filled from ``unicodedata`` the first time its code point is seen): the token
+table keeps run characters and hyphens and turns the rest into spaces, the
+diacritic table maps each character to a class letter.  One compiled regex,
+or ``str.count``, over the result does the rest.  Sentences and trigrams are
 one compiled regex each.  The results follow the rules above exactly;
 ``tests/oracles.py`` restates them independently.
+
+One pass: ``analyze`` gives everything the evaluator needs from a text --
+tokens, sentences, document grams and each sentence's grams -- from one
+NFC + case-fold of the text, one segmentation of the raw text and one
+trigram ``findall`` over the padded document; each sentence is normalised on
+its own only to find it in the document.  It equals the separate kernels
+exactly:
+
+* A sentence's grams are those of ``" " + collapsed_sentence + " "``, where
+  ``collapsed_sentence`` is the sentence normalised and collapsed by the
+  trigram rule.  Where that padded string occurs in the padded document, its
+  grams are the slice of the document's grams that starts at the same
+  offset, since the grams of a substring are a slice of the grams.
+  ``analyze`` looks for each sentence just after the previous one.  A
+  sentence that is not there (normalising a slice need not give a slice of
+  the normalised text, and abutting sentences such as ``"a.b"`` have no
+  space between them), and every sentence after it, gets its own
+  ``findall``.
+* The sentences *tile* the document when each is found there and the last
+  ends the document.  The document's grams are then the sentences' grams
+  plus one *cross gram* between each pair of neighbours (the last character
+  of one, a space, the first of the next), which ``analyze`` returns so a
+  caller can sum per-sentence quantities that are linear in the counts.
 """
 from __future__ import annotations
 
@@ -35,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 APOSTROPHES = frozenset({"'", "’", "ʼ"})
 HYPHENS = frozenset({"-", "‐"})
@@ -98,10 +122,11 @@ class _ClassTable(dict):
 
 
 def _token_class(ch: str) -> str:
-    """``a`` for a run character (letter, mark, apostrophe), ``-`` for a hyphen."""
-    if unicodedata.category(ch)[0] in "LM" or ch in APOSTROPHES:
-        return "a"
-    return "-" if ch in HYPHENS else " "
+    """The character itself for a run character (letter, mark, apostrophe) or
+    a hyphen, a space for the rest."""
+    if unicodedata.category(ch)[0] in "LM" or ch in APOSTROPHES or ch in HYPHENS:
+        return ch
+    return " "
 
 
 def _diacritic_class(ch: str) -> str:
@@ -119,10 +144,22 @@ def _diacritic_class(ch: str) -> str:
 
 _TOKEN_CLASSES = _ClassTable(_token_class)
 _DIACRITIC_CLASSES = _ClassTable(_diacritic_class)
-_TOKEN_RUN = re.compile(r"a+(?:-a+)*")
+_TOKEN_RUN = re.compile(r"[^ \-‐]+(?:[\-‐][^ \-‐]+)*")
 _SENTENCE = re.compile(r"[^.!?…\n]*[.!?…]+|[^.!?…\n]+")
 _TONED_VOWEL = re.compile(r"V[mn]*T")
 _TRIGRAM = re.compile(r"(?=(...))", re.S)
+
+
+def _tokens(normalized: str) -> tuple[str, ...]:
+    """Tokens of an NFC-normalised, case-folded text, each re-normalised to NFC.
+
+    The class table keeps run characters and hyphens as themselves, so the
+    regex matches are the tokens; without a hyphen they are the
+    space-separated chunks.
+    """
+    kept = normalized.translate(_TOKEN_CLASSES)
+    runs = _TOKEN_RUN.findall(kept) if "-" in kept or "‐" in kept else kept.split()
+    return tuple(map(unicodedata.normalize, repeat("NFC"), runs))
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -131,12 +168,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     The text is NFC-normalised and case-folded first; each token is
     re-normalised so token content is itself NFC.
     """
-    normalized = unicodedata.normalize("NFC", text).casefold()
-    classes = normalized.translate(_TOKEN_CLASSES)
-    return tuple(
-        unicodedata.normalize("NFC", normalized[start:end])
-        for start, end in map(re.Match.span, _TOKEN_RUN.finditer(classes))
-    )
+    return _tokens(unicodedata.normalize("NFC", text).casefold())
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -195,13 +227,14 @@ def diacritic_stats(text: str) -> DiacriticStats:
     return DiacriticStats(alphabetic, marks, ratio, marks > 0, tonal_fraction)
 
 
+def _collapse(normalized: str) -> str:
+    """Whitespace runs collapsed to one space, stripped, padded with one space."""
+    return f" {' '.join(normalized.split())} "
+
+
 def trigrams(text: str) -> list[str]:
     """Every overlapping character trigram of the normalised, space-padded text."""
-    normalized = unicodedata.normalize("NFC", text).casefold()
-    collapsed = " ".join(normalized.split())
-    if not collapsed:
-        return []
-    return _TRIGRAM.findall(f" {collapsed} ")
+    return _TRIGRAM.findall(_collapse(unicodedata.normalize("NFC", text).casefold()))
 
 
 def trigram_profile(text: str) -> TrigramProfile:
@@ -216,6 +249,45 @@ def merged_trigram_profile(texts: Iterable[str]) -> TrigramProfile:
     for text in texts:
         counts.update(trigrams(text))
     return TrigramProfile(dict(counts), sum(counts.values()))
+
+
+class TextAnalysis(NamedTuple):
+    """What the evaluator needs from one text; see ``analyze``."""
+
+    tokens: tuple[str, ...]
+    sentences: list[str]
+    grams: list[str]
+    sentence_grams: list[list[str]]
+    cross_grams: list[str] | None  # None unless the sentences tile the document
+
+
+def analyze(text: str) -> TextAnalysis:
+    """``tokenize``, ``segment_sentences`` and the ``trigrams`` of the text and
+    of each sentence, in one pass (see the module docstring for why they are
+    equal to the separate kernels)."""
+    normalized = unicodedata.normalize("NFC", text).casefold()
+    padded = _collapse(normalized)
+    grams = _TRIGRAM.findall(padded)
+    sentences = segment_sentences(text)
+    sentence_grams = []
+    cross_grams: list[str] = []
+    tiled = True
+    position = 0  # where the next sentence starts while the sentences tile
+    for sentence in sentences:
+        needle = _collapse(unicodedata.normalize("NFC", sentence).casefold())
+        tiled = tiled and padded.startswith(needle, position)
+        if tiled:
+            if position:
+                cross_grams.append(grams[position - 1])
+            end = position + len(needle) - 2
+            sentence_grams.append(grams[position:end])
+            position = end + 1
+        else:
+            sentence_grams.append(_TRIGRAM.findall(needle))
+    tiled = tiled and position == len(padded) - 1
+    return TextAnalysis(
+        _tokens(normalized), sentences, grams, sentence_grams, cross_grams if tiled else None
+    )
 
 
 def cosine(p: TrigramProfile, q: TrigramProfile) -> float:

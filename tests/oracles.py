@@ -11,6 +11,8 @@ import math
 import re
 import unicodedata
 
+from lexglean.langid import MIN_SENTENCE_CHARS, FidelityResult, LidPrediction
+
 APOSTROPHES = {"'", "’", "ʼ"}
 HYPHENS = {"-", "‐"}
 TERMINATORS = {".", "!", "?", "…"}
@@ -127,3 +129,37 @@ def cosine(p: dict[str, int], q: dict[str, int]) -> float:
     norm_p = math.sqrt(sum(v * v for v in p.values()))
     norm_q = math.sqrt(sum(v * v for v in q.values()))
     return dot / (norm_p * norm_q)
+
+
+def assess(text: str, target: str, profiles: dict[str, dict[str, int]]) -> FidelityResult:
+    """The builtin LID fidelity scored in two passes, as it was before the
+    one-pass ``analyze``: the document and then each segmented sentence,
+    each from its own trigram counts, each label's cosine on its own."""
+    labels = sorted(profiles)
+    reference_norms = [math.sqrt(sum(v * v for v in profiles[l].values())) for l in labels]
+
+    def predict(counts):
+        if not counts:
+            return LidPrediction("und", 0.0), []
+        norm = math.sqrt(sum(v * v for v in counts.values()))
+        scores = []
+        for label, reference_norm in zip(labels, reference_norms):
+            dot = sum(c * profiles[label].get(g, 0) for g, c in counts.items())
+            scores.append(dot / (norm * reference_norm) if dot else 0.0)
+        peak = max(scores)
+        exps = [math.exp(s - peak) for s in scores]
+        denom = sum(exps)
+        probs = [e / denom for e in exps]
+        best = scores.index(peak)
+        return LidPrediction(labels[best], probs[best]), probs
+
+    document, probs = predict(trigram_counts(text))
+    target_confidence = probs[labels.index(target)] if probs and target in labels else 0.0
+    sentences = []
+    for sentence in segment_sentences(text):
+        counts = trigram_counts(sentence)
+        short = sum(counts.values()) < MIN_SENTENCE_CHARS
+        sentences.append(document if short else predict(counts)[0])
+    switched = sum(1 for p in sentences if p.label != target)
+    rate = switched / len(sentences) if sentences else 0.0
+    return FidelityResult(document, document.label == target, target_confidence, tuple(sentences), rate)

@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import shutil
+from collections import Counter
 
 import pytest
 
 from lexglean import data_dir
 from lexglean.cli import main as cli_main
-from lexglean.generation import read_records
+from lexglean.codec import load_list
+from lexglean.evaluation import OverlapResult, reference_overlap, reference_profile
+from lexglean.generation import dumps_record, read_records, record_path
+from lexglean.textstats import trigrams
 
 from conftest import FIXTURES_PATH, SEEDS_DIR, run_cli
 
@@ -120,7 +125,9 @@ def test_generate_exits_3_when_calls_fail(tmp_path):
     code, stdout, err = run_cli(argv)
     assert code == 3
     assert "completed 149/150, failed 1" in stdout
-    assert f"failed: {bad_id}: {bad_id}: permanent failure, HTTP 400" in err
+    failed_lines = [line for line in err.splitlines() if line.startswith("failed: ")]
+    assert failed_lines == [f"failed: {bad_id}: permanent failure, HTTP 400"]
+    assert failed_lines[0].count(bad_id) == 1
 
     fixtures[bad_id]["status_schedule"] = [200]
     fixtures_path.write_text(json.dumps(fixtures), encoding="utf-8")
@@ -205,6 +212,63 @@ def test_evaluate_missing_reference_writes_nothing(small_run, tmp_path):
     assert code == 1
     assert str(missing) in err
     assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_without_reference_removes_stale_overlap(small_run, tmp_path):
+    results = tmp_path / "r"
+    evaluate = ["evaluate", "--outputs", small_run, "--results", results]
+    report = ["report", "--results", results, "--kind", "overlap", "--format", "csv"]
+    code, _, err = run_cli(evaluate + ["--reference", f"hau={SEEDS_DIR / 'hau_Latn.txt'}"])
+    assert code == 0, err
+    assert (results / "overlap.json").exists()
+    assert run_cli(report)[0] == 0
+
+    code, _, err = run_cli(evaluate)
+    assert code == 0, err
+    assert not (results / "overlap.json").exists()
+    code, _, err = run_cli(report)
+    assert code == 1
+    assert "no overlap results" in err
+
+
+def test_streamed_overlap_equals_reference_overlap(small_run, tmp_path):
+    # Model ids that share a prefix order their cells differently by output
+    # id ("m-r00/..." < "m/...") than by (model, language, task).
+    outputs = tmp_path / "o"
+    records = read_records(small_run)
+    for shift, model_id in enumerate(("m", "m-r00")):
+        for index, record in enumerate(records):
+            for language in ("hau", "fon"):
+                _, _, task_type, prompt_id = record.output_id.split("/")
+                copy = dataclasses.replace(
+                    record,
+                    output_id=f"{model_id}/{language}/{task_type}/{prompt_id}",
+                    model_id=model_id,
+                    language=language,
+                    response_text=records[index - shift].response_text,
+                )
+                path = record_path(outputs, copy.output_id)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(dumps_record(copy), encoding="utf-8")
+    references = {code: SEEDS_DIR / f"{code}_Latn.txt" for code in ("fon", "hau")}
+    code, _, err = run_cli(
+        ["evaluate", "--outputs", outputs, "--results", tmp_path / "r"]
+        + [arg for code, path in references.items() for arg in ("--reference", f"{code}={path}")]
+    )
+    assert code == 0, err
+
+    expected = []
+    for code, path in sorted(references.items()):
+        reference = reference_profile(path.read_text(encoding="utf-8").splitlines())
+        cells = {}
+        for record in read_records(outputs):
+            if record.language == code:
+                key = f"{record.model_id}/{record.language}/{record.task_type}"
+                cells.setdefault(key, Counter()).update(trigrams(record.response_text))
+        expected += [reference_overlap(key, cells[key], reference) for key in sorted(cells)]
+    assert expected[0].key.startswith("m-r00/fon/")
+    assert {o.key.split("/")[0] for o in expected} == {"m", "m-r00"}
+    assert load_list(OverlapResult, tmp_path / "r" / "overlap.json", "overlaps") == expected
 
 
 def test_evaluate_bad_weight(small_run, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,12 +20,14 @@ from lexglean.evaluation import (
     read_evaluations,
     read_summaries,
     reference_overlap,
+    reference_profile,
     write_evaluations,
     write_summaries,
 )
 from lexglean.generation import GenerationRecord, SamplingParams
 from lexglean.langid import FidelityResult, LidPrediction
 from lexglean.taxonomy import LanguageConfig
+from lexglean.textstats import trigrams
 
 HAUSA = LanguageConfig("Hausa", "hau", "hau_Latn", "Hausa", "English", False)
 FONGBE = LanguageConfig("Fongbe", "fon", "fon_Latn", "Fon", "French", True)
@@ -231,6 +234,16 @@ def test_aggregate_diacritics_only_when_all_present():
 
 # ------------------------------------------------------------- overlap
 
+def cell_overlaps(records, reference_lines):
+    """``reference_overlap`` of every model/language/task cell, counted all at once."""
+    reference = reference_profile(reference_lines)
+    cells = {}
+    for record in records:
+        key = f"{record.model_id}/{record.language}/{record.task_type}"
+        cells.setdefault(key, Counter()).update(trigrams(record.response_text))
+    return [reference_overlap(key, cells[key], reference) for key in sorted(cells)]
+
+
 def test_reference_overlap_groups():
     records = [
         make_record("m/hau/creative/cw_01", text="ruwan sama ya sauka a kan gonaki"),
@@ -238,21 +251,21 @@ def test_reference_overlap_groups():
         make_record("m/hau/dialogue/dl_01", text="ruwan sama ya sauka"),
     ]
     reference = ["ruwan sama ya sauka a kan gonaki da gidaje"]
-    per_condition = reference_overlap(records, reference)
+    per_condition = cell_overlaps(records, reference)
     assert [o.key for o in per_condition] == ["m/hau/creative", "m/hau/dialogue"]
     assert all(o.memorization_suspect for o in per_condition)
 
 
 def test_reference_overlap_disjoint_text_not_flagged():
     records = [make_record(text="πολλά γράμματα εδώ")]
-    results = reference_overlap(records, ["ruwan sama ya sauka"])
+    results = cell_overlaps(records, ["ruwan sama ya sauka"])
     assert results[0].cosine == 0.0
     assert not results[0].memorization_suspect
 
 
 def test_reference_overlap_errors():
     with pytest.raises(ValueError, match="reference corpus is empty"):
-        reference_overlap([make_record()], ["", "  "])
+        reference_profile(["", "  "])
 
 
 # ------------------------------------------------------------- filter/export

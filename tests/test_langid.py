@@ -3,7 +3,7 @@ import math
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lexglean import data_dir
 from lexglean.codec import DataError, from_json, to_json
@@ -21,7 +21,9 @@ from lexglean.langid import (
     load_seed_corpora,
     train_profiles,
 )
-from lexglean.textstats import TrigramProfile, cosine, segment_sentences, trigram_profile
+from lexglean.textstats import TrigramProfile, analyze, cosine, segment_sentences, trigram_profile
+
+import oracles
 
 SEEDS = data_dir() / "seeds"
 
@@ -89,7 +91,7 @@ def test_assess_document_and_sentences(shipped_profiles):
         "The farmers plant maize and beans in their fields. "
         "Yara suna wasa a filin makaranta da safe."
     )
-    result = backend.assess(text, "hau_Latn")
+    result = backend.assess(analyze(text), "hau_Latn")
     assert result.document_prediction.label == "hau_Latn"
     assert result.is_target
     assert len(result.sentence_predictions) == 3
@@ -103,7 +105,9 @@ def test_assess_document_and_sentences(shipped_profiles):
 def test_assess_all_target(shipped_profiles):
     backend = BuiltinClassifier(shipped_profiles)
     result = backend.assess(
-        "Yara suna wasa a filin makaranta da safe. Malami yana koyar da darasin lissafi a aji.",
+        analyze(
+            "Yara suna wasa a filin makaranta da safe. Malami yana koyar da darasin lissafi a aji."
+        ),
         "hau_Latn",
     )
     assert result.code_switch_rate == 0.0
@@ -111,7 +115,7 @@ def test_assess_all_target(shipped_profiles):
 
 def test_assess_empty_text(shipped_profiles):
     backend = BuiltinClassifier(shipped_profiles)
-    result = backend.assess("", "hau_Latn")
+    result = backend.assess(analyze(""), "hau_Latn")
     assert result.document_prediction == LidPrediction(UNKNOWN_LABEL, 0.0)
     assert not result.is_target
     assert result.target_confidence == 0.0
@@ -123,7 +127,7 @@ def test_short_sentence_inherits_document_prediction(shipped_profiles):
     backend = BuiltinClassifier(shipped_profiles)
     text = "Manoma suna shuka gero da dawa a gonakinsu lokacin damina. A."
     assert len("a.") < MIN_SENTENCE_CHARS
-    result = backend.assess(text, "hau_Latn")
+    result = backend.assess(analyze(text), "hau_Latn")
     assert result.sentence_predictions[-1] == result.document_prediction
 
 
@@ -160,7 +164,7 @@ def test_scores_exact_with_huge_counts():
 @given(lid_texts)
 def test_assess_sentences_follow_document_or_classify(shipped_profiles, text):
     backend = BuiltinClassifier(shipped_profiles)
-    result = backend.assess(text, "hau_Latn")
+    result = backend.assess(analyze(text), "hau_Latn")
     sentences = segment_sentences(text)
     assert len(result.sentence_predictions) == len(sentences)
     for sentence, prediction in zip(sentences, result.sentence_predictions):
@@ -172,9 +176,24 @@ def test_assess_sentences_follow_document_or_classify(shipped_profiles, text):
             assert prediction == classify(sentence, shipped_profiles)
 
 
+@given(lid_texts)
+@example("Manoma suna shuka gero. The farmers plant maize.\nYara suna wasa!")  # tiles
+@example("a.b")  # abutting sentences: the document dot is computed directly
+@example("Da. Da. Da.")  # a sentence repeated later in the text
+@example("gero\tda.\n\ndawa")
+@example("é. ̀da")  # a sentence that starts with a combining mark
+@example("")
+@example(" \n ")
+def test_assess_equals_two_pass_oracle(shipped_profiles, text):
+    profiles = {label: p.counts for label, p in shipped_profiles.profiles.items()}
+    backend = BuiltinClassifier(shipped_profiles)
+    for target in ("hau_Latn", "eng_Latn"):
+        assert backend.assess(analyze(text), target) == oracles.assess(text, target, profiles)
+
+
 def test_unknown_target_label(shipped_profiles):
     backend = BuiltinClassifier(shipped_profiles)
-    result = backend.assess("Manoma suna shuka gero da dawa a gonakinsu.", "zzz_Latn")
+    result = backend.assess(analyze("Manoma suna shuka gero da dawa a gonakinsu."), "zzz_Latn")
     assert not result.is_target
     assert result.target_confidence == 0.0
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from lexglean.textstats import (
     DiversityStats,
     TrigramProfile,
+    analyze,
     cosine,
     diacritic_stats,
     diversity,
@@ -16,6 +17,7 @@ from lexglean.textstats import (
     sentence_repetition,
     tokenize,
     trigram_profile,
+    trigrams,
 )
 
 import oracles
@@ -206,8 +208,43 @@ def test_tokens_are_clean(text):
 
 
 @given(token_texts)
+@example("a‐b-c ‐d e‐ f-‐g")  # both hyphens inside and at the edges of runs
 def test_tokenize_matches_oracle(text):
     assert list(tokenize(text)) == oracles.tokenize(text)
+
+
+@given(token_texts)
+@example("a.b")  # abutting sentences
+@example("one\n\ntwo")  # newline-only separator
+@example("one.\ttwo.")  # tab separator
+@example("é. ́a")  # a sentence that starts with a combining mark
+@example("x.́a b")  # ... with no space before it
+@example("Da ba. Ka. Da ba.")  # a sentence repeated later in the text
+@example("")
+@example(" \n\t ")
+def test_analyze_matches_separate_kernels(text):
+    analysis = analyze(text)
+    assert analysis.tokens == tokenize(text)
+    assert analysis.sentences == segment_sentences(text)
+    assert analysis.grams == trigrams(text)
+    assert Counter(analysis.grams) == trigram_profile(text).counts
+    assert len(analysis.sentence_grams) == len(analysis.sentences)
+    for sentence, grams in zip(analysis.sentences, analysis.sentence_grams):
+        assert Counter(grams) == trigram_profile(sentence).counts
+        assert len(grams) == trigram_profile(sentence).total
+    if analysis.cross_grams is not None:
+        assert len(analysis.cross_grams) == len(analysis.sentences) - 1
+        tiled = Counter(analysis.cross_grams)
+        for grams in analysis.sentence_grams:
+            tiled.update(grams)
+        assert tiled == Counter(analysis.grams)
+
+
+def test_analyze_tiles_sentences_separated_by_whitespace():
+    assert analyze("A b. C d?\nE").cross_grams == [". c", "? e"]
+    assert analyze("One sentence").cross_grams == []
+    assert analyze("a.b").cross_grams is None  # no space between the sentences
+    assert analyze("").cross_grams is None
 
 
 @given(token_texts)

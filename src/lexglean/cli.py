@@ -89,30 +89,26 @@ def _resolve_config_dir(flag_value: str | None) -> Path:
     return data_dir()
 
 
-def _load_run_config(config_dir: Path):
-    languages = load_language_configs(config_dir / "languages.json")
-    models = load_model_configs(config_dir / "models.json")
-    return languages, models
-
-
 def _select(available, wanted_csv: str, key, what: str):
+    """The named items in first-seen order, each once; ``all`` names every one."""
     by_key = {key(item): item for item in available}
     if wanted_csv.strip().lower() == "all":
         return list(available)
-    selected = []
+    selected = {}
     for name in [part.strip() for part in wanted_csv.split(",") if part.strip()]:
         if name not in by_key:
             known = ", ".join(sorted(by_key))
             raise CliError(f"unknown {what} '{name}' (known: {known})")
-        selected.append(by_key[name])
+        selected[name] = by_key[name]
     if not selected:
         raise CliError(f"no {what} selected")
-    return selected
+    return list(selected.values())
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config_dir = _resolve_config_dir(args.config)
-    languages_all, models_all = _load_run_config(config_dir)
+    languages_all = load_language_configs(config_dir / "languages.json")
+    models_all = load_model_configs(config_dir / "models.json")
     languages = _select(languages_all, args.languages, lambda l: l.iso_code, "language")
     models = _select(models_all, args.models, lambda m: m.model_id, "model")
 
@@ -120,7 +116,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     templates = load_taxonomy(taxonomy_path)
     report = validate_taxonomy(templates)
     if not report.ok:
-        for issue in report.issues():
+        for issue in report.issues:
             print(f"taxonomy: {issue}", file=sys.stderr)
         raise CliError(f"taxonomy {taxonomy_path} failed validation")
 
@@ -178,9 +174,8 @@ def _cell(record) -> tuple[str, str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config_dir = _resolve_config_dir(args.config)
-    languages_all, _ = _load_run_config(config_dir)
-    languages = {language.iso_code: language for language in languages_all}
+    languages_path = _resolve_config_dir(args.config) / "languages.json"
+    languages = {language.iso_code: language for language in load_language_configs(languages_path)}
 
     records = read_records(args.outputs)
     if not records:
@@ -380,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, BackendError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # TaxonomyError, ConfigError and RenderError among them
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -313,11 +313,15 @@ class HttpBackend:
         try:
             payload = response.json()
             choice = payload["choices"][0]
-            text = choice["message"]["content"] or ""
-            finish_reason = choice.get("finish_reason") or ""
+            text, finish_reason = choice["message"]["content"], choice.get("finish_reason")
+            if not all(isinstance(value, (str, type(None))) for value in (text, finish_reason)):
+                raise TypeError(
+                    "content and finish_reason must be strings or null, got "
+                    f"{type(text).__name__} and {type(finish_reason).__name__}"
+                )
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(f"unparseable completion payload: {exc}") from exc
-        return BackendResponse(response.status_code, text, finish_reason)
+        return BackendResponse(response.status_code, text or "", finish_reason or "")
 
 
 class MockAborted(RuntimeError):

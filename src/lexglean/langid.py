@@ -55,10 +55,6 @@ MIN_SENTENCE_CHARS = 3
 class BackendError(RuntimeError):
     """A classifier backend could not produce a prediction for an output."""
 
-    def __init__(self, message: str, output_id: str | None = None):
-        super().__init__(message if output_id is None else f"{message} (output {output_id})")
-        self.output_id = output_id
-
 
 @dataclass(frozen=True)
 class LidPrediction:
@@ -112,14 +108,14 @@ class LanguageProfileSet:
         """A table mapping each gram to all labels' reference counts, one bit
         field per label, and the field width; built on first use.
 
-        A profile's dot with one label is at most ``total * max_count``, where
-        ``total`` is its gram count and ``max_count`` is below
-        2**max_count.bit_length().  A text has fewer than 2**63 grams (no
-        Python string is longer) and ``scores`` rejects profiles with 2**64
-        or more, so with fields of ``max_count.bit_length() + 64`` bits no
-        field's sum carries into the next, and the packed sum holds every
-        label's dot exactly.  A document dot summed from its sentences sums
-        the document's own grams, so the same bound holds.
+        The dot of ``n`` grams with one label is at most ``n * max_count``,
+        and ``max_count`` is below 2**max_count.bit_length().  ``dot`` sums
+        the grams of one text, and a text has fewer than 2**63 grams (no
+        Python string is longer), so with fields of
+        ``max_count.bit_length() + 64`` bits no field's sum carries into the
+        next, and the packed sum holds every label's dot exactly.  A
+        document dot summed from its sentences sums the document's own
+        grams, so the same bound holds.
         """
         max_count = max(max(p.counts.values()) for p in self.profiles.values())
         bits = max_count.bit_length() + 64
@@ -143,17 +139,6 @@ class LanguageProfileSet:
             dots >>= bits
             out.append(dot / (norm * ref_norm) if dot else 0.0)
         return out
-
-    def scores(self, profile: TrigramProfile) -> list[float]:
-        """Cosine similarity of ``profile`` against every label, in label order."""
-        if profile.total == 0:
-            return [0.0 for _ in self.labels]
-        if profile.total >> 64:
-            raise ValueError("profile has 2**64 or more grams; its dot products could overflow")
-        packed = self._packed[0]
-        counts = profile.counts
-        dots = sum(map(mul, map(packed.get, counts, repeat(0)), counts.values()))
-        return self.cosines(dots, profile.norm())
 
 
 def load_seed_corpora(seeds_dir: str | Path) -> dict[str, list[str]]:
@@ -242,21 +227,18 @@ class BuiltinClassifier:
         return _fidelity_result(target, document, target_confidence, sentence_predictions)
 
 
-@dataclass(frozen=True)
-class PredictionBundle:
-    document: LidPrediction
-    sentences: tuple[LidPrediction, ...]
-
-
-def load_external_predictions(path: str | Path) -> dict[str, PredictionBundle]:
+def load_external_predictions(
+    path: str | Path,
+) -> dict[str, tuple[LidPrediction, tuple[LidPrediction, ...]]]:
     """Load externally produced predictions from a JSONL file.
 
     Each row needs ``output_id``, ``doc_label``, ``doc_conf`` and parallel
-    ``sentence_labels`` / ``sentence_confs`` arrays.  A malformed row or a
+    ``sentence_labels`` / ``sentence_confs`` arrays; it maps the output id
+    to the (document, sentences) predictions.  A malformed row or a
     repeated output id raises DataError naming ``path:line``.
     """
     path = Path(path)
-    bundles: dict[str, PredictionBundle] = {}
+    bundles = {}
     with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
@@ -278,7 +260,7 @@ def load_external_predictions(path: str | Path) -> dict[str, PredictionBundle]:
                 raise DataError(f"{path}:{lineno}: malformed prediction row: {exc}") from exc
             if output_id in bundles:
                 raise DataError(f"{path}:{lineno}: duplicate output_id '{output_id}'")
-            bundles[output_id] = PredictionBundle(doc, sentences)
+            bundles[output_id] = (doc, sentences)
     return bundles
 
 
@@ -293,20 +275,19 @@ class ExternalPredictionsClassifier:
 
     name = "external"
 
-    def __init__(self, predictions: Mapping[str, PredictionBundle]):
+    def __init__(
+        self, predictions: Mapping[str, tuple[LidPrediction, tuple[LidPrediction, ...]]]
+    ):
         self.predictions = dict(predictions)
 
     def assess(
         self, analysis: TextAnalysis, target: str, output_id: str | None = None
     ) -> FidelityResult:
-        if output_id is None:
-            raise BackendError("external predictions need an output id")
-        bundle = self.predictions.get(output_id)
-        if bundle is None:
-            raise BackendError("no external prediction", output_id=output_id)
-        document = bundle.document
+        if output_id not in self.predictions:
+            raise BackendError(f"no external prediction (output {output_id})")
+        document, sentences = self.predictions[output_id]
         target_confidence = document.confidence if document.label == target else 0.0
-        return _fidelity_result(target, document, target_confidence, bundle.sentences)
+        return _fidelity_result(target, document, target_confidence, sentences)
 
 
 class FidelityBackend(Protocol):

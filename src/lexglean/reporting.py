@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .codec import to_json
 from .evaluation import ConditionSummary, OverlapResult
@@ -123,14 +123,8 @@ def _render_latex(columns: Sequence[_Column], rows: Sequence[dict]) -> str:
         " & ".join(column.latex_header for column in columns) + " \\\\",
         "\\midrule",
     ]
-    for row in rows:
-        cells = []
-        for column in columns:
-            text = _cell_text(row[column.key], column)
-            if column.decimals is None:
-                text = _latex_escape(text)
-            cells.append(text)
-        lines.append(" & ".join(cells) + " \\\\")
+    for row in rows:  # a number's text holds none of the escaped characters
+        lines.append(" & ".join(_latex_escape(_cell_text(row[c.key], c)) for c in columns) + " \\\\")
     lines.append("\\bottomrule")
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
@@ -169,22 +163,20 @@ def render_report(
         wanted = _KIND_COLUMNS[spec.table_kind]
         columns = tuple(c for c in _SUMMARY_COLUMNS if c.key in wanted)
         rows = _summary_rows(summaries)
-    renderers: dict[str, Callable[..., str]] = {
-        "csv": lambda: _render_csv(columns, rows),
-        "latex": lambda: _render_latex(columns, rows),
-        "json": lambda: _render_json(spec.table_kind, columns, rows),
-    }
-    return renderers[spec.format]()
+    if spec.format == "csv":
+        return _render_csv(columns, rows)
+    if spec.format == "latex":
+        return _render_latex(columns, rows)
+    return _render_json(spec.table_kind, columns, rows)
 
 
 def format_condition_table(summaries: Sequence[ConditionSummary]) -> str:
     """Fixed-width text table for terminal output."""
-    columns = tuple(c for c in _SUMMARY_COLUMNS if c.key in _KIND_COLUMNS["full_summary"])
-    rows = _summary_rows(summaries)
-    headers = [column.header for column in columns]
+    headers = [column.header for column in _SUMMARY_COLUMNS]
     table = [headers] + [
-        [_cell_text(row[column.key], column) for column in columns] for row in rows
+        [_cell_text(row[column.key], column) for column in _SUMMARY_COLUMNS]
+        for row in _summary_rows(summaries)
     ]
-    widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
+    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() for line in table]
     return "\n".join(lines)

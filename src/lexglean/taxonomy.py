@@ -16,7 +16,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping
 
 SCHEMA_VERSION = 1
 
@@ -46,16 +47,9 @@ _WORD_LIST_NAME = re.compile(r"word_list_\d+\Z")
 _PLACEHOLDER = re.compile(r"\{([a-z0-9_]+)\}")
 
 
-class TaxonomyError(ValueError):
-    """A taxonomy file could not be loaded or is structurally invalid."""
-
-
 class ConfigError(ValueError):
-    """A language or model configuration is missing or invalid."""
-
-
-class RenderError(ValueError):
-    """A template placeholder could not be resolved for a language."""
+    """A taxonomy, language or model file is missing or invalid, or a
+    template placeholder cannot be resolved for a language."""
 
 
 @dataclass(frozen=True)
@@ -126,31 +120,17 @@ class ModelConfig:
 class ValidationReport:
     """Result of checking a taxonomy against the structural rules.
 
-    ``ok`` is true iff none of the three problem lists found anything.
-    ``task_type_counts`` is informational (templates per known task type).
+    ``issues`` lists every problem found, human-readable; ``ok`` is true iff
+    there is none.  ``task_type_counts`` is informational (templates per
+    known task type).
     """
 
     task_type_counts: dict[str, int]
-    unknown_task_types: list[tuple[str, str]]
-    unknown_placeholders: list[tuple[str, str]]
-    prefix_mismatches: list[tuple[str, str]]
+    issues: list[str]
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.unknown_task_types or self.unknown_placeholders or self.prefix_mismatches
-        )
-
-    def issues(self) -> list[str]:
-        """Human-readable list of every problem found."""
-        out = []
-        for tid, task in self.unknown_task_types:
-            out.append(f"{tid}: unknown task_type '{task}'")
-        for tid, name in self.unknown_placeholders:
-            out.append(f"{tid}: unknown placeholder '{{{name}}}'")
-        for tid, task in self.prefix_mismatches:
-            out.append(f"{tid}: id prefix does not match task_type '{task}'")
-        return out
+        return not self.issues
 
 
 def placeholders_in(text: str) -> list[str]:
@@ -172,7 +152,7 @@ def _load_json_payload(path: Path, array_key: str, what: str) -> list:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise TaxonomyError(
+        raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     if isinstance(data, list):
@@ -180,42 +160,42 @@ def _load_json_payload(path: Path, array_key: str, what: str) -> list:
     if isinstance(data, dict):
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
-            raise TaxonomyError(
+            raise ConfigError(
                 f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
             )
         payload = data.get(array_key)
         if not isinstance(payload, list):
-            raise TaxonomyError(f"{path}: expected a list under key '{array_key}'")
+            raise ConfigError(f"{path}: expected a list under key '{array_key}'")
         return payload
-    raise TaxonomyError(f"{path}: expected a JSON array or object, got {type(data).__name__}")
+    raise ConfigError(f"{path}: expected a JSON array or object, got {type(data).__name__}")
 
 
 def load_taxonomy(path: str | Path) -> list[PromptTemplate]:
     """Load prompt templates from a taxonomy JSON file.
 
-    Raises TaxonomyError for unparseable files, missing required fields,
+    Raises ConfigError for unparseable files, missing required fields,
     duplicate template ids or an empty template list.
     """
     path = Path(path)
     entries = _load_json_payload(path, "templates", "taxonomy")
     if not entries:
-        raise TaxonomyError(f"{path}: no templates")
+        raise ConfigError(f"{path}: no templates")
     templates: list[PromptTemplate] = []
     seen: dict[str, int] = {}
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise TaxonomyError(f"{path}: entry {index} is not an object")
+            raise ConfigError(f"{path}: entry {index} is not an object")
         try:
             tid = entry["id"]
             task_type = entry["task_type"]
             subtask = entry["subtask"]
             text = entry["template"]
         except KeyError as exc:
-            raise TaxonomyError(f"{path}: entry {index} is missing field {exc}") from exc
+            raise ConfigError(f"{path}: entry {index} is missing field {exc}") from exc
         if not isinstance(tid, str) or not tid:
-            raise TaxonomyError(f"{path}: entry {index} has a bad id {tid!r}")
+            raise ConfigError(f"{path}: entry {index} has a bad id {tid!r}")
         if tid in seen:
-            raise TaxonomyError(
+            raise ConfigError(
                 f"{path}: duplicate template id '{tid}' (entries {seen[tid]} and {index})"
             )
         seen[tid] = index
@@ -232,30 +212,33 @@ def load_taxonomy(path: str | Path) -> list[PromptTemplate]:
 
 
 def validate_taxonomy(templates: Iterable[PromptTemplate]) -> ValidationReport:
-    """Check task types, placeholders and id prefixes for a set of templates."""
-    counts = {task: 0 for task in TASK_TYPES}
-    unknown_tasks: list[tuple[str, str]] = []
-    unknown_placeholders: list[tuple[str, str]] = []
-    prefix_mismatches: list[tuple[str, str]] = []
-    for template in templates:
-        if template.task_type in counts:
-            counts[template.task_type] += 1
-        else:
-            unknown_tasks.append((template.id, template.task_type))
-        for name in sorted(template.required_placeholders):
-            if name not in BASE_PLACEHOLDERS and not _WORD_LIST_NAME.match(name):
-                unknown_placeholders.append((template.id, name))
-        prefix = template.id.split("_", 1)[0]
-        if PREFIX_TO_TASK_TYPE.get(prefix) != template.task_type:
-            prefix_mismatches.append((template.id, template.task_type))
-    return ValidationReport(counts, unknown_tasks, unknown_placeholders, prefix_mismatches)
+    """Check task types, placeholders and id prefixes for a set of templates.
+
+    The issues list unknown task types first, then unknown placeholders,
+    then id prefix mismatches.
+    """
+    templates = list(templates)
+    counts = {task: sum(t.task_type == task for t in templates) for task in TASK_TYPES}
+    issues = [f"{t.id}: unknown task_type '{t.task_type}'" for t in templates if t.task_type not in counts]
+    issues += [
+        f"{t.id}: unknown placeholder '{{{name}}}'"
+        for t in templates
+        for name in sorted(t.required_placeholders)
+        if name not in BASE_PLACEHOLDERS and not _WORD_LIST_NAME.match(name)
+    ]
+    issues += [
+        f"{t.id}: id prefix does not match task_type '{t.task_type}'"
+        for t in templates
+        if PREFIX_TO_TASK_TYPE.get(t.id.split("_", 1)[0]) != t.task_type
+    ]
+    return ValidationReport(counts, issues)
 
 
 def render_text(text: str, lang: LanguageConfig, *, context: str = "template") -> str:
     """Substitute every placeholder in ``text`` with values from ``lang``.
 
     Word lists are joined with ", ".  An unresolvable placeholder raises
-    RenderError naming the placeholder and the context it came from.
+    ConfigError naming the placeholder and the context it came from.
     """
 
     def _substitute(match: re.Match[str]) -> str:
@@ -269,12 +252,12 @@ def render_text(text: str, lang: LanguageConfig, *, context: str = "template") -
         if _WORD_LIST_NAME.match(name):
             words = lang.word_lists.get(name)
             if not words:
-                raise RenderError(
+                raise ConfigError(
                     f"{context}: word list '{name}' is not defined for language "
                     f"'{lang.iso_code}'"
                 )
             return ", ".join(words)
-        raise RenderError(f"{context}: cannot resolve placeholder '{{{name}}}'")
+        raise ConfigError(f"{context}: cannot resolve placeholder '{{{name}}}'")
 
     return _PLACEHOLDER.sub(_substitute, text)
 
@@ -284,67 +267,66 @@ def render_prompt(template: PromptTemplate, lang: LanguageConfig) -> str:
     return render_text(template.template_text, lang, context=f"template '{template.id}'")
 
 
-def _as_language(entry: dict, path: Path, index: int) -> LanguageConfig:
-    try:
-        word_lists = {
-            str(key): tuple(str(w) for w in words)
-            for key, words in (entry.get("word_lists") or {}).items()
-        }
-        return LanguageConfig(
-            name=entry["name"],
-            iso_code=entry["iso_code"],
-            target_lid_label=entry["target_lid_label"],
-            culture_name=entry.get("culture_name", entry["name"]),
-            colonial_language=entry["colonial_language"],
-            tonal_orthography=bool(entry["tonal_orthography"]),
-            word_lists=word_lists,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: language entry {index} is missing field {exc}") from exc
+def _as_language(entry: dict) -> LanguageConfig:
+    word_lists = {
+        str(key): tuple(str(w) for w in words)
+        for key, words in (entry.get("word_lists") or {}).items()
+    }
+    return LanguageConfig(
+        name=entry["name"],
+        iso_code=entry["iso_code"],
+        target_lid_label=entry["target_lid_label"],
+        culture_name=entry.get("culture_name", entry["name"]),
+        colonial_language=entry["colonial_language"],
+        tonal_orthography=bool(entry["tonal_orthography"]),
+        word_lists=word_lists,
+    )
+
+
+def _as_model(entry: dict) -> ModelConfig:
+    return ModelConfig(
+        model_id=entry["model_id"],
+        endpoint_url=entry["endpoint_url"],
+        api_key_env_var=entry["api_key_env_var"],
+        temperature=float(entry["temperature"]),
+        top_p=float(entry["top_p"]),
+        max_output_tokens=int(entry["max_output_tokens"]),
+        system_prompt_template=entry["system_prompt_template"],
+        max_retries=int(entry.get("max_retries", 5)),
+        min_request_interval=float(entry.get("min_request_interval", 0.0)),
+    )
+
+
+def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) -> list:
+    """Build every entry listed under ``key`` ("languages" or "models").
+
+    An empty list, an entry without a required field and two entries with
+    the same ``ident`` raise ConfigError naming the file.
+    """
+    path = Path(path)
+    what = key[:-1]
+    entries = _load_json_payload(path, key, f"{what} config")
+    if not entries:
+        raise ConfigError(f"{path}: no {key}")
+    configs = []
+    for index, entry in enumerate(entries):
+        try:
+            configs.append(build(entry))
+        except KeyError as exc:
+            raise ConfigError(f"{path}: {what} entry {index} is missing field {exc}") from exc
+    seen: set[str] = set()
+    for config in configs:
+        if ident(config) in seen:
+            raise ConfigError(f"{path}: duplicate {what} '{ident(config)}'")
+        seen.add(ident(config))
+    return configs
 
 
 def load_language_configs(path: str | Path) -> list[LanguageConfig]:
     """Load every language from a languages JSON file."""
-    path = Path(path)
-    entries = _load_json_payload(path, "languages", "language config")
-    if not entries:
-        raise ConfigError(f"{path}: no languages")
-    languages = [_as_language(entry, path, i) for i, entry in enumerate(entries)]
-    seen: set[str] = set()
-    for language in languages:
-        if language.iso_code in seen:
-            raise ConfigError(f"{path}: duplicate language '{language.iso_code}'")
-        seen.add(language.iso_code)
-    return languages
-
-
-def _as_model(entry: dict, path: Path, index: int) -> ModelConfig:
-    try:
-        return ModelConfig(
-            model_id=entry["model_id"],
-            endpoint_url=entry["endpoint_url"],
-            api_key_env_var=entry["api_key_env_var"],
-            temperature=float(entry["temperature"]),
-            top_p=float(entry["top_p"]),
-            max_output_tokens=int(entry["max_output_tokens"]),
-            system_prompt_template=entry["system_prompt_template"],
-            max_retries=int(entry.get("max_retries", 5)),
-            min_request_interval=float(entry.get("min_request_interval", 0.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: model entry {index} is missing field {exc}") from exc
+    return _load_configs(path, "languages", _as_language, attrgetter("iso_code"))
 
 
 def load_model_configs(path: str | Path) -> list[ModelConfig]:
     """Load every model from a models JSON file."""
-    path = Path(path)
-    entries = _load_json_payload(path, "models", "model config")
-    if not entries:
-        raise ConfigError(f"{path}: no models")
-    models = [_as_model(entry, path, i) for i, entry in enumerate(entries)]
-    seen: set[str] = set()
-    for model in models:
-        if model.model_id in seen:
-            raise ConfigError(f"{path}: duplicate model '{model.model_id}'")
-        seen.add(model.model_id)
-    return models
+    return _load_configs(path, "models", _as_model, attrgetter("model_id"))

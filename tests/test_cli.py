@@ -137,6 +137,21 @@ def test_generate_exits_3_when_calls_fail(tmp_path):
     assert "completed 150/150, failed 0" in stdout
 
 
+def test_repeated_selection_requests_each_triple_once(tmp_path):
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        [
+            "generate", "--mock", FIXTURES_PATH,
+            "--languages", "hau,hau", "--models", "gpt-4o-mini,gpt-4o-mini",
+            "--out", out,
+        ]
+    )
+    assert code == 0, err
+    assert "150 new requests, 150 expected" in stdout
+    assert "completed 150/150, failed 0" in stdout
+    assert json.loads((out / "manifest.json").read_text())["expected_calls"] == 150
+
+
 def test_evaluate_missing_outputs(tmp_path):
     code, _, err = run_cli(
         ["evaluate", "--outputs", tmp_path / "nowhere", "--results", tmp_path / "r"]
@@ -531,3 +546,14 @@ def test_config_dir_precedence(tmp_path, monkeypatch):
     )
     assert code == 0, err
     assert len(read_records(out)) == 150
+
+
+def test_evaluate_reads_only_the_language_config(small_run, tmp_path):
+    config = tmp_path / "config"
+    config.mkdir()
+    shutil.copy(data_dir() / "languages.json", config / "languages.json")
+    code, stdout, err = run_cli(
+        ["--config", config, "evaluate", "--outputs", small_run, "--results", tmp_path / "r"]
+    )
+    assert code == 0, err
+    assert "evaluated 150 records into 6 conditions" in stdout

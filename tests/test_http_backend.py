@@ -114,6 +114,17 @@ def test_malformed_payload_is_unavailable(endpoint):
         HttpBackend().complete(_request(endpoint.url))
 
 
+@pytest.mark.parametrize(
+    "reply",
+    [_completion(123), _completion("Ee.", 7), _completion(["Ee."]), _completion(False)],
+    ids=["int-content", "int-finish-reason", "list-content", "false-content"],
+)
+def test_non_string_content_or_finish_reason_is_unavailable(endpoint, reply):
+    endpoint.replies = [(200, reply)]
+    with pytest.raises(BackendUnavailable, match="unparseable completion payload: .*must be strings or null"):
+        HttpBackend().complete(_request(endpoint.url))
+
+
 def test_rate_limited_then_ok_through_execute(endpoint):
     endpoint.replies = [(429, b"{}"), (200, _completion("Daidai."))]
     record = execute(_request(endpoint.url), _policy(), HttpBackend())

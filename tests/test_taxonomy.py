@@ -9,9 +9,7 @@ from lexglean.taxonomy import (
     LanguageConfig,
     ModelConfig,
     PromptTemplate,
-    RenderError,
     TASK_TYPES,
-    TaxonomyError,
     load_language_configs,
     load_model_configs,
     load_taxonomy,
@@ -63,14 +61,14 @@ def test_load_taxonomy_bare_array(tmp_path):
 def test_load_taxonomy_wrapped_bad_version(tmp_path):
     path = tmp_path / "tax.json"
     path.write_text(json.dumps({"schema_version": 2, "templates": []}))
-    with pytest.raises(TaxonomyError, match="schema_version"):
+    with pytest.raises(ConfigError, match="schema_version"):
         load_taxonomy(path)
 
 
 def test_load_taxonomy_empty(tmp_path):
     path = tmp_path / "tax.json"
     path.write_text("[]")
-    with pytest.raises(TaxonomyError, match="no templates"):
+    with pytest.raises(ConfigError, match="no templates"):
         load_taxonomy(path)
 
 
@@ -78,21 +76,21 @@ def test_load_taxonomy_duplicate_id(tmp_path):
     entry = {"id": "cw_01", "task_type": "creative", "subtask": "poem", "template": "x"}
     path = tmp_path / "tax.json"
     path.write_text(json.dumps([entry, entry]))
-    with pytest.raises(TaxonomyError, match="entries 0 and 1"):
+    with pytest.raises(ConfigError, match="entries 0 and 1"):
         load_taxonomy(path)
 
 
 def test_load_taxonomy_missing_field(tmp_path):
     path = tmp_path / "tax.json"
     path.write_text(json.dumps([{"id": "cw_01", "task_type": "creative"}]))
-    with pytest.raises(TaxonomyError, match="missing field"):
+    with pytest.raises(ConfigError, match="missing field"):
         load_taxonomy(path)
 
 
 def test_load_taxonomy_invalid_json_reports_position(tmp_path):
     path = tmp_path / "tax.json"
     path.write_text('[\n  {"id": }\n]')
-    with pytest.raises(TaxonomyError, match=r"line 2 column"):
+    with pytest.raises(ConfigError, match=r"line 2 column"):
         load_taxonomy(path)
 
 
@@ -104,10 +102,12 @@ def test_validate_flags_problems():
     ]
     report = validate_taxonomy(templates)
     assert not report.ok
-    issues = report.issues()
-    assert any("unknown task_type 'mystery'" in i for i in issues)
-    assert any("unknown placeholder '{bogus}'" in i for i in issues)
-    assert any("cg_03" in i and "prefix" in i for i in issues)
+    assert report.issues == [
+        "zz_01: unknown task_type 'mystery'",
+        "cw_02: unknown placeholder '{bogus}'",
+        "zz_01: id prefix does not match task_type 'mystery'",
+        "cg_03: id prefix does not match task_type 'creative'",
+    ]
 
 
 def test_render_text_word_list_join():
@@ -116,12 +116,12 @@ def test_render_text_word_list_join():
 
 
 def test_render_text_unknown_placeholder():
-    with pytest.raises(RenderError, match=r"template 'cg_99'.*\{gibberish\}"):
+    with pytest.raises(ConfigError, match=r"template 'cg_99'.*\{gibberish\}"):
         render_text("{gibberish}", HAUSA, context="template 'cg_99'")
 
 
 def test_render_text_missing_word_list():
-    with pytest.raises(RenderError, match="word_list_7"):
+    with pytest.raises(ConfigError, match="word_list_7"):
         render_text("{word_list_7}", HAUSA)
 
 

@@ -14,9 +14,10 @@ on-target outputs by the total number of outputs in the cell.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .codec import DataError, json_file_text, load_list, parse_record, to_json
 from .generation import GenerationRecord
@@ -26,7 +27,6 @@ from .textstats import (
     DiacriticStats,
     DiversityStats,
     TextAnalysis,
-    TrigramProfile,
     analyze,
     cosine,
     diacritic_stats,
@@ -187,7 +187,7 @@ class OverlapResult:
     memorization_suspect: bool
 
 
-def reference_profile(reference_corpus: Sequence[str]) -> TrigramProfile:
+def reference_profile(reference_corpus: Sequence[str]) -> Counter[str]:
     """Merged trigram profile of the nonblank lines of a reference corpus."""
     reference_lines = [line for line in reference_corpus if line.strip()]
     if not reference_lines:
@@ -196,7 +196,7 @@ def reference_profile(reference_corpus: Sequence[str]) -> TrigramProfile:
 
 
 def reference_overlap(
-    key: str, counts: dict[str, int], reference: TrigramProfile
+    key: str, counts: Mapping[str, int], reference: Mapping[str, int]
 ) -> OverlapResult:
     """Trigram-cosine overlap of one cell's generated text against a reference.
 
@@ -204,7 +204,7 @@ def reference_overlap(
     model/language/task cell named by ``key``.  A cosine strictly above
     MEMORIZATION_COSINE_THRESHOLD marks the cell as a memorisation suspect.
     """
-    value = cosine(TrigramProfile(counts, sum(counts.values())), reference)
+    value = cosine(counts, reference)
     return OverlapResult(key, value, is_memorization_suspect(value))
 
 

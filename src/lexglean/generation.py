@@ -7,10 +7,14 @@ files are written atomically (temp file + rename) and never partially;
 re-running a batch skips every triple whose record file already exists, so
 an interrupted run can simply be restarted.
 
-Two backends implement the same small protocol: ``HttpBackend`` posts
-OpenAI-style chat-completion requests, ``MockBackend`` serves canned
-responses keyed by output id from a fixtures file and is the workhorse for
-offline runs and tests.
+A backend has one method, ``complete(request) -> BackendResponse``, and
+stamps each response with its request time and latency.  ``HttpBackend``
+posts OpenAI-style chat-completion requests; it reads the API key from the
+environment variable the request names at request time, so the key is never
+held on a request or written to disk.  ``MockBackend`` serves canned
+responses keyed by output id from a fixtures file, stamped with
+``MOCK_TIMESTAMP`` and a latency of 0.0 so its records are byte-stable; it
+is the workhorse for offline runs and tests.
 
 A call that fails for good (a non-retryable HTTP status, or retryable
 failures past the model's ``max_retries``) raises ``CallError``;
@@ -82,7 +86,7 @@ class ChatRequest:
     output_id: str
     endpoint_url: str
     model_id: str
-    api_key: str | None
+    api_key_env_var: str
     system_prompt: str
     user_prompt: str
     sampling: SamplingParams
@@ -107,19 +111,18 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class BackendResponse:
+    """One reply, stamped by the backend with when its request went out and
+    how long it took."""
+
     status: int
+    timestamp: str
+    latency: float
     text: str = ""
     finish_reason: str = ""
-    latency: float | None = None
 
 
 class Backend(Protocol):
-    requires_api_key: bool
-
     def complete(self, request: ChatRequest) -> BackendResponse:
-        ...
-
-    def timestamp(self) -> str:
         ...
 
 
@@ -196,23 +199,11 @@ def build_request(
     user_prompt: str,
     model: ModelConfig,
     lang: LanguageConfig,
-    *,
-    require_api_key: bool = True,
 ) -> ChatRequest:
     """Assemble the wire request for ``template`` rendered as ``user_prompt``.
 
-    The API key is read from the environment variable named by the model
-    config and never persisted anywhere; a missing variable is a
-    ConfigError unless ``require_api_key`` is off (mock runs).
+    The request names the model's API key variable, not the key.
     """
-    api_key = None
-    if require_api_key:
-        api_key = os.environ.get(model.api_key_env_var)
-        if not api_key:
-            raise ConfigError(
-                f"environment variable '{model.api_key_env_var}' is not set "
-                f"(required for model '{model.model_id}')"
-            )
     system_prompt = render_text(
         model.system_prompt_template, lang, context=f"system prompt for '{model.model_id}'"
     )
@@ -220,7 +211,7 @@ def build_request(
         output_id=output_id_for(model.model_id, lang.iso_code, template.task_type, template.id),
         endpoint_url=model.endpoint_url,
         model_id=model.model_id,
-        api_key=api_key,
+        api_key_env_var=model.api_key_env_var,
         system_prompt=system_prompt,
         user_prompt=user_prompt,
         sampling=SamplingParams(model.temperature, model.top_p, model.max_output_tokens),
@@ -245,8 +236,6 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
     attempt = 0
     while True:
         attempt += 1
-        timestamp = backend.timestamp()
-        started = time.perf_counter()
         failure: str
         try:
             response = backend.complete(request)
@@ -254,9 +243,6 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
             failure = str(exc)
         else:
             if 200 <= response.status < 300:
-                latency = response.latency
-                if latency is None:
-                    latency = time.perf_counter() - started
                 return GenerationRecord(
                     output_id=request.output_id,
                     prompt_id=request.prompt_id,
@@ -268,8 +254,8 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
                     sampling=request.sampling,
                     response_text=response.text,
                     finish_reason=response.finish_reason,
-                    request_timestamp=timestamp,
-                    latency=latency,
+                    request_timestamp=response.timestamp,
+                    latency=response.latency,
                     attempt_count=attempt,
                 )
             if not _is_retryable_status(response.status):
@@ -285,31 +271,37 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
 
 
 class HttpBackend:
-    """OpenAI-style chat-completions over HTTP."""
-
-    requires_api_key = True
+    """OpenAI-style chat-completions over HTTP, one ``requests.Session`` per
+    calling thread."""
 
     def __init__(self):
-        self._session = requests.Session()
-
-    def timestamp(self) -> str:
-        return datetime.now(timezone.utc).isoformat()
+        self._local = threading.local()
 
     def complete(self, request: ChatRequest) -> BackendResponse:
-        headers = {}
-        if request.api_key:
-            headers["Authorization"] = f"Bearer {request.api_key}"
+        """Post ``request``; an unset key variable is a ConfigError before anything is sent."""
+        api_key = os.environ.get(request.api_key_env_var)
+        if not api_key:
+            raise ConfigError(
+                f"environment variable '{request.api_key_env_var}' is not set "
+                f"(required for model '{request.model_id}')"
+            )
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        timestamp = datetime.now(timezone.utc).isoformat()
+        started = time.perf_counter()
         try:
-            response = self._session.post(
+            response = session.post(
                 request.endpoint_url,
                 json=request.body(),
-                headers=headers,
+                headers={"Authorization": f"Bearer {api_key}"},
                 timeout=HTTP_TIMEOUT,
             )
         except requests.RequestException as exc:
             raise BackendUnavailable(str(exc)) from exc
+        latency = time.perf_counter() - started
         if not 200 <= response.status_code < 300:
-            return BackendResponse(response.status_code)
+            return BackendResponse(response.status_code, timestamp, latency)
         try:
             payload = response.json()
             choice = payload["choices"][0]
@@ -321,7 +313,7 @@ class HttpBackend:
                 )
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(f"unparseable completion payload: {exc}") from exc
-        return BackendResponse(response.status_code, text or "", finish_reason or "")
+        return BackendResponse(response.status_code, timestamp, latency, text or "", finish_reason or "")
 
 
 class MockAborted(RuntimeError):
@@ -374,8 +366,6 @@ class MockBackend:
     call N+1, simulating a kill at record granularity.
     """
 
-    requires_api_key = False
-
     def __init__(self, fixtures: dict[str, MockFixture], *, fail_after: int | None = None):
         self.fixtures = fixtures
         self.fail_after = fail_after
@@ -383,9 +373,6 @@ class MockBackend:
         self.call_times: list[float] = []
         self._attempts: dict[str, int] = {}
         self._lock = threading.Lock()
-
-    def timestamp(self) -> str:
-        return MOCK_TIMESTAMP
 
     def complete(self, request: ChatRequest) -> BackendResponse:
         with self._lock:
@@ -397,11 +384,11 @@ class MockBackend:
             self._attempts[request.output_id] = attempt + 1
         fixture = self.fixtures.get(request.output_id)
         if fixture is None:
-            return BackendResponse(404, latency=0.0)
+            return BackendResponse(404, MOCK_TIMESTAMP, 0.0)
         status = fixture.status_schedule[min(attempt, len(fixture.status_schedule) - 1)]
-        if 200 <= status < 300:
-            return BackendResponse(status, fixture.response_text, fixture.finish_reason, latency=0.0)
-        return BackendResponse(status, latency=0.0)
+        if not 200 <= status < 300:
+            return BackendResponse(status, MOCK_TIMESTAMP, 0.0)
+        return BackendResponse(status, MOCK_TIMESTAMP, 0.0, fixture.response_text, fixture.finish_reason)
 
 
 class _RateGate:
@@ -482,9 +469,7 @@ def run_batch(
         output_id, template, lang, model, path = job
         gates[model.model_id].wait()
         user_prompt = render_prompt(template, lang)
-        request = build_request(
-            template, user_prompt, model, lang, require_api_key=backend.requires_api_key
-        )
+        request = build_request(template, user_prompt, model, lang)
         record = execute(request, policy, backend)
         _write_atomic(path, dumps_record(record))
         return output_id

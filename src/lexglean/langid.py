@@ -38,12 +38,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import mul
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .codec import JSON_KEY, DataError
-from .textstats import TextAnalysis, TrigramProfile, merged_trigram_profile, trigrams
+from .textstats import TextAnalysis, merged_trigram_profile, norm, trigrams
 
 UNKNOWN_LABEL = "und"
 
@@ -87,21 +86,21 @@ def _fidelity_result(
 
 
 class LanguageProfileSet:
-    """Trained trigram profiles, one per language label.
+    """Trained trigram profiles (trigram -> count), one per language label.
 
     Labels are kept sorted so that score ties resolve to the
     lexicographically smallest label.
     """
 
-    def __init__(self, profiles: Mapping[str, TrigramProfile]):
+    def __init__(self, profiles: Mapping[str, Mapping[str, int]]):
         if not profiles:
             raise ValueError("profile set needs at least one language")
-        for label, profile in profiles.items():
-            if profile.total == 0:
+        for label, counts in profiles.items():
+            if not counts:
                 raise ValueError(f"profile for '{label}' is empty")
         self.labels: list[str] = sorted(profiles)
-        self.profiles: dict[str, TrigramProfile] = {l: profiles[l] for l in self.labels}
-        self._norms: list[float] = [self.profiles[l].norm() for l in self.labels]
+        self.profiles: dict[str, Mapping[str, int]] = {l: profiles[l] for l in self.labels}
+        self._norms: list[float] = [norm(self.profiles[l]) for l in self.labels]
 
     @cached_property
     def _packed(self) -> tuple[dict[str, int], int]:
@@ -117,11 +116,11 @@ class LanguageProfileSet:
         document dot summed from its sentences sums the document's own
         grams, so the same bound holds.
         """
-        max_count = max(max(p.counts.values()) for p in self.profiles.values())
+        max_count = max(max(counts.values()) for counts in self.profiles.values())
         bits = max_count.bit_length() + 64
         packed: dict[str, int] = {}
         for index, label in enumerate(self.labels):
-            for gram, count in self.profiles[label].counts.items():
+            for gram, count in self.profiles[label].items():
                 packed[gram] = packed.get(gram, 0) + (count << (bits * index))
         return packed, bits
 
@@ -160,7 +159,7 @@ def load_seed_corpora(seeds_dir: str | Path) -> dict[str, list[str]]:
 
 def train_profiles(seed_corpora: Mapping[str, Sequence[str]]) -> LanguageProfileSet:
     """Build one merged trigram profile per label from seed documents."""
-    profiles: dict[str, TrigramProfile] = {}
+    profiles: dict[str, Counter[str]] = {}
     for label in sorted(seed_corpora):
         documents = [doc for doc in seed_corpora[label] if doc.strip()]
         if not documents:
@@ -179,9 +178,7 @@ def _prediction(
     """
     if not grams:
         return LidPrediction(UNKNOWN_LABEL, 0.0), []
-    counts = Counter(grams).values()
-    norm = math.sqrt(sum(map(mul, counts, counts)))  # TrigramProfile.norm
-    scores = profile_set.cosines(dots, norm)
+    scores = profile_set.cosines(dots, norm(Counter(grams)))
     peak = max(scores)
     best = scores.index(peak)  # first index wins ties -> smallest label
     exps = [math.exp(s - peak) for s in scores]
@@ -197,8 +194,6 @@ def classify(text: str, profile_set: LanguageProfileSet) -> LidPrediction:
 
 class BuiltinClassifier:
     """Fidelity assessment backed by the trigram nearest-profile classifier."""
-
-    name = "builtin"
 
     def __init__(self, profile_set: LanguageProfileSet):
         self.profile_set = profile_set
@@ -273,8 +268,6 @@ class ExternalPredictionsClassifier:
     is the target, else 0.0 (per-label mass is not available in the file).
     """
 
-    name = "external"
-
     def __init__(
         self, predictions: Mapping[str, tuple[LidPrediction, tuple[LidPrediction, ...]]]
     ):
@@ -291,8 +284,6 @@ class ExternalPredictionsClassifier:
 
 
 class FidelityBackend(Protocol):
-    name: str
-
     def assess(
         self, analysis: TextAnalysis, target: str, output_id: str | None = None
     ) -> FidelityResult:

@@ -300,8 +300,10 @@ def _as_model(entry: dict) -> ModelConfig:
 def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) -> list:
     """Build every entry listed under ``key`` ("languages" or "models").
 
-    An empty list, an entry without a required field and two entries with
-    the same ``ident`` raise ConfigError naming the file.
+    An empty list, an entry that is not an object, lacks a required field or
+    holds a value of the wrong type, and two entries with the same ``ident``
+    raise ConfigError naming the file (and the entry).  A ConfigError from
+    the config's own validation keeps its message.
     """
     path = Path(path)
     what = key[:-1]
@@ -310,10 +312,16 @@ def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) 
         raise ConfigError(f"{path}: no {key}")
     configs = []
     for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: {what} entry {index} is not an object")
         try:
             configs.append(build(entry))
         except KeyError as exc:
             raise ConfigError(f"{path}: {what} entry {index} is missing field {exc}") from exc
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {what} entry {index}: {exc}") from exc
     seen: set[str] = set()
     for config in configs:
         if ident(config) in seen:

@@ -14,7 +14,9 @@ of them are breaking:
   trimmed and empties dropped.
 * trigram_profile: NFC-normalise, case-fold, collapse whitespace runs to a
   single space, strip, pad with one leading and one trailing space, then
-  count every overlapping character trigram.
+  count every overlapping character trigram.  A profile is a plain
+  ``Counter`` of trigram -> count in order of first occurrence; ``norm`` and
+  ``cosine`` take any such mapping.
 * diacritic counts use NFD decomposition and the combining-diacritics block
   U+0300..U+036F; tone marks are grave, acute, circumflex, caron, macron.
 
@@ -59,7 +61,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 APOSTROPHES = frozenset({"'", "’", "ʼ"})
 HYPHENS = frozenset({"-", "‐"})
@@ -91,18 +93,6 @@ class DiacriticStats:
     diacritic_ratio: float
     has_diacritics: bool
     tonal_vowel_fraction: float
-
-
-@dataclass
-class TrigramProfile:
-    """Bag of overlapping character trigrams with the total count."""
-
-    counts: dict[str, int]
-    total: int
-
-    def norm(self) -> float:
-        counts = self.counts.values()
-        return math.sqrt(sum(map(mul, counts, counts)))
 
 
 class _ClassTable(dict):
@@ -237,18 +227,17 @@ def trigrams(text: str) -> list[str]:
     return _TRIGRAM.findall(_collapse(unicodedata.normalize("NFC", text).casefold()))
 
 
-def trigram_profile(text: str) -> TrigramProfile:
+def trigram_profile(text: str) -> Counter[str]:
     """Character trigram counts of the normalised, space-padded text."""
-    grams = trigrams(text)
-    return TrigramProfile(dict(Counter(grams)), len(grams))
+    return Counter(trigrams(text))
 
 
-def merged_trigram_profile(texts: Iterable[str]) -> TrigramProfile:
+def merged_trigram_profile(texts: Iterable[str]) -> Counter[str]:
     """One trigram profile over several texts, as if counted over each in turn."""
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(trigrams(text))
-    return TrigramProfile(dict(counts), sum(counts.values()))
+    return counts
 
 
 class TextAnalysis(NamedTuple):
@@ -290,13 +279,18 @@ def analyze(text: str) -> TextAnalysis:
     )
 
 
-def cosine(p: TrigramProfile, q: TrigramProfile) -> float:
+def norm(counts: Mapping[str, int]) -> float:
+    """Euclidean norm of a trigram count vector."""
+    values = counts.values()
+    return math.sqrt(sum(map(mul, values, values)))
+
+
+def cosine(p: Mapping[str, int], q: Mapping[str, int]) -> float:
     """Cosine similarity of two trigram count vectors; 0.0 if either is empty."""
-    if not p.counts or not q.counts:
+    if not p or not q:
         return 0.0
-    small, large = (p, q) if len(p.counts) <= len(q.counts) else (q, p)
-    counts = small.counts
-    dot = sum(map(mul, counts.values(), map(large.counts.get, counts, repeat(0))))
+    small, large = (p, q) if len(p) <= len(q) else (q, p)
+    dot = sum(map(mul, small.values(), map(large.get, small, repeat(0))))
     if dot == 0:
         return 0.0
-    return dot / (p.norm() * q.norm())
+    return dot / (norm(p) * norm(q))

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -57,3 +60,46 @@ def mock_run(tmp_path_factory):
     )
     assert code == 0, err
     return root
+
+
+class Endpoint:
+    """Replies to each POST with the next scripted (status, body bytes) pair."""
+
+    def __init__(self):
+        self.replies: list[tuple[int, bytes]] = []
+        self.received: list[tuple[dict, dict]] = []  # (headers, JSON body)
+        self.url = ""
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A loopback chat-completions endpoint, reached without a proxy."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    state = Endpoint()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            state.received.append((dict(self.headers), body))
+            status, payload = state.replies.pop(0)
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    state.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    try:
+        yield state
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -524,6 +524,51 @@ def _write_config_subset(target_dir, iso_codes, model_ids):
     (target_dir / "models.json").write_text(json.dumps(models))
 
 
+@pytest.mark.parametrize(
+    "filename,entry,message",
+    [
+        ("models.json", [1], "{path}: model entry 0 is not an object"),
+        ("languages.json", "hau", "{path}: language entry 0 is not an object"),
+        (
+            "models.json",
+            {"temperature": "warm"},
+            "{path}: model entry 0: could not convert string to float: 'warm'",
+        ),
+        ("models.json", {"top_p": 2}, "model 'gpt-4o-mini': top_p must be in (0, 1]"),
+    ],
+    ids=["model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept"],
+)
+def test_bad_config_entry_is_a_usage_error_naming_file_and_entry(tmp_path, filename, entry, message):
+    # ``entry`` replaces the first entry, or a dict updates it
+    config = tmp_path / "config"
+    _write_config_subset(config, {"hau", "fon"}, {"gpt-4o-mini", "gemini-2.5-flash"})
+    data = json.loads((config / filename).read_text())
+    entries = data[filename.removesuffix(".json")]
+    entries[0] = {**entries[0], **entry} if isinstance(entry, dict) else entry
+    (config / filename).write_text(json.dumps(data))
+    code, _, err = run_cli(
+        ["--config", config, "generate", "--mock", FIXTURES_PATH, "--out", tmp_path / "o"]
+    )
+    assert (code, err) == (2, f"error: {message.format(path=config / filename)}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_http_generate_without_key_sends_nothing(tmp_path, monkeypatch, endpoint):
+    monkeypatch.delenv("NO_NETWORK", raising=False)
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    config = tmp_path / "config"
+    _write_config_subset(config, {"hau"}, {"gpt-4o-mini"})
+    models = json.loads((config / "models.json").read_text())
+    models["models"][0]["endpoint_url"] = endpoint.url
+    (config / "models.json").write_text(json.dumps(models))
+    out = tmp_path / "o"
+    code, _, err = run_cli(["--config", config, "generate", "--out", out])
+    assert code == 2
+    assert "environment variable 'OPENAI_API_KEY' is not set" in err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+    assert endpoint.received == []
+
+
 def test_config_dir_precedence(tmp_path, monkeypatch):
     env_config = tmp_path / "env_config"
     _write_config_subset(env_config, {"fon"}, {"gemini-2.5-flash"})

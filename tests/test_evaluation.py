@@ -63,8 +63,6 @@ def make_fidelity(label="hau_Latn", confidence=0.9, target_confidence=0.9, cs=0.
 
 
 class StaticBackend:
-    name = "static"
-
     def __init__(self, result):
         self.result = result
 

@@ -10,6 +10,7 @@ from lexglean.generation import (
     CallError,
     ChatRequest,
     GenerationRecord,
+    HttpBackend,
     MANIFEST_FILENAME,
     MOCK_TIMESTAMP,
     MockAborted,
@@ -60,7 +61,7 @@ def _request(output_id="test-model/hau/creative/cw_01", max_retries=5):
         output_id=output_id,
         endpoint_url=MODEL.endpoint_url,
         model_id=MODEL.model_id,
-        api_key=None,
+        api_key_env_var=MODEL.api_key_env_var,
         system_prompt="sys",
         user_prompt="user",
         sampling=SamplingParams(0.7, 0.95, 256),
@@ -74,14 +75,9 @@ def _request(output_id="test-model/hau/creative/cw_01", max_retries=5):
 class ScriptedBackend:
     """Yields a fixed sequence of responses/exceptions for retry tests."""
 
-    requires_api_key = False
-
     def __init__(self, script):
         self.script = list(script)
         self.calls = 0
-
-    def timestamp(self):
-        return MOCK_TIMESTAMP
 
     def complete(self, request):
         step = self.script[min(self.calls, len(self.script) - 1)]
@@ -103,11 +99,12 @@ def test_output_id_and_record_path(tmp_path):
     assert record_path(tmp_path, output_id) == tmp_path / "m" / "hau" / "creative" / "cw_01.json"
 
 
-def test_build_request_reads_key_from_env(monkeypatch):
+def test_build_request_names_key_variable(monkeypatch):
     monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
     user_prompt = render_prompt(TEMPLATES[0], LANG)
     request = build_request(TEMPLATES[0], user_prompt, MODEL, LANG)
-    assert request.api_key == "sekrit"
+    assert request.api_key_env_var == "TEST_MODEL_KEY"
+    assert "sekrit" not in repr(request)  # the HTTP backend reads the key at request time
     assert request.output_id == "test-model/hau/creative/cw_01"
     assert (request.prompt_id, request.language, request.task_type) == ("cw_01", "hau", "creative")
     assert request.max_retries == 2
@@ -123,12 +120,12 @@ def test_build_request_reads_key_from_env(monkeypatch):
 def test_build_request_missing_key(monkeypatch):
     monkeypatch.delenv("TEST_MODEL_KEY", raising=False)
     user_prompt = render_prompt(TEMPLATES[0], LANG)
+    # building needs no key, so mock runs skip it entirely
+    request = build_request(TEMPLATES[0], user_prompt, MODEL, LANG)
+    assert request.api_key_env_var == "TEST_MODEL_KEY"
+    # the HTTP backend refuses it before anything is sent
     with pytest.raises(ConfigError, match="TEST_MODEL_KEY"):
-        build_request(TEMPLATES[0], user_prompt, MODEL, LANG)
-    # mock runs skip the key entirely
-    request = build_request(TEMPLATES[0], user_prompt, MODEL, LANG, require_api_key=False)
-    assert request.api_key is None
-
+        HttpBackend().complete(request)
 
 def test_backoff_bounds():
     policy = RetryPolicy(base_delay=1.0, rng=random.Random(7))
@@ -142,23 +139,23 @@ def test_backoff_bounds():
 def test_execute_retries_then_succeeds():
     backend = ScriptedBackend(
         [
-            BackendResponse(500),
-            BackendResponse(429),
+            BackendResponse(500, MOCK_TIMESTAMP, 0.0),
+            BackendResponse(429, MOCK_TIMESTAMP, 0.0),
             BackendUnavailable("boom"),
-            BackendResponse(200, "daidai", "stop", latency=0.0),
+            BackendResponse(200, "2026-01-02T03:04:05+00:00", 1.5, "daidai", "stop"),
         ]
     )
     policy, sleeps = _policy()
     record = execute(_request(), policy, backend)
     assert record.attempt_count == 4
     assert record.response_text == "daidai"
-    assert record.latency == 0.0
-    assert record.request_timestamp == MOCK_TIMESTAMP
+    # the record carries the stamps of the attempt that succeeded
+    assert (record.request_timestamp, record.latency) == ("2026-01-02T03:04:05+00:00", 1.5)
     assert len(sleeps) == 3
 
 
 def test_execute_permanent_failure_no_retry():
-    backend = ScriptedBackend([BackendResponse(403)])
+    backend = ScriptedBackend([BackendResponse(403, MOCK_TIMESTAMP, 0.0)])
     policy, sleeps = _policy()
     with pytest.raises(CallError, match=r"cw_01: permanent failure, HTTP 403\Z"):
         execute(_request(), policy, backend)
@@ -167,7 +164,7 @@ def test_execute_permanent_failure_no_retry():
 
 
 def test_execute_exhausts_retries():
-    backend = ScriptedBackend([BackendResponse(503)])
+    backend = ScriptedBackend([BackendResponse(503, MOCK_TIMESTAMP, 0.0)])
     policy, sleeps = _policy()
     with pytest.raises(CallError, match=r"cw_01: retries exhausted after 3 attempts \(HTTP 503\)\Z"):
         execute(_request(max_retries=2), policy, backend)

@@ -3,9 +3,10 @@ import json
 import random
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from datetime import datetime, timezone
 
 import pytest
+import requests
 
 from lexglean.generation import (
     BackendUnavailable,
@@ -16,15 +17,9 @@ from lexglean.generation import (
     SamplingParams,
     execute,
 )
+from lexglean.taxonomy import ConfigError
 
-
-class Endpoint:
-    """Replies to each POST with the next scripted (status, body bytes) pair."""
-
-    def __init__(self):
-        self.replies: list[tuple[int, bytes]] = []
-        self.received: list[tuple[dict, dict]] = []  # (headers, JSON body)
-        self.url = ""
+KEY_VAR = "LEXGLEAN_TEST_KEY"
 
 
 def _completion(content, finish_reason="stop") -> bytes:
@@ -32,45 +27,20 @@ def _completion(content, finish_reason="stop") -> bytes:
     return json.dumps({"choices": [{"message": message, "finish_reason": finish_reason}]}).encode()
 
 
-@pytest.fixture
-def endpoint(monkeypatch):
+@pytest.fixture(autouse=True)
+def loopback_env(monkeypatch):
+    """No proxy for the loopback address, and the test key set."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     monkeypatch.setenv("no_proxy", "127.0.0.1")
-    state = Endpoint()
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            state.received.append((dict(self.headers), body))
-            status, payload = state.replies.pop(0)
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    state.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    try:
-        yield state
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
+    monkeypatch.setenv(KEY_VAR, "sekrit")
 
 
-def _request(url, api_key=None):
+def _request(url):
     return ChatRequest(
         output_id="m/hau/creative/cw_01",
         endpoint_url=url,
         model_id="m",
-        api_key=api_key,
+        api_key_env_var=KEY_VAR,
         system_prompt="Answer only in Hausa.",
         user_prompt="Write a poem in Hausa.",
         sampling=SamplingParams(0.7, 0.95, 256),
@@ -85,21 +55,55 @@ def _policy():
     return RetryPolicy(rng=random.Random(0), sleep=lambda _: None)
 
 
-def test_ok_reply_carries_body_key_text_and_finish_reason(endpoint):
-    endpoint.replies = [(200, _completion("Ruwa ya yi yawa.", "length")), (200, _completion("Ee."))]
+def test_ok_reply_carries_body_key_text_and_finish_reason(endpoint, monkeypatch):
+    endpoint.replies = [(200, _completion("Ruwa ya yi yawa.", "length"))]
     backend = HttpBackend()
 
-    with_key = _request(endpoint.url, api_key="sekrit")
-    response = backend.complete(with_key)
+    request = _request(endpoint.url)
+    before = datetime.now(timezone.utc)
+    response = backend.complete(request)
     assert (response.status, response.text, response.finish_reason) == (200, "Ruwa ya yi yawa.", "length")
+    assert before <= datetime.fromisoformat(response.timestamp) <= datetime.now(timezone.utc)
+    assert response.latency > 0.0
     headers, body = endpoint.received[0]
-    assert body == with_key.body()
+    assert body == request.body()
     assert headers["Authorization"] == "Bearer sekrit"
 
-    response = backend.complete(_request(endpoint.url))
-    assert response.text == "Ee."
-    headers, _ = endpoint.received[1]
-    assert "Authorization" not in headers
+    # The key is read at request time: once its variable is unset, nothing is sent.
+    monkeypatch.delenv(KEY_VAR)
+    with pytest.raises(ConfigError, match=f"environment variable '{KEY_VAR}' is not set"):
+        backend.complete(request)
+    assert len(endpoint.received) == 1
+
+
+def test_each_thread_posts_through_its_own_session(endpoint, monkeypatch):
+    used = []  # (thread name, session) per post
+
+    class RecordingSession(requests.Session):
+        def post(self, *args, **kwargs):
+            used.append((threading.current_thread().name, self))
+            return super().post(*args, **kwargs)
+
+    monkeypatch.setattr(requests, "Session", RecordingSession)
+    endpoint.replies = [(200, _completion("Ee."))] * 3
+    backend = HttpBackend()
+    responses = []
+
+    def call():
+        responses.append(backend.complete(_request(endpoint.url)))
+
+    worker = threading.Thread(target=call, name="worker")
+    worker.start()
+    worker.join()
+    call()
+    call()
+
+    assert [response.text for response in responses] == ["Ee."] * 3
+    main = threading.current_thread().name
+    assert [name for name, _ in used] == ["worker", main, main]
+    (_, worker_session), (_, first), (_, second) = used
+    assert first is second  # a thread reuses its own session
+    assert worker_session is not first
 
 
 def test_null_content_reads_as_empty_text(endpoint):
@@ -140,9 +144,7 @@ def test_bad_request_is_a_permanent_call_error(endpoint):
     assert len(endpoint.received) == 1
 
 
-def test_closed_port_is_unavailable(monkeypatch):
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    monkeypatch.setenv("no_proxy", "127.0.0.1")
+def test_closed_port_is_unavailable():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]

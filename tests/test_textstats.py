@@ -6,7 +6,6 @@ from hypothesis import example, given, strategies as st
 
 from lexglean.textstats import (
     DiversityStats,
-    TrigramProfile,
     analyze,
     cosine,
     diacritic_stats,
@@ -144,36 +143,37 @@ def test_diacritic_stats_empty():
 
 def test_trigram_profile_frozen():
     profile = trigram_profile("ab")
-    assert profile.counts == {" ab": 1, "ab ": 1}
-    assert profile.total == 2
+    assert profile == {" ab": 1, "ab ": 1}
+    assert list(profile) == [" ab", "ab "]
+    assert profile.total() == 2
 
 
 def test_trigram_profile_collapses_whitespace():
-    assert trigram_profile("  a \n b ").counts == trigram_profile("a b").counts
+    assert trigram_profile("  a \n b ") == trigram_profile("a b")
 
 
 def test_trigram_profile_empty():
     profile = trigram_profile(" \n ")
-    assert profile.counts == {}
-    assert profile.total == 0
+    assert profile == {}
+    assert profile.total() == 0
 
 
 def test_merged_trigram_profile():
     merged = merged_trigram_profile(["ab", "ab"])
-    assert merged.counts == {" ab": 2, "ab ": 2}
-    assert merged.total == 4
+    assert merged == {" ab": 2, "ab ": 2}
+    assert merged.total() == 4
 
 
 def test_cosine_frozen():
-    p = TrigramProfile({"abc": 1}, 1)
-    q = TrigramProfile({"abc": 1, "bcd": 1}, 2)
+    p = {"abc": 1}
+    q = {"abc": 1, "bcd": 1}
     assert cosine(p, q) == pytest.approx(0.7071067811865475, abs=1e-12)
 
 
 def test_cosine_empty_and_disjoint():
-    empty = TrigramProfile({}, 0)
-    p = TrigramProfile({"abc": 2}, 2)
-    q = TrigramProfile({"xyz": 5}, 5)
+    empty = {}
+    p = {"abc": 2}
+    q = {"xyz": 5}
     assert cosine(empty, p) == 0.0
     assert cosine(p, empty) == 0.0
     assert cosine(p, q) == 0.0
@@ -227,11 +227,11 @@ def test_analyze_matches_separate_kernels(text):
     assert analysis.tokens == tokenize(text)
     assert analysis.sentences == segment_sentences(text)
     assert analysis.grams == trigrams(text)
-    assert Counter(analysis.grams) == trigram_profile(text).counts
+    assert Counter(analysis.grams) == trigram_profile(text)
     assert len(analysis.sentence_grams) == len(analysis.sentences)
     for sentence, grams in zip(analysis.sentences, analysis.sentence_grams):
-        assert Counter(grams) == trigram_profile(sentence).counts
-        assert len(grams) == trigram_profile(sentence).total
+        assert Counter(grams) == trigram_profile(sentence)
+        assert len(grams) == trigram_profile(sentence).total()
     if analysis.cross_grams is not None:
         assert len(analysis.cross_grams) == len(analysis.sentences) - 1
         tiled = Counter(analysis.cross_grams)
@@ -266,8 +266,8 @@ def test_diacritic_stats_matches_oracle(text):
 def test_trigram_profile_matches_oracle(text):
     profile = trigram_profile(text)
     expected = oracles.trigram_counts(text)
-    assert profile.counts == expected
-    assert profile.total == sum(expected.values())
+    assert profile == expected
+    assert profile.total() == sum(expected.values())
 
 
 @given(st.lists(st.sampled_from("abcde"), max_size=50))
@@ -303,7 +303,7 @@ def test_merged_trigram_profile_sums_text_profiles(texts):
     merged = merged_trigram_profile(texts)
     expected = Counter()
     for text in texts:
-        expected.update(trigram_profile(text).counts)
-    assert merged.counts == expected
-    assert list(merged.counts) == list(expected)
-    assert merged.total == sum(trigram_profile(text).total for text in texts)
+        expected.update(trigram_profile(text))
+    assert merged == expected
+    assert list(merged) == list(expected)
+    assert merged.total() == sum(trigram_profile(text).total() for text in texts)

@@ -7,6 +7,11 @@ Typical offline session::
     lexglean filter --results results/ --outputs outputs/ --out corpus/
     lexglean report --results results/ --kind efficiency --format csv
 
+``evaluate`` into a results directory that holds an earlier evaluate's
+results reuses every evaluation and overlap whose inputs are unchanged
+(``lexglean.fingerprints``), and ``filter`` refuses an evaluation whose
+record changed after it was computed.
+
 Configuration directory precedence: ``--config`` flag, then the
 ``LEXGLEAN_CONFIG`` environment variable, then the packaged defaults.
 Setting ``NO_NETWORK=1`` refuses to create an HTTP backend, so only
@@ -16,6 +21,7 @@ environment variables named in the model config.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import os
 import random
@@ -24,8 +30,8 @@ from collections import Counter
 from itertools import groupby
 from pathlib import Path
 
-from . import __version__, data_dir
-from .codec import DataError, json_file_text, load_list, to_json
+from . import __version__, data_dir, fingerprints
+from .codec import DataError, json_file_text, load_list, to_json, write_atomic
 from .evaluation import (
     DEFAULT_VALIDITY_THRESHOLD,
     DEFAULT_W_CONF,
@@ -146,15 +152,22 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _make_lid_backend(spec: str):
+    """The backend, its name for ``run_meta.json`` and a digest of the data it loaded."""
     kind, _, argument = spec.partition(":")
     if kind == "builtin":
         seeds_dirname = argument or str(data_dir() / "seeds")
         corpora = load_seed_corpora(seeds_dirname)
-        return BuiltinClassifier(train_profiles(corpora)), f"builtin:{seeds_dirname}"
+        seed_files = sorted(Path(seeds_dirname).glob("*.txt"))
+        return (
+            BuiltinClassifier(train_profiles(corpora)),
+            f"builtin:{seeds_dirname}",
+            fingerprints.files_digest(seed_files),
+        )
     if kind == "external":
         if not argument:
             raise CliError("--lid external needs a predictions file: external:<path>")
-        return ExternalPredictionsClassifier(load_external_predictions(argument)), spec
+        backend = ExternalPredictionsClassifier(load_external_predictions(argument))
+        return backend, spec, fingerprints.files_digest([Path(argument)])
     raise CliError(f"unknown --lid backend '{spec}' (use builtin:<seeds-dir> or external:<file>)")
 
 
@@ -173,59 +186,123 @@ def _cell(record) -> tuple[str, str]:
     return record.language, f"{record.model_id}/{record.language}/{record.task_type}"
 
 
+def _reusable(results_dir: Path, inputs: dict, digests: dict[str, str]):
+    """What an earlier evaluate into ``results_dir`` left that still holds.
+
+    Returns the old evaluation of every record whose file is unchanged, by
+    output id, and the old overlap of every cell, by cell digest.  Both are
+    empty unless the fingerprints file was written with the same ``inputs``
+    and the evaluations and overlap files are the ones it names; anything
+    unreadable counts as nothing to reuse.
+    """
+    evaluations_path, overlap_path = results_dir / "evaluations.jsonl", results_dir / "overlap.json"
+    try:
+        old = fingerprints.read(results_dir)
+        overlap_digest = fingerprints.file_digest(overlap_path)
+        if (
+            old is None
+            or old.inputs != inputs
+            or old.evaluations != fingerprints.file_digest(evaluations_path)
+            or old.overlap != overlap_digest
+        ):
+            return {}, {}
+        # "" and None never equal a digest: an evaluation of a record that
+        # is gone, or that the fingerprints do not list, is not reused.
+        evaluations = {
+            evaluation.output_id: evaluation
+            for evaluation in read_evaluations(evaluations_path)
+            if old.records.get(evaluation.output_id, "") == digests.get(evaluation.output_id)
+        }
+        overlaps = {} if overlap_digest is None else {
+            old.cells[overlap.key]: overlap
+            for overlap in load_list(OverlapResult, overlap_path, "overlaps")
+            if overlap.key in old.cells
+        }
+        return evaluations, overlaps
+    except (OSError, ValueError, TypeError):
+        return {}, {}
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     languages_path = _resolve_config_dir(args.config) / "languages.json"
     languages = {language.iso_code: language for language in load_language_configs(languages_path)}
 
-    records = read_records(args.outputs)
+    digests: dict[str, str] = {}
+    records = read_records(args.outputs, digests)
     if not records:
         raise CliError(f"no records under {args.outputs}", code=EXIT_DATA)
 
-    backend, backend_name = _make_lid_backend(args.lid)
+    backend, backend_name, lid_digest = _make_lid_backend(args.lid)
 
     # Every reference is read before anything is written, so a bad one
     # leaves the results directory as it was.
     references = {}
+    reference_digests = {}
     for language, reference_path in sorted(_parse_references(args.reference).items()):
-        reference_lines = reference_path.read_text(encoding="utf-8").splitlines()
+        reference_bytes = reference_path.read_bytes()
         if not any(record.language == language for record in records):
             raise CliError(f"--reference {language}: no records for that language")
-        references[language] = reference_profile(reference_lines)
-
-    # Records are scored one model/language/task cell at a time, so only the
-    # open cell's trigram counts are held for the overlap check.
-    evaluations = []
-    overlaps = []
-    for (code, key), cell in groupby(sorted(records, key=_cell), _cell):
-        language = languages.get(code)
-        if language is None:
-            raise CliError(f"record {next(cell).output_id}: unknown language '{code}'")
-        reference = references.get(code)
-        counts: Counter[str] = Counter()
-        for record in cell:
-            analysis = analyze(record.response_text)
-            evaluations.append(evaluate_output(
-                record, language, backend, analysis=analysis,
-                threshold=args.threshold, w_conf=args.w_conf,
-            ))
-            if reference is not None:
-                counts.update(analysis.grams)
-        if reference is not None:
-            overlaps.append(reference_overlap(key, counts, reference))
-    summaries = aggregate(evaluations)
+        references[language] = reference_profile(reference_bytes.decode("utf-8").splitlines())
+        reference_digests[language] = hashlib.sha256(reference_bytes).hexdigest()
 
     results_dir = Path(args.results)
+    inputs = {
+        "code": fingerprints.code_digest(),
+        "config": {"lid": args.lid.partition(":")[0], "threshold": args.threshold, "w_conf": args.w_conf},
+        "languages": fingerprints.files_digest([languages_path]),
+        "lid_data": lid_digest,
+    }
+    old_evaluations, old_overlaps = _reusable(results_dir, inputs, digests)
+
+    # Records are scored one model/language/task cell at a time, so only the
+    # open cell's trigram counts are held for the overlap check.  A record
+    # whose file is unchanged keeps its old evaluation, and a cell whose
+    # records and reference are unchanged keeps its old overlap.
+    evaluations = []
+    overlaps = []
+    cells = {}
+    for (code, key), cell in groupby(sorted(records, key=_cell), _cell):
+        language = languages.get(code)
+        cell = list(cell)
+        if language is None:
+            raise CliError(f"record {cell[0].output_id}: unknown language '{code}'")
+        reference = references.get(code)
+        overlap = None
+        if reference is not None:
+            pairs = ((record.output_id, digests[record.output_id]) for record in cell)
+            cells[key] = fingerprints.cell_digest(key, reference_digests[code], pairs)
+            overlap = old_overlaps.get(cells[key])
+        count_grams = reference is not None and overlap is None
+        counts: Counter[str] = Counter()
+        for record in cell:
+            evaluation = old_evaluations.get(record.output_id)
+            if evaluation is None or count_grams:
+                analysis = analyze(record.response_text)
+                if count_grams:
+                    counts.update(analysis.grams)
+            if evaluation is None:
+                evaluation = evaluate_output(
+                    record, language, backend, analysis=analysis,
+                    threshold=args.threshold, w_conf=args.w_conf,
+                )
+            evaluations.append(evaluation)
+        if count_grams:
+            overlap = reference_overlap(key, counts, reference)
+        if overlap is not None:
+            overlaps.append(overlap)
+    summaries = aggregate(evaluations)
+
+    # The fingerprints go first and come back last, so a run cut short
+    # leaves none and the next evaluate starts cold.
     results_dir.mkdir(parents=True, exist_ok=True)
-    write_evaluations(evaluations, results_dir / "evaluations.jsonl")
+    (results_dir / fingerprints.FILENAME).unlink(missing_ok=True)
+    evaluations_path = results_dir / "evaluations.jsonl"
+    write_evaluations(evaluations, evaluations_path)
     write_summaries(summaries, results_dir / "summary.json")
-    (results_dir / "summary.csv").write_text(
-        render_report(ReportSpec("full_summary", "csv"), summaries), encoding="utf-8"
-    )
+    write_atomic(results_dir / "summary.csv", render_report(ReportSpec("full_summary", "csv"), summaries))
     overlap_path = results_dir / "overlap.json"
     if overlaps:
-        overlap_path.write_text(
-            json_file_text({"overlaps": [to_json(o) for o in overlaps]}), encoding="utf-8"
-        )
+        write_atomic(overlap_path, json_file_text({"overlaps": [to_json(o) for o in overlaps]}))
     else:
         overlap_path.unlink(missing_ok=True)  # a stale one would be reported as current
 
@@ -239,27 +316,55 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "n_records": len(records),
         "n_conditions": len(summaries),
     }
-    (results_dir / "run_meta.json").write_text(json_file_text(meta), encoding="utf-8")
+    write_atomic(results_dir / "run_meta.json", json_file_text(meta))
+    fingerprints.write(results_dir, fingerprints.Fingerprints(
+        inputs, digests, cells,
+        fingerprints.file_digest(evaluations_path), fingerprints.file_digest(overlap_path),
+    ))
 
     print(f"lid backend: {backend_name}")
     print(meta["quality_formula"])
+    print(f"reused {len(old_evaluations)} of {len(records)} evaluations")
     print(f"evaluated {len(records)} records into {len(summaries)} conditions")
     print(format_condition_table(summaries))
     return EXIT_OK
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    evaluations_path = Path(args.results) / "evaluations.jsonl"
+    results_dir = Path(args.results)
+    evaluations_path = results_dir / "evaluations.jsonl"
     if not evaluations_path.exists():
         raise CliError(f"no evaluations at {evaluations_path} (run 'evaluate' first)", code=EXIT_DATA)
     evaluations = read_evaluations(evaluations_path)
-    records = {record.output_id: record for record in read_records(args.outputs)}
+    # Without fingerprints (results of an older evaluate) nothing ties the
+    # evaluations to the record bytes they were computed from.
+    recorded = fingerprints.read(results_dir)
+    if recorded is None:
+        print(
+            f"note: no {fingerprints.FILENAME} in {results_dir}; "
+            "evaluations are not checked against the records",
+            file=sys.stderr,
+        )
+    elif recorded.evaluations != fingerprints.file_digest(evaluations_path):
+        raise CliError(
+            f"{evaluations_path} is not the file {fingerprints.FILENAME} describes "
+            "(run 'evaluate' again)",
+            code=EXIT_DATA,
+        )
+    digests: dict[str, str] | None = None if recorded is None else {}
+    records = {record.output_id: record for record in read_records(args.outputs, digests)}
     pairs = []
     for evaluation in evaluations:
         record = records.get(evaluation.output_id)
         if record is None:
             raise CliError(
                 f"evaluation {evaluation.output_id} has no record under {args.outputs}",
+                code=EXIT_DATA,
+            )
+        if digests is not None and recorded.records.get(record.output_id) != digests[record.output_id]:
+            raise CliError(
+                f"evaluation {record.output_id} is stale: its record under {args.outputs} is not "
+                "the one it was computed from (run 'evaluate' again)",
                 code=EXIT_DATA,
             )
         pairs.append((record, evaluation))

@@ -6,17 +6,20 @@ or the key a field declares with ``field(metadata={JSON_KEY: ...})``.  Field
 types may be ``str``, ``int``, ``float``, ``bool``, a dataclass,
 ``tuple[X, ...]`` (a JSON list) or ``X | None`` (an absent key reads as
 None).  Reading coerces numbers and booleans with ``int``/``float``/``bool``
-and rejects a ``str`` field that holds anything but a string.
+and rejects a ``str`` field that holds anything but a string.  Every file
+is written through ``atomic_writer``, so a reader never sees a partial one.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 import types
 import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, TextIO
 
 JSON_KEY = "json_key"
 
@@ -33,6 +36,22 @@ class DataError(ValueError):
 def json_file_text(data: Any) -> str:
     """The text of a JSON file: sorted keys, two-space indents, non-ASCII kept, final newline."""
     return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def atomic_writer(path: Path) -> Iterator[TextIO]:
+    """A text handle on ``<path>.tmp``, renamed over ``path`` when the block ends without error."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as handle:
+        yield handle
+    os.replace(tmp, path)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through ``atomic_writer``."""
+    with atomic_writer(path) as handle:
+        handle.write(text)
 
 
 def to_json(obj: Any) -> dict:

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .codec import DataError, json_file_text, load_list, parse_record, to_json
+from .codec import (
+    DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic,
+)
 from .generation import GenerationRecord
 from .langid import FidelityBackend, FidelityResult
 from .taxonomy import LanguageConfig
@@ -278,11 +280,9 @@ def export_usable_corpus(
 
 
 def write_evaluations(records: Sequence[EvaluationRecord], path: str | Path) -> None:
-    """Persist evaluation records as JSONL, sorted by output id."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Persist evaluation records as JSONL, sorted by output id, atomically."""
     ordered = sorted(records, key=lambda r: r.output_id)
-    with path.open("w", encoding="utf-8") as handle:
+    with atomic_writer(Path(path)) as handle:
         for record in ordered:
             handle.write(
                 json.dumps(to_json(record), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
@@ -307,10 +307,8 @@ def read_evaluations(path: str | Path) -> list[EvaluationRecord]:
 
 
 def write_summaries(summaries: Sequence[ConditionSummary], path: str | Path) -> None:
-    """Persist full-precision condition summaries as JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_file_text({"summaries": [to_json(s) for s in summaries]}), encoding="utf-8")
+    """Persist full-precision condition summaries as JSON, atomically."""
+    write_atomic(Path(path), json_file_text({"summaries": [to_json(s) for s in summaries]}))
 
 
 def read_summaries(path: str | Path) -> list[ConditionSummary]:

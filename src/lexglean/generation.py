@@ -23,6 +23,7 @@ with the other triples.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -37,7 +38,7 @@ from typing import Callable, Protocol, Sequence
 
 import requests
 
-from .codec import DataError, json_file_text, parse_record, to_json
+from .codec import DataError, json_file_text, parse_record, to_json, write_atomic
 from .taxonomy import (
     ConfigError,
     LanguageConfig,
@@ -410,13 +411,6 @@ class _RateGate:
             time.sleep(delay)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def dumps_record(record: GenerationRecord) -> str:
     return json_file_text(to_json(record))
 
@@ -471,7 +465,7 @@ def run_batch(
         user_prompt = render_prompt(template, lang)
         request = build_request(template, user_prompt, model, lang)
         record = execute(request, policy, backend)
-        _write_atomic(path, dumps_record(record))
+        write_atomic(path, dumps_record(record))
         return output_id
 
     if jobs:
@@ -493,28 +487,34 @@ def run_batch(
         executor.shutdown(wait=True)
 
     manifest.failures.sort()
-    _write_atomic(out_dir / MANIFEST_FILENAME, json_file_text(manifest.to_json_dict()))
+    write_atomic(out_dir / MANIFEST_FILENAME, json_file_text(manifest.to_json_dict()))
     return manifest
 
 
-def read_records(out_dir: str | Path) -> list[GenerationRecord]:
+def read_records(
+    out_dir: str | Path, digests: dict[str, str] | None = None
+) -> list[GenerationRecord]:
     """Load every record file under a run directory, sorted by output id.
 
     A file that is not a record, or that is not the ``record_path`` of its
     ``output_id`` (a copied or misplaced file, so also any duplicate id),
-    raises DataError naming the file.
+    raises DataError naming the file.  Given ``digests``, it maps each
+    output id to the sha256 (hex) of its record file's bytes.
     """
     out_dir = Path(out_dir)
     records: list[GenerationRecord] = []
     for path in sorted(out_dir.rglob("*.json")):
         if path.name == MANIFEST_FILENAME:
             continue
-        record = parse_record(GenerationRecord, path.read_bytes(), path)
+        data = path.read_bytes()
+        record = parse_record(GenerationRecord, data, path)
         if path != record_path(out_dir, record.output_id):
             raise DataError(
                 f"{path}: holds output_id '{record.output_id}', whose record file is "
                 f"{record_path(out_dir, record.output_id)} (corrupted run directory)"
             )
+        if digests is not None:
+            digests[record.output_id] = hashlib.sha256(data).hexdigest()
         records.append(record)
     records.sort(key=lambda r: r.output_id)
     return records

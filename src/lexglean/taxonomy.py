@@ -267,31 +267,37 @@ def render_prompt(template: PromptTemplate, lang: LanguageConfig) -> str:
     return render_text(template.template_text, lang, context=f"template '{template.id}'")
 
 
+def _text(entry: dict, key: str, default: str | None = None) -> str:
+    value = entry[key] if default is None else entry.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"'{key}' must be a string, not {type(value).__name__}")
+    return value
+
+
 def _as_language(entry: dict) -> LanguageConfig:
-    word_lists = {
-        str(key): tuple(str(w) for w in words)
-        for key, words in (entry.get("word_lists") or {}).items()
-    }
+    word_lists = entry.get("word_lists") or {}
+    if not isinstance(word_lists, dict):
+        raise TypeError(f"'word_lists' must be an object, not {type(word_lists).__name__}")
     return LanguageConfig(
-        name=entry["name"],
-        iso_code=entry["iso_code"],
-        target_lid_label=entry["target_lid_label"],
-        culture_name=entry.get("culture_name", entry["name"]),
-        colonial_language=entry["colonial_language"],
+        name=_text(entry, "name"),
+        iso_code=_text(entry, "iso_code"),
+        target_lid_label=_text(entry, "target_lid_label"),
+        culture_name=_text(entry, "culture_name", _text(entry, "name")),
+        colonial_language=_text(entry, "colonial_language"),
         tonal_orthography=bool(entry["tonal_orthography"]),
-        word_lists=word_lists,
+        word_lists={str(key): tuple(str(w) for w in words) for key, words in word_lists.items()},
     )
 
 
 def _as_model(entry: dict) -> ModelConfig:
     return ModelConfig(
-        model_id=entry["model_id"],
-        endpoint_url=entry["endpoint_url"],
-        api_key_env_var=entry["api_key_env_var"],
+        model_id=_text(entry, "model_id"),
+        endpoint_url=_text(entry, "endpoint_url"),
+        api_key_env_var=_text(entry, "api_key_env_var"),
         temperature=float(entry["temperature"]),
         top_p=float(entry["top_p"]),
         max_output_tokens=int(entry["max_output_tokens"]),
-        system_prompt_template=entry["system_prompt_template"],
+        system_prompt_template=_text(entry, "system_prompt_template"),
         max_retries=int(entry.get("max_retries", 5)),
         min_request_interval=float(entry.get("min_request_interval", 0.0)),
     )

@@ -535,8 +535,17 @@ def _write_config_subset(target_dir, iso_codes, model_ids):
             "{path}: model entry 0: could not convert string to float: 'warm'",
         ),
         ("models.json", {"top_p": 2}, "model 'gpt-4o-mini': top_p must be in (0, 1]"),
+        (
+            "languages.json",
+            {"word_lists": ["a"]},
+            "{path}: language entry 0: 'word_lists' must be an object, not list",
+        ),
+        ("models.json", {"model_id": ["a"]}, "{path}: model entry 0: 'model_id' must be a string, not list"),
     ],
-    ids=["model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept"],
+    ids=[
+        "model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept",
+        "word_lists_not_object", "model_id_not_string",
+    ],
 )
 def test_bad_config_entry_is_a_usage_error_naming_file_and_entry(tmp_path, filename, entry, message):
     # ``entry`` replaces the first entry, or a dict updates it

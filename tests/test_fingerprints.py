@@ -1,0 +1,320 @@
+"""Incremental evaluate and the fingerprints file that ties results to records.
+
+An evaluate into a results directory that holds an earlier evaluate's
+results reuses what still holds; whatever it reuses, every results file
+(the fingerprints included) must equal a cold evaluate's byte for byte.
+"""
+import dataclasses
+import json
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from lexglean import cli, data_dir, fingerprints
+from lexglean.codec import parse_record
+from lexglean.evaluation import read_evaluations
+from lexglean.fingerprints import FILENAME
+from lexglean.generation import GenerationRecord, dumps_record, read_records, record_path
+
+from conftest import FIXTURES_PATH, SEEDS_DIR, run_cli
+
+
+def references(*languages):
+    return [
+        option
+        for language in languages
+        for option in ("--reference", f"{language}={SEEDS_DIR / (language + '_Latn.txt')}")
+    ]
+
+
+REFERENCES = references("hau", "fon")
+
+
+@pytest.fixture(scope="module")
+def run150(tmp_path_factory):
+    """Mock run restricted to one model and one language (150 records)."""
+    out = tmp_path_factory.mktemp("run150") / "outputs"
+    code, _, err = run_cli(
+        ["generate", "--mock", FIXTURES_PATH, "--languages", "hau", "--models", "gpt-4o-mini", "--out", out]
+    )
+    assert code == 0, err
+    return out
+
+
+@pytest.fixture
+def outputs(run150, tmp_path):
+    copy = tmp_path / "outputs"
+    shutil.copytree(run150, copy)
+    return copy
+
+
+def evaluate(outputs, results, *options):
+    """Run evaluate; return how many evaluations it reused."""
+    code, stdout, err = run_cli(["evaluate", "--outputs", outputs, "--results", results, *options])
+    assert code == 0, err
+    return int(re.search(r"^reused (\d+) of \d+ evaluations$", stdout, re.M).group(1))
+
+
+def files(results):
+    return {path.name: path.read_bytes() for path in sorted(Path(results).iterdir())}
+
+
+def assert_equals_cold(outputs, results, *options):
+    cold = Path(results).parent / "cold"
+    shutil.rmtree(cold, ignore_errors=True)
+    assert evaluate(outputs, cold, *options) == 0
+    assert files(results) == files(cold)
+
+
+def count_overlaps(monkeypatch):
+    """The keys of the cells whose overlap evaluate computes from here on."""
+    keys = []
+    original = cli.reference_overlap
+    monkeypatch.setattr(cli, "reference_overlap", lambda key, *rest: keys.append(key) or original(key, *rest))
+    return keys
+
+
+def rewrite(outputs, output_id, text):
+    path = record_path(outputs, output_id)
+    record = parse_record(GenerationRecord, path.read_bytes(), path)
+    path.write_text(dumps_record(dataclasses.replace(record, response_text=text)), encoding="utf-8")
+
+
+# Each example runs three evaluates; shrinking a failure would run hundreds
+# more and take minutes, and a smaller random split explains no more.
+@settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.randoms(use_true_random=False))
+def test_incremental_evaluate_equals_cold(mock_run, rng):
+    records = read_records(mock_run / "outputs")
+    ids = [record.output_id for record in records]
+    first = set(rng.sample(ids, rng.randint(1, len(ids))))
+    with tempfile.TemporaryDirectory() as scratch:
+        outputs, results = Path(scratch) / "outputs", Path(scratch) / "results"
+        for output_id in sorted(first):
+            target = record_path(outputs, output_id)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(record_path(mock_run / "outputs", output_id), target)
+        # A reference may name only a language that has records.
+        evaluate(outputs, results, *references(*sorted({output_id.split("/")[1] for output_id in first})))
+        evaluated = {output_id: record_path(outputs, output_id).read_bytes() for output_id in first}
+
+        for output_id in sorted(set(ids) - first):
+            target = record_path(outputs, output_id)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(record_path(mock_run / "outputs", output_id), target)
+        for output_id in rng.sample(ids, rng.randint(0, 20)):
+            rewrite(outputs, output_id, rng.choice(records).response_text + rng.choice(["", " Ọ̀rọ̀."]))
+
+        unchanged = sum(record_path(outputs, i).read_bytes() == data for i, data in evaluated.items())
+        assert evaluate(outputs, results, *REFERENCES) == unchanged
+        assert_equals_cold(outputs, results, *REFERENCES)
+
+
+def test_unchanged_records_are_reused(outputs, tmp_path):
+    results = tmp_path / "results"
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    before = files(results)
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 150
+    assert files(results) == before
+
+    rewrite(outputs, "gpt-4o-mini/hau/creative/cw_01", "Sannu da zuwa.")
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 149
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
+def test_fingerprints_name_no_path(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    text = (results / FILENAME).read_text(encoding="utf-8")
+    assert str(tmp_path) not in text and str(SEEDS_DIR) not in text
+    content = json.loads(text)
+    assert sorted(content) == ["cells", "evaluations", "inputs", "overlap", "records"]
+    assert len(content["records"]) == 150
+    assert content["inputs"]["config"] == {"lid": "builtin", "threshold": 20, "w_conf": 0.5}
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--w-conf", "0.3"], ["--threshold", "19"]],
+    ids=["w_conf", "threshold"],
+)
+def test_changed_option_evaluates_cold(outputs, tmp_path, options):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    assert evaluate(outputs, results, *options) == 0
+    assert_equals_cold(outputs, results, *options)
+    assert evaluate(outputs, results, *options) == 150
+
+
+def test_changed_lid_backend_evaluates_cold(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    predictions = tmp_path / "predictions.jsonl"
+    with predictions.open("w", encoding="utf-8") as handle:
+        for evaluation in read_evaluations(results / "evaluations.jsonl"):
+            fidelity = evaluation.fidelity
+            row = {
+                "output_id": evaluation.output_id,
+                "doc_label": fidelity.document_prediction.label,
+                "doc_conf": fidelity.document_prediction.confidence,
+                "sentence_labels": [p.label for p in fidelity.sentence_predictions],
+                "sentence_confs": [p.confidence for p in fidelity.sentence_predictions],
+            }
+            handle.write(json.dumps(row) + "\n")
+    external = ["--lid", f"external:{predictions}"]
+    assert evaluate(outputs, results, *external) == 0
+    assert_equals_cold(outputs, results, *external)
+    assert evaluate(outputs, results) == 0
+
+
+def test_changed_seed_file_evaluates_cold(outputs, tmp_path):
+    results = tmp_path / "results"
+    seeds = tmp_path / "seeds"
+    shutil.copytree(SEEDS_DIR, seeds)
+    builtin = ["--lid", f"builtin:{seeds}"]
+    evaluate(outputs, results, *builtin)
+    assert evaluate(outputs, results, *builtin) == 150
+    with (seeds / "hau_Latn.txt").open("a", encoding="utf-8") as handle:
+        handle.write("Yau da safe mun tafi kasuwa tare.\n")
+    assert evaluate(outputs, results, *builtin) == 0
+    assert_equals_cold(outputs, results, *builtin)
+
+
+def test_changed_code_evaluates_cold(outputs, tmp_path, monkeypatch):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    monkeypatch.setattr(fingerprints, "code_digest", lambda: "0" * 64)
+    assert evaluate(outputs, results) == 0
+
+
+def test_changed_languages_config_evaluates_cold(outputs, tmp_path):
+    results = tmp_path / "results"
+    config = tmp_path / "config"
+    config.mkdir()
+    shutil.copyfile(data_dir() / "languages.json", config / "languages.json")
+    run = ["--config", config, "evaluate", "--outputs", outputs, "--results", results]
+    assert run_cli(run)[0] == 0
+    with (config / "languages.json").open("a", encoding="utf-8") as handle:
+        handle.write("\n")
+    code, stdout, err = run_cli(run)
+    assert code == 0, err
+    assert "reused 0 of 150 evaluations" in stdout
+
+
+def test_changed_reference_recomputes_only_overlap(outputs, tmp_path, monkeypatch):
+    results = tmp_path / "results"
+    reference = tmp_path / "hau.txt"
+    shutil.copyfile(SEEDS_DIR / "hau_Latn.txt", reference)
+    evaluate(outputs, results, "--reference", f"hau={reference}")
+    overlap_before = (results / "overlap.json").read_bytes()
+
+    overlaps = count_overlaps(monkeypatch)
+    assert evaluate(outputs, results, "--reference", f"hau={reference}") == 150
+    assert overlaps == []
+
+    with reference.open("a", encoding="utf-8") as handle:
+        handle.write("Wannan sabon jimla ce a cikin rubutun.\n")
+    assert evaluate(outputs, results, "--reference", f"hau={reference}") == 150
+    assert len(overlaps) == 6  # every hau cell
+    assert (results / "overlap.json").read_bytes() != overlap_before
+    assert_equals_cold(outputs, results, "--reference", f"hau={reference}")
+
+
+def test_deleted_record_recomputes_its_cell(outputs, tmp_path, monkeypatch):
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    record_path(outputs, "gpt-4o-mini/hau/creative/cw_01").unlink()
+
+    overlaps = count_overlaps(monkeypatch)
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 149
+    assert overlaps == ["gpt-4o-mini/hau/creative"]
+    assert "gpt-4o-mini/hau/creative/cw_01" not in (results / "evaluations.jsonl").read_text()
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
+@pytest.mark.parametrize("name", ["evaluations.jsonl", "overlap.json", FILENAME])
+def test_tampered_results_evaluate_cold(outputs, tmp_path, name):
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    path = results / name
+    path.write_text(path.read_text(encoding="utf-8").replace("0.", "0.1", 1), encoding="utf-8")
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
+def test_evaluate_cut_short_leaves_no_fingerprints(outputs, tmp_path, monkeypatch):
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    rewrite(outputs, "gpt-4o-mini/hau/creative/cw_01", "Sannu da zuwa.")
+
+    def crash(*args):
+        raise RuntimeError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "write_summaries", crash)
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_cli(["evaluate", "--outputs", outputs, "--results", results, *REFERENCES[:2]])
+    assert not (results / FILENAME).exists()
+    assert not list(results.glob("*.tmp"))
+
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
+def _filter(results, outputs, tmp_path):
+    return run_cli(["filter", "--results", results, "--outputs", outputs, "--out", tmp_path / "corpus"])
+
+
+def test_filter_refuses_a_record_changed_after_evaluate(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    assert _filter(results, outputs, tmp_path)[0] == 0
+
+    rewrite(outputs, "gpt-4o-mini/hau/constrained/cg_02", "Sannu da zuwa.")
+    code, _, err = _filter(results, outputs, tmp_path)
+    assert code == 1
+    assert "error: evaluation gpt-4o-mini/hau/constrained/cg_02 is stale" in err
+
+
+def test_filter_refuses_a_record_the_fingerprints_do_not_list(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    fingerprints = json.loads((results / FILENAME).read_text(encoding="utf-8"))
+    del fingerprints["records"]["gpt-4o-mini/hau/creative/cw_03"]
+    (results / FILENAME).write_text(json.dumps(fingerprints), encoding="utf-8")
+    code, _, err = _filter(results, outputs, tmp_path)
+    assert code == 1
+    assert "error: evaluation gpt-4o-mini/hau/creative/cw_03 is stale" in err
+
+
+def test_filter_refuses_evaluations_the_fingerprints_do_not_describe(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    path = results / "evaluations.jsonl"
+    path.write_text(path.read_text(encoding="utf-8").replace("0.", "0.1", 1), encoding="utf-8")
+    code, _, err = _filter(results, outputs, tmp_path)
+    assert code == 1
+    assert f"error: {path} is not the file {FILENAME} describes" in err
+
+
+def test_filter_without_fingerprints_notes_and_proceeds(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    code, stdout, err = _filter(results, outputs, tmp_path)
+    assert (code, err) == (0, "")
+    (results / FILENAME).unlink()
+    assert _filter(results, outputs, tmp_path) == (0, stdout, f"note: no {FILENAME} in {results}; "
+                                                   "evaluations are not checked against the records\n")
+
+
+def test_filter_rejects_an_unreadable_fingerprints_file(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    (results / FILENAME).write_text('{"records": {}}', encoding="utf-8")
+    code, _, err = _filter(results, outputs, tmp_path)
+    assert code == 1
+    assert f"error: {results / FILENAME}: not a fingerprints file" in err

@@ -189,11 +189,13 @@ def _cell(record) -> tuple[str, str]:
 def _reusable(results_dir: Path, inputs: dict, digests: dict[str, str]):
     """What an earlier evaluate into ``results_dir`` left that still holds.
 
-    Returns the old evaluation of every record whose file is unchanged, by
-    output id, and the old overlap of every cell, by cell digest.  Both are
-    empty unless the fingerprints file was written with the same ``inputs``
-    and the evaluations and overlap files are the ones it names; anything
-    unreadable counts as nothing to reuse.
+    Returns the old evaluation of every record whose file is unchanged and
+    its ``evaluations.jsonl`` line, both by output id, and the old overlap of
+    every cell, by cell digest.  All are empty unless the fingerprints file
+    was written with the same ``inputs`` (the package sources among them, so
+    an old line is what the encoder would write now) and the evaluations and
+    overlap files are the ones it names; anything unreadable counts as
+    nothing to reuse.
     """
     evaluations_path, overlap_path = results_dir / "evaluations.jsonl", results_dir / "overlap.json"
     try:
@@ -205,12 +207,13 @@ def _reusable(results_dir: Path, inputs: dict, digests: dict[str, str]):
             or old.evaluations != fingerprints.file_digest(evaluations_path)
             or old.overlap != overlap_digest
         ):
-            return {}, {}
+            return {}, {}, {}
         # "" and None never equal a digest: an evaluation of a record that
         # is gone, or that the fingerprints do not list, is not reused.
+        lines: dict[str, bytes] = {}
         evaluations = {
             evaluation.output_id: evaluation
-            for evaluation in read_evaluations(evaluations_path)
+            for evaluation in read_evaluations(evaluations_path, lines)
             if old.records.get(evaluation.output_id, "") == digests.get(evaluation.output_id)
         }
         overlaps = {} if overlap_digest is None else {
@@ -218,9 +221,9 @@ def _reusable(results_dir: Path, inputs: dict, digests: dict[str, str]):
             for overlap in load_list(OverlapResult, overlap_path, "overlaps")
             if overlap.key in old.cells
         }
-        return evaluations, overlaps
+        return evaluations, {output_id: lines[output_id] for output_id in evaluations}, overlaps
     except (OSError, ValueError, TypeError):
-        return {}, {}
+        return {}, {}, {}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -252,12 +255,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "languages": fingerprints.files_digest([languages_path]),
         "lid_data": lid_digest,
     }
-    old_evaluations, old_overlaps = _reusable(results_dir, inputs, digests)
+    old_evaluations, old_lines, old_overlaps = _reusable(results_dir, inputs, digests)
 
     # Records are scored one model/language/task cell at a time, so only the
     # open cell's trigram counts are held for the overlap check.  A record
-    # whose file is unchanged keeps its old evaluation, and a cell whose
-    # records and reference are unchanged keeps its old overlap.
+    # whose file is unchanged keeps its old evaluation (written back as its
+    # old line), and a cell whose records and reference are unchanged keeps
+    # its old overlap.
     evaluations = []
     overlaps = []
     cells = {}
@@ -297,7 +301,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     results_dir.mkdir(parents=True, exist_ok=True)
     (results_dir / fingerprints.FILENAME).unlink(missing_ok=True)
     evaluations_path = results_dir / "evaluations.jsonl"
-    write_evaluations(evaluations, evaluations_path)
+    write_evaluations(evaluations, evaluations_path, old_lines)
     write_summaries(summaries, results_dir / "summary.json")
     write_atomic(results_dir / "summary.csv", render_report(ReportSpec("full_summary", "csv"), summaries))
     overlap_path = results_dir / "overlap.json"

@@ -19,7 +19,7 @@ import types
 import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterator
 
 JSON_KEY = "json_key"
 
@@ -39,19 +39,19 @@ def json_file_text(data: Any) -> str:
 
 
 @contextlib.contextmanager
-def atomic_writer(path: Path) -> Iterator[TextIO]:
-    """A text handle on ``<path>.tmp``, renamed over ``path`` when the block ends without error."""
+def atomic_writer(path: Path) -> Iterator[BinaryIO]:
+    """A binary handle on ``<path>.tmp``, renamed over ``path`` when the block ends without error."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
+    with tmp.open("wb") as handle:
         yield handle
     os.replace(tmp, path)
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through ``atomic_writer``."""
+    """Write ``text`` to ``path`` as UTF-8 through ``atomic_writer``."""
     with atomic_writer(path) as handle:
-        handle.write(text)
+        handle.write(text.encode("utf-8"))
 
 
 def to_json(obj: Any) -> dict:

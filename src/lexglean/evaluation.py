@@ -279,19 +279,31 @@ def export_usable_corpus(
     return totals
 
 
-def write_evaluations(records: Sequence[EvaluationRecord], path: str | Path) -> None:
-    """Persist evaluation records as JSONL, sorted by output id, atomically."""
-    ordered = sorted(records, key=lambda r: r.output_id)
+def write_evaluations(
+    records: Sequence[EvaluationRecord], path: str | Path, lines: Mapping[str, bytes] | None = None
+) -> None:
+    """Persist evaluation records as JSONL, sorted by output id, atomically.
+
+    A record whose output id ``lines`` maps to a line (read back by
+    ``read_evaluations`` from a file this code wrote) is written as those
+    bytes; only the others are encoded.
+    """
+    lines = lines or {}
     with atomic_writer(Path(path)) as handle:
-        for record in ordered:
-            handle.write(
-                json.dumps(to_json(record), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+        for record in sorted(records, key=lambda r: r.output_id):
+            line = lines.get(record.output_id)
+            if line is None:
+                line = json.dumps(
+                    to_json(record), ensure_ascii=False, sort_keys=True, separators=(",", ":")
+                ).encode("utf-8") + b"\n"
+            handle.write(line)
 
 
-def read_evaluations(path: str | Path) -> list[EvaluationRecord]:
-    """Load ``evaluations.jsonl``; a bad or repeated line raises DataError naming it."""
+def read_evaluations(path: str | Path, lines: dict[str, bytes] | None = None) -> list[EvaluationRecord]:
+    """Load ``evaluations.jsonl``; a bad or repeated line raises DataError naming it.
+
+    Given ``lines``, it maps each output id to the bytes of its line.
+    """
     path = Path(path)
     records: dict[str, EvaluationRecord] = {}
     with path.open("rb") as handle:
@@ -303,6 +315,8 @@ def read_evaluations(path: str | Path) -> list[EvaluationRecord]:
                 raise DataError(
                     f"{path}:{lineno}: duplicate output_id '{record.output_id}' (corrupted run directory)"
                 )
+            if lines is not None:
+                lines[record.output_id] = line
     return list(records.values())
 
 

@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import requests
 
@@ -443,11 +443,10 @@ def run_batch(
         for lang in languages:
             for template in sorted(templates, key=lambda t: t.id):
                 output_id = output_id_for(model.model_id, lang.iso_code, template.task_type, template.id)
-                path = record_path(out_dir, output_id)
-                if path.exists():
+                if os.path.exists(os.path.join(out_dir, output_id + ".json")):
                     completed.add(output_id)
                 else:
-                    jobs.append((output_id, template, lang, model, path))
+                    jobs.append((output_id, template, lang, model, record_path(out_dir, output_id)))
 
     manifest = RunManifest(
         models=[m.model_id for m in models],
@@ -491,6 +490,27 @@ def run_batch(
     return manifest
 
 
+def _json_files(prefix: str, top: bool = False) -> Iterator[str]:
+    """The ``*.json`` files under the directory ``prefix`` names, as ``rglob`` finds them.
+
+    ``prefix`` is the directory's path with a trailing separator, or "" for
+    the working directory.  Files come in path-component order; symlinked
+    directories are not followed, a directory whose name ends in ``.json``
+    is walked rather than read, and the top-level manifest is left out.
+    """
+    try:
+        with os.scandir(prefix or ".") as scan:
+            entries = sorted(scan, key=lambda entry: entry.name)
+    except PermissionError:
+        return  # rglob skips an unreadable directory too
+    for entry in entries:
+        if entry.is_dir():
+            if not entry.is_symlink():
+                yield from _json_files(prefix + entry.name + os.sep)
+        elif entry.name.endswith(".json") and not (top and entry.name == MANIFEST_FILENAME):
+            yield prefix + entry.name
+
+
 def read_records(
     out_dir: str | Path, digests: dict[str, str] | None = None
 ) -> list[GenerationRecord]:
@@ -501,14 +521,16 @@ def read_records(
     raises DataError naming the file.  Given ``digests``, it maps each
     output id to the sha256 (hex) of its record file's bytes.
     """
-    out_dir = Path(out_dir)
+    top = str(Path(out_dir))
+    prefix = "" if top == "." else os.path.join(top, "")
     records: list[GenerationRecord] = []
-    for path in sorted(out_dir.rglob("*.json")):
-        if path.name == MANIFEST_FILENAME:
-            continue
-        data = path.read_bytes()
+    for path in _json_files(prefix, top=True) if os.path.isdir(top) else ():
+        with open(path, "rb") as handle:
+            data = handle.read()
         record = parse_record(GenerationRecord, data, path)
-        if path != record_path(out_dir, record.output_id):
+        # The string test settles every ordinary id; Path equality is the rule.
+        expected = prefix + record.output_id + ".json"
+        if path != expected and Path(path) != record_path(out_dir, record.output_id):
             raise DataError(
                 f"{path}: holds output_id '{record.output_id}', whose record file is "
                 f"{record_path(out_dir, record.output_id)} (corrupted run directory)"

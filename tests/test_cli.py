@@ -352,6 +352,19 @@ def test_filter_requires_evaluate(small_run, tmp_path):
     assert "run 'evaluate' first" in err
 
 
+def test_directory_named_like_a_record_is_walked_not_read(small_run, tmp_path):
+    outputs = tmp_path / "outputs"
+    shutil.copytree(small_run, outputs)
+    (outputs / "gpt-4o-mini/hau/creative/odd.json").mkdir()
+    code, stdout, err = run_cli(["evaluate", "--outputs", outputs, "--results", tmp_path / "results"])
+    assert code == 0, err
+    assert "evaluated 150 records" in stdout
+    code, _, err = run_cli(
+        ["filter", "--results", tmp_path / "results", "--outputs", outputs, "--out", tmp_path / "corpus"]
+    )
+    assert code == 0, err
+
+
 def test_report_requires_summary(tmp_path):
     code, _, err = run_cli(
         ["report", "--results", tmp_path, "--kind", "validity", "--format", "csv"]

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from lexglean import cli, data_dir, fingerprints
+from lexglean import cli, data_dir, evaluation, fingerprints
 from lexglean.codec import parse_record
-from lexglean.evaluation import read_evaluations
+from lexglean.evaluation import EvaluationRecord, read_evaluations
 from lexglean.fingerprints import FILENAME
 from lexglean.generation import GenerationRecord, dumps_record, read_records, record_path
 
@@ -123,6 +123,27 @@ def test_unchanged_records_are_reused(outputs, tmp_path):
 
     rewrite(outputs, "gpt-4o-mini/hau/creative/cw_01", "Sannu da zuwa.")
     assert evaluate(outputs, results, *REFERENCES[:2]) == 149
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
+def test_reused_evaluations_are_copied_not_encoded(outputs, tmp_path, monkeypatch):
+    results = tmp_path / "results"
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    rewrite(outputs, "gpt-4o-mini/hau/creative/cw_01", "Sannu da zuwa.")
+    encoded = []
+    original = evaluation.to_json
+
+    def counting_to_json(obj):
+        if isinstance(obj, EvaluationRecord):
+            encoded.append(obj.output_id)
+        return original(obj)
+
+    monkeypatch.setattr(evaluation, "to_json", counting_to_json)
+    reused = evaluate(outputs, results, *REFERENCES[:2])
+    monkeypatch.undo()
+    assert reused == 149
+    assert encoded == ["gpt-4o-mini/hau/creative/cw_01"]
+    assert len(encoded) == 150 - reused
     assert_equals_cold(outputs, results, *REFERENCES[:2])
 
 

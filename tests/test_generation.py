@@ -1,9 +1,12 @@
+import hashlib
 import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 
-from lexglean.codec import DataError, from_json
+from lexglean.codec import DataError, from_json, parse_record
 from lexglean.generation import (
     BackendResponse,
     BackendUnavailable,
@@ -375,6 +378,83 @@ def test_read_records_compares_dotted_names_with_record_path(tmp_path):
     assert read_records(tmp_path) == [record]
     path.rename(path.with_name("cw.json"))
     with pytest.raises(DataError, match=r"cw\.json: holds output_id"):
+        read_records(tmp_path)
+
+
+def _write_record(out_dir, output_id, path=None):
+    model, language, task, prompt = output_id.split("/")
+    record = GenerationRecord(
+        output_id, prompt, model, language, task, "p", "s",
+        SamplingParams(0.7, 0.95, 256), "amsa", "stop", MOCK_TIMESTAMP, 0.0, 1,
+    )
+    path = path or record_path(out_dir, output_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(dumps_record(record), encoding="utf-8")
+
+
+def _rglob_records(out_dir, digests):
+    """The reader ``read_records`` replaced: ``rglob``, ``Path`` order and ``record_path`` equality."""
+    records = []
+    for path in sorted(Path(out_dir).rglob("*.json")):
+        if path.name == MANIFEST_FILENAME:
+            continue
+        data = path.read_bytes()
+        record = parse_record(GenerationRecord, data, path)
+        if path != record_path(out_dir, record.output_id):
+            raise DataError(
+                f"{path}: holds output_id '{record.output_id}', whose record file is "
+                f"{record_path(out_dir, record.output_id)} (corrupted run directory)"
+            )
+        digests[record.output_id] = hashlib.sha256(data).hexdigest()
+        records.append(record)
+    return sorted(records, key=lambda r: r.output_id)
+
+
+@pytest.mark.parametrize("spelling", ["path", "trailing_separator", "working_directory"])
+def test_read_records_walk_finds_what_rglob_finds(tmp_path, monkeypatch, spelling):
+    out = tmp_path / "outputs"
+    for output_id in ("m/hau/creative/cw.1", "m/hau/creative/cw.2", "m/fon/creative/cw_01",
+                      ".hidden/hau/creative/cw_01"):
+        _write_record(out, output_id)
+    (out / "m/hau/creative/notes.txt").write_text("not a record")
+    (out / MANIFEST_FILENAME).write_text('{"models": []}\n')
+    # Followed, the link would show each record a second time, misplaced.
+    (out / "linked").symlink_to(out / "m", target_is_directory=True)
+    out_dir = {"path": out, "trailing_separator": str(out) + os.sep, "working_directory": "."}[spelling]
+    if spelling == "working_directory":
+        monkeypatch.chdir(out)
+        out = Path(".")
+
+    digests, old_digests = {}, {}
+    records = read_records(out_dir, digests)
+    assert records == _rglob_records(out_dir, old_digests)
+    assert digests == old_digests
+    assert [record.output_id for record in records] == [
+        ".hidden/hau/creative/cw_01", "m/fon/creative/cw_01", "m/hau/creative/cw.1", "m/hau/creative/cw.2",
+    ]
+
+    # Path-component order puts creative/zz.json before creative.json (a
+    # plain string sort would not), so both readers name zz.json.
+    _write_record(out, "m/hau/creative/cw.1", out / "m/hau/creative/zz.json")
+    _write_record(out, "m/hau/creative/cw.2", out / "m/hau/creative.json")
+    prefix = "" if spelling == "working_directory" else f"{out}{os.sep}"
+    message = (
+        f"{prefix}m/hau/creative/zz.json: holds output_id 'm/hau/creative/cw.1', whose record file is "
+        f"{prefix}m/hau/creative/cw.1.json (corrupted run directory)"
+    )
+    for reader in (read_records, _rglob_records):
+        with pytest.raises(DataError) as raised:
+            reader(out_dir, {})
+        assert str(raised.value) == message
+
+
+def test_read_records_walks_into_a_directory_named_like_a_record(tmp_path):
+    _write_record(tmp_path, "m/hau/creative/cw_01")
+    odd = tmp_path / "m/hau/creative/odd.json"
+    odd.mkdir()
+    assert [record.output_id for record in read_records(tmp_path)] == ["m/hau/creative/cw_01"]
+    _write_record(tmp_path, "m/hau/creative/cw_01", odd / "cw_01.json")
+    with pytest.raises(DataError, match=r"odd\.json/cw_01\.json: holds output_id"):
         read_records(tmp_path)
 
 

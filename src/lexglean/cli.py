@@ -7,10 +7,12 @@ Typical offline session::
     lexglean filter --results results/ --outputs outputs/ --out corpus/
     lexglean report --results results/ --kind efficiency --format csv
 
-``evaluate`` into a results directory that holds an earlier evaluate's
-results reuses every evaluation and overlap whose inputs are unchanged
-(``lexglean.fingerprints``), and ``filter`` refuses an evaluation whose
-record changed after it was computed.
+``evaluate`` scores one model/language/task cell at a time
+(``score_cell``).  Into a results directory that holds an earlier
+evaluate's results it parses only new and changed records and reuses every
+evaluation, cell summary and overlap whose inputs are unchanged
+(``lexglean.fingerprints``); ``filter`` refuses an evaluation whose record
+changed after it was computed.
 
 Configuration directory precedence: ``--config`` flag, then the
 ``LEXGLEAN_CONFIG`` environment variable, then the packaged defaults.
@@ -27,16 +29,19 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import groupby
 from pathlib import Path
+from typing import Mapping
 
 from . import __version__, data_dir, fingerprints
-from .codec import DataError, json_file_text, load_list, to_json, write_atomic
+from .codec import DataError, json_file_text, load_list, parse_record, to_json, write_atomic
 from .evaluation import (
     DEFAULT_VALIDITY_THRESHOLD,
     DEFAULT_W_CONF,
+    ConditionSummary,
+    EvaluationRecord,
     aggregate,
     evaluate_output,
+    evaluation_line,
     filter_usable,
     export_usable_corpus,
     read_evaluations,
@@ -48,23 +53,28 @@ from .evaluation import (
     OverlapResult,
 )
 from .generation import (
+    GenerationRecord,
     HttpBackend,
     MockBackend,
     RetryPolicy,
     load_mock_fixtures,
+    load_record,
     read_records,
+    record_files,
     run_batch,
 )
 from .langid import (
     BackendError,
     BuiltinClassifier,
     ExternalPredictionsClassifier,
+    FidelityBackend,
     load_external_predictions,
     load_seed_corpora,
     train_profiles,
 )
 from .reporting import FORMATS, TABLE_KINDS, ReportSpec, format_condition_table, render_report
 from .taxonomy import (
+    LanguageConfig,
     load_language_configs,
     load_model_configs,
     load_taxonomy,
@@ -181,73 +191,102 @@ def _parse_references(pairs: list[str]) -> dict[str, Path]:
     return references
 
 
-def _cell(record) -> tuple[str, str]:
-    """Language and ``model/language/task`` key: the order of the overlap results."""
-    return record.language, f"{record.model_id}/{record.language}/{record.task_type}"
+Key = tuple[str, str, str]  # (model_id, language, task_type): one cell
 
 
-def _reusable(results_dir: Path, inputs: dict, digests: dict[str, str]):
+def _reusable(results_dir: Path, inputs: dict):
     """What an earlier evaluate into ``results_dir`` left that still holds.
 
-    Returns the old evaluation of every record whose file is unchanged and
-    its ``evaluations.jsonl`` line, both by output id, and the old overlap of
-    every cell, by cell digest.  All are empty unless the fingerprints file
-    was written with the same ``inputs`` (the package sources among them, so
-    an old line is what the encoder would write now) and the evaluations and
-    overlap files are the ones it names; anything unreadable counts as
-    nothing to reuse.
+    Returns its fingerprint cells and summaries by cell key, its
+    ``evaluations.jsonl`` lines by output id, its overlaps by cell key
+    string and its reference digests by language.  All are empty unless the
+    fingerprints file was written with the same ``inputs`` (the package
+    sources among them, so an old line is what the encoder would write now)
+    and every results file is the one it names; anything unreadable counts
+    as nothing to reuse.  The lines are matched to the sorted output ids
+    the fingerprints list, not parsed.
     """
-    evaluations_path, overlap_path = results_dir / "evaluations.jsonl", results_dir / "overlap.json"
+    summary_path, overlap_path = results_dir / "summary.json", results_dir / "overlap.json"
     try:
         old = fingerprints.read(results_dir)
-        overlap_digest = fingerprints.file_digest(overlap_path)
         if (
-            old is None
-            or old.inputs != inputs
-            or old.evaluations != fingerprints.file_digest(evaluations_path)
-            or old.overlap != overlap_digest
+            old is not None
+            and old.inputs == inputs
+            and old.summary == fingerprints.file_digest(summary_path)
+            and old.overlap == fingerprints.file_digest(overlap_path)
         ):
-            return {}, {}, {}
-        # "" and None never equal a digest: an evaluation of a record that
-        # is gone, or that the fingerprints do not list, is not reused.
-        lines: dict[str, bytes] = {}
-        evaluations = {
-            evaluation.output_id: evaluation
-            for evaluation in read_evaluations(evaluations_path, lines)
-            if old.records.get(evaluation.output_id, "") == digests.get(evaluation.output_id)
-        }
-        overlaps = {} if overlap_digest is None else {
-            old.cells[overlap.key]: overlap
-            for overlap in load_list(OverlapResult, overlap_path, "overlaps")
-            if overlap.key in old.cells
-        }
-        return evaluations, {output_id: lines[output_id] for output_id in evaluations}, overlaps
+            data = (results_dir / "evaluations.jsonl").read_bytes()
+            lines = data.splitlines(keepends=True)
+            output_ids = sorted(old.records())
+            if old.evaluations == hashlib.sha256(data).hexdigest() and len(lines) == len(output_ids):
+                return (
+                    {cell[:3]: cell for cell in old.cells},
+                    {(s.model_id, s.language, s.task_type): s for s in read_summaries(summary_path)},
+                    dict(zip(output_ids, lines)),
+                    {} if old.overlap is None else {
+                        overlap.key: overlap for overlap in load_list(OverlapResult, overlap_path, "overlaps")
+                    },
+                    old.references,
+                )
     except (OSError, ValueError, TypeError):
-        return {}, {}, {}
+        pass
+    return {}, {}, {}, {}, {}
+
+
+def score_cell(
+    key: Key,
+    records: Mapping[str, GenerationRecord | str],
+    old_lines: Mapping[str, bytes],
+    old_overlap: OverlapResult | None,
+    old_summary: ConditionSummary | None,
+    *,
+    language: LanguageConfig,
+    backend: FidelityBackend,
+    reference: Counter[str] | None,
+    threshold: int,
+    w_conf: float,
+) -> tuple[dict[str, bytes], OverlapResult | None, ConditionSummary]:
+    """Evaluation lines by output id, overlap and summary of one cell.
+
+    ``records`` maps each output id of the cell to its record, or to the
+    path of its record file when the file is unchanged since the evaluate
+    that wrote ``old_lines``; ``old_lines`` holds the old line of each such
+    record.  A record with an old line keeps it.  ``old_summary`` is given
+    when no record of the cell changed, and is kept; otherwise the kept
+    lines are decoded and the cell aggregated again.  With a ``reference``,
+    ``old_overlap`` is kept when given; otherwise every record is parsed and
+    the cell's trigrams counted again.
+    """
+    count_grams = reference is not None and old_overlap is None
+    counts: Counter[str] = Counter()
+    lines: dict[str, bytes] = {}
+    evaluations = []
+    for output_id in sorted(records):
+        record, line = records[output_id], old_lines.get(output_id)
+        if count_grams or line is None:
+            if isinstance(record, str):
+                with open(record, "rb") as handle:
+                    record = parse_record(GenerationRecord, handle.read(), record)
+            analysis = analyze(record.response_text)
+            if count_grams:
+                counts.update(analysis.grams)
+        if line is None:
+            evaluation = evaluate_output(
+                record, language, backend, analysis=analysis, threshold=threshold, w_conf=w_conf,
+            )
+            line = evaluation_line(evaluation)
+            evaluations.append(evaluation)
+        elif old_summary is None:
+            evaluations.append(parse_record(EvaluationRecord, line, output_id))
+        lines[output_id] = line
+    overlap = reference_overlap("/".join(key), counts, reference) if count_grams else old_overlap
+    return lines, overlap, old_summary or aggregate(evaluations)[0]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     languages_path = _resolve_config_dir(args.config) / "languages.json"
     languages = {language.iso_code: language for language in load_language_configs(languages_path)}
-
-    digests: dict[str, str] = {}
-    records = read_records(args.outputs, digests)
-    if not records:
-        raise CliError(f"no records under {args.outputs}", code=EXIT_DATA)
-
     backend, backend_name, lid_digest = _make_lid_backend(args.lid)
-
-    # Every reference is read before anything is written, so a bad one
-    # leaves the results directory as it was.
-    references = {}
-    reference_digests = {}
-    for language, reference_path in sorted(_parse_references(args.reference).items()):
-        reference_bytes = reference_path.read_bytes()
-        if not any(record.language == language for record in records):
-            raise CliError(f"--reference {language}: no records for that language")
-        references[language] = reference_profile(reference_bytes.decode("utf-8").splitlines())
-        reference_digests[language] = hashlib.sha256(reference_bytes).hexdigest()
-
     results_dir = Path(args.results)
     inputs = {
         "code": fingerprints.code_digest(),
@@ -255,54 +294,88 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "languages": fingerprints.files_digest([languages_path]),
         "lid_data": lid_digest,
     }
-    old_evaluations, old_lines, old_overlaps = _reusable(results_dir, inputs, digests)
+    old_cells, old_summaries, old_lines, old_overlaps, old_references = _reusable(results_dir, inputs)
+    known = {i: (key, digest) for key, cell in old_cells.items() for i, digest in cell.records.items()}
 
-    # Records are scored one model/language/task cell at a time, so only the
-    # open cell's trigram counts are held for the overlap check.  A record
-    # whose file is unchanged keeps its old evaluation (written back as its
-    # old line), and a cell whose records and reference are unchanged keeps
-    # its old overlap.
-    evaluations = []
+    # Every record file is hashed.  One whose path names an output id that
+    # the old fingerprints list with the same digest holds that record, in
+    # that cell: it stays a path, parsed only if its cell's overlap has to
+    # be counted again.
+    cells: dict[Key, dict[str, GenerationRecord | str]] = {}
+    digests: dict[str, str] = {}
+    for path, output_id, data in record_files(args.outputs):
+        digest = hashlib.sha256(data).hexdigest()
+        key, old_digest = known.get(output_id, (None, None))
+        if digest == old_digest:
+            record = path
+        else:
+            record = load_record(args.outputs, path, output_id, data)
+            output_id, key = record.output_id, (record.model_id, record.language, record.task_type)
+        digests[output_id] = digest
+        cells.setdefault(key, {})[output_id] = record
+    if not cells:
+        raise CliError(f"no records under {args.outputs}", code=EXIT_DATA)
+
+    # Every reference is read before anything is written, so a bad one
+    # leaves the results directory as it was.
+    references = {}
+    reference_digests = {}
+    for code, reference_path in sorted(_parse_references(args.reference).items()):
+        reference_bytes = reference_path.read_bytes()
+        if not any(key[1] == code for key in cells):
+            raise CliError(f"--reference {code}: no records for that language")
+        references[code] = reference_profile(reference_bytes.decode("utf-8").splitlines())
+        reference_digests[code] = hashlib.sha256(reference_bytes).hexdigest()
+
+    # A cell whose records are all unchanged keeps its old summary and
+    # lines, and its old overlap if its reference is unchanged too.  Cells
+    # are scored in the order of the overlap results: by language, then by
+    # key string.
+    lines: dict[str, bytes] = {}
     overlaps = []
-    cells = {}
-    for (code, key), cell in groupby(sorted(records, key=_cell), _cell):
-        language = languages.get(code)
-        cell = list(cell)
+    summaries = []
+    fingerprint_cells = []
+    reused = 0
+    for key in sorted(cells, key=lambda key: (key[1], "/".join(key))):
+        language = languages.get(key[1])
+        records = cells.pop(key)
         if language is None:
-            raise CliError(f"record {cell[0].output_id}: unknown language '{code}'")
-        reference = references.get(code)
-        overlap = None
-        if reference is not None:
-            pairs = ((record.output_id, digests[record.output_id]) for record in cell)
-            cells[key] = fingerprints.cell_digest(key, reference_digests[code], pairs)
-            overlap = old_overlaps.get(cells[key])
-        count_grams = reference is not None and overlap is None
-        counts: Counter[str] = Counter()
-        for record in cell:
-            evaluation = old_evaluations.get(record.output_id)
-            if evaluation is None or count_grams:
-                analysis = analyze(record.response_text)
-                if count_grams:
-                    counts.update(analysis.grams)
-            if evaluation is None:
-                evaluation = evaluate_output(
-                    record, language, backend, analysis=analysis,
-                    threshold=args.threshold, w_conf=args.w_conf,
-                )
-            evaluations.append(evaluation)
-        if count_grams:
-            overlap = reference_overlap(key, counts, reference)
+            raise CliError(f"record {min(records)}: unknown language '{key[1]}'")
+        pairs = {output_id: digests[output_id] for output_id in sorted(records)}
+        fingerprint_cells.append(fingerprints.Cell(*key, pairs, fingerprints.cell_digest(key, pairs.items())))
+        same = key in old_cells and old_cells[key].digest == fingerprint_cells[-1].digest
+        # "" never equals a digest or None: no overlap is kept for a cell
+        # without a reference, or whose reference changed.
+        kept_overlap = same and old_references.get(key[1], "") == reference_digests.get(key[1])
+        kept_lines = {i: old_lines[i] for i, record in records.items() if isinstance(record, str)}
+        cell_lines, overlap, summary = score_cell(
+            key,
+            records,
+            kept_lines,
+            old_overlaps.get("/".join(key)) if kept_overlap else None,
+            old_summaries.get(key) if same else None,
+            language=language,
+            backend=backend,
+            reference=references.get(key[1]),
+            threshold=args.threshold,
+            w_conf=args.w_conf,
+        )
+        reused += len(kept_lines)
+        lines.update(cell_lines)
         if overlap is not None:
             overlaps.append(overlap)
-    summaries = aggregate(evaluations)
+        summaries.append(summary)
+    summaries.sort(key=lambda s: (s.model_id, s.language, s.task_type))
+    fingerprint_cells.sort(key=lambda cell: cell[:3])
 
     # The fingerprints go first and come back last, so a run cut short
     # leaves none and the next evaluate starts cold.
     results_dir.mkdir(parents=True, exist_ok=True)
     (results_dir / fingerprints.FILENAME).unlink(missing_ok=True)
     evaluations_path = results_dir / "evaluations.jsonl"
-    write_evaluations(evaluations, evaluations_path, old_lines)
-    write_summaries(summaries, results_dir / "summary.json")
+    write_evaluations(lines, evaluations_path)
+    summary_path = results_dir / "summary.json"
+    write_summaries(summaries, summary_path)
     write_atomic(results_dir / "summary.csv", render_report(ReportSpec("full_summary", "csv"), summaries))
     overlap_path = results_dir / "overlap.json"
     if overlaps:
@@ -317,19 +390,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"quality = {args.w_conf:g}*lang_conf"
             f" + {1.0 - args.w_conf:g}*(1 - code_switch_rate)"
         ),
-        "n_records": len(records),
+        "n_records": len(digests),
         "n_conditions": len(summaries),
     }
     write_atomic(results_dir / "run_meta.json", json_file_text(meta))
     fingerprints.write(results_dir, fingerprints.Fingerprints(
-        inputs, digests, cells,
+        inputs, fingerprint_cells, reference_digests,
         fingerprints.file_digest(evaluations_path), fingerprints.file_digest(overlap_path),
+        fingerprints.file_digest(summary_path),
     ))
 
     print(f"lid backend: {backend_name}")
     print(meta["quality_formula"])
-    print(f"reused {len(old_evaluations)} of {len(records)} evaluations")
-    print(f"evaluated {len(records)} records into {len(summaries)} conditions")
+    print(f"reused {reused} of {len(digests)} evaluations")
+    print(f"evaluated {len(digests)} records into {len(summaries)} conditions")
     print(format_condition_table(summaries))
     return EXIT_OK
 
@@ -356,6 +430,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
             code=EXIT_DATA,
         )
     digests: dict[str, str] | None = None if recorded is None else {}
+    recorded_digests = {} if recorded is None else recorded.records()
     records = {record.output_id: record for record in read_records(args.outputs, digests)}
     pairs = []
     for evaluation in evaluations:
@@ -365,7 +440,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
                 f"evaluation {evaluation.output_id} has no record under {args.outputs}",
                 code=EXIT_DATA,
             )
-        if digests is not None and recorded.records.get(record.output_id) != digests[record.output_id]:
+        if digests is not None and recorded_digests.get(record.output_id) != digests[record.output_id]:
             raise CliError(
                 f"evaluation {record.output_id} is stale: its record under {args.outputs} is not "
                 "the one it was computed from (run 'evaluate' again)",

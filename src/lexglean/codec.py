@@ -40,12 +40,20 @@ def json_file_text(data: Any) -> str:
 
 @contextlib.contextmanager
 def atomic_writer(path: Path) -> Iterator[BinaryIO]:
-    """A binary handle on ``<path>.tmp``, renamed over ``path`` when the block ends without error."""
+    """A binary handle on ``<path>.tmp``, renamed over ``path`` when the block ends without error.
+
+    When the block (or the rename) raises, the temp file is removed and
+    ``path`` is left as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as handle:
-        yield handle
-    os.replace(tmp, path)
+    try:
+        with tmp.open("wb") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_atomic(path: Path, text: str) -> None:

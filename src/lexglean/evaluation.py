@@ -255,55 +255,51 @@ def export_usable_corpus(
     totals: dict[str, tuple[int, int]] = {}
     for language in sorted(set(languages) | set(by_language)):
         group = by_language.get(language, [])
-        text_path = out_dir / f"{language}.txt"
-        sidecar_path = out_dir / f"{language}.provenance.jsonl"
         body = "\n\n".join(generation.response_text for generation, _ in group)
-        text_path.write_text(body + "\n" if body else "", encoding="utf-8")
-        with sidecar_path.open("w", encoding="utf-8") as handle:
-            for generation, evaluation in group:
-                handle.write(
-                    json.dumps(
-                        {
-                            "output_id": generation.output_id,
-                            "model_id": generation.model_id,
-                            "task_type": generation.task_type,
-                            "word_count": evaluation.word_count,
-                            "quality": evaluation.quality,
-                        },
-                        ensure_ascii=False,
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        write_atomic(out_dir / f"{language}.txt", body + "\n" if body else "")
+        write_atomic(out_dir / f"{language}.provenance.jsonl", "".join(
+            json.dumps(
+                {
+                    "output_id": generation.output_id,
+                    "model_id": generation.model_id,
+                    "task_type": generation.task_type,
+                    "word_count": evaluation.word_count,
+                    "quality": evaluation.quality,
+                },
+                ensure_ascii=False,
+                sort_keys=True,
+            )
+            + "\n"
+            for generation, evaluation in group
+        ))
         totals[language] = (len(group), sum(evaluation.word_count for _, evaluation in group))
     return totals
 
 
+def evaluation_line(record: EvaluationRecord) -> bytes:
+    """The ``evaluations.jsonl`` line of one evaluation record."""
+    return json.dumps(
+        to_json(record), ensure_ascii=False, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8") + b"\n"
+
+
 def write_evaluations(
-    records: Sequence[EvaluationRecord], path: str | Path, lines: Mapping[str, bytes] | None = None
+    records: Sequence[EvaluationRecord] | Mapping[str, bytes], path: str | Path
 ) -> None:
-    """Persist evaluation records as JSONL, sorted by output id, atomically.
+    """Persist evaluations as JSONL, sorted by output id, atomically.
 
-    A record whose output id ``lines`` maps to a line (read back by
-    ``read_evaluations`` from a file this code wrote) is written as those
-    bytes; only the others are encoded.
+    ``records`` is the evaluation records, or their ``evaluation_line``
+    bytes by output id (so a line read back from a file this code wrote is
+    written as it is, not decoded and encoded again).
     """
-    lines = lines or {}
+    if not isinstance(records, Mapping):
+        records = {record.output_id: evaluation_line(record) for record in records}
     with atomic_writer(Path(path)) as handle:
-        for record in sorted(records, key=lambda r: r.output_id):
-            line = lines.get(record.output_id)
-            if line is None:
-                line = json.dumps(
-                    to_json(record), ensure_ascii=False, sort_keys=True, separators=(",", ":")
-                ).encode("utf-8") + b"\n"
-            handle.write(line)
+        handle.writelines(records[output_id] for output_id in sorted(records))
 
 
-def read_evaluations(path: str | Path, lines: dict[str, bytes] | None = None) -> list[EvaluationRecord]:
-    """Load ``evaluations.jsonl``; a bad or repeated line raises DataError naming it.
-
-    Given ``lines``, it maps each output id to the bytes of its line.
-    """
+def read_evaluations(path: str | Path) -> list[EvaluationRecord]:
+    """Load ``evaluations.jsonl``; a bad or repeated line raises DataError naming it."""
     path = Path(path)
     records: dict[str, EvaluationRecord] = {}
     with path.open("rb") as handle:
@@ -315,8 +311,6 @@ def read_evaluations(path: str | Path, lines: dict[str, bytes] | None = None) ->
                 raise DataError(
                     f"{path}:{lineno}: duplicate output_id '{record.output_id}' (corrupted run directory)"
                 )
-            if lines is not None:
-                lines[record.output_id] = line
     return list(records.values())
 
 

@@ -9,15 +9,20 @@ evaluate.  The file holds:
   ``--w-conf``) and digests of the LID data (the seed files or the external
   predictions file), of ``languages.json`` and of the package's own
   ``*.py`` sources;
-* ``records``: output id -> digest of its record file's bytes;
-* ``cells``: for each ``model/language/task`` cell with a reference, a
-  digest of its key, its reference's bytes and its sorted
+* ``cells``: one entry per model/language/task cell, in (model, language,
+  task) order, with its ``model_id``, ``language`` and ``task_type`` as
+  fields of their own, ``records`` (output id -> digest of its record
+  file's bytes) and ``digest``, a digest of those fields and its sorted
   (output id, record digest) pairs;
-* ``evaluations`` and ``overlap``: digests of the ``evaluations.jsonl`` and
-  ``overlap.json`` written with it (``null`` when there is no overlap file).
+* ``references``: language -> digest of its ``--reference`` file's bytes;
+* ``evaluations``, ``overlap`` and ``summary``: digests of the
+  ``evaluations.jsonl``, ``overlap.json`` and ``summary.json`` written with
+  it (``null`` when there is no such file).
 
-The file names no paths and no times, so the same inputs give the same
-bytes.
+``evaluations.jsonl`` holds one line per listed output id, in sorted
+output-id order, so a later evaluate can tell each line's output id and
+cell without parsing it.  The file names no paths and no times, so the same
+inputs give the same bytes.
 """
 from __future__ import annotations
 
@@ -58,35 +63,52 @@ def code_digest() -> str:
     return files_digest(sorted(Path(__file__).parent.glob("*.py")))
 
 
-def cell_digest(key: str, reference_digest: str, pairs: Iterable[tuple[str, str]]) -> str:
-    """Digest of one overlap cell: its key, its reference and its (output id, record digest) pairs."""
-    digest = hashlib.sha256(f"{key}\0{reference_digest}\n".encode())
+def cell_digest(key: tuple[str, str, str], pairs: Iterable[tuple[str, str]]) -> str:
+    """Digest of one cell: its (model, language, task) key and its (output id, record digest) pairs."""
+    digest = hashlib.sha256("\0".join(key).encode() + b"\n")
     for output_id, record_digest in pairs:
         digest.update(f"{output_id}\0{record_digest}\n".encode())
     return digest.hexdigest()
+
+
+class Cell(NamedTuple):
+    """One model/language/task cell of a fingerprints file."""
+
+    model_id: str
+    language: str
+    task_type: str
+    records: dict[str, str]
+    digest: str
 
 
 class Fingerprints(NamedTuple):
     """The content of a fingerprints file; every digest is a sha256 in hex."""
 
     inputs: dict
-    records: dict[str, str]
-    cells: dict[str, str]
+    cells: list[Cell]
+    references: dict[str, str]
     evaluations: str | None
     overlap: str | None
+    summary: str | None
+
+    def records(self) -> dict[str, str]:
+        """Output id -> record digest over every cell."""
+        return {output_id: digest for cell in self.cells for output_id, digest in cell.records.items()}
 
 
 def write(results_dir: Path, fingerprints: Fingerprints) -> None:
     """Write the fingerprints file of a results directory (its keys sorted)."""
-    write_atomic(results_dir / FILENAME, json_file_text(fingerprints._asdict()))
+    cells = [cell._asdict() for cell in fingerprints.cells]
+    write_atomic(results_dir / FILENAME, json_file_text({**fingerprints._asdict(), "cells": cells}))
 
 
 def read(results_dir: Path) -> Fingerprints | None:
     """The fingerprints of a results directory; None when it has none.
 
     A file that is not JSON, or not an object with the fields of
-    ``Fingerprints`` whose ``inputs``, ``records`` and ``cells`` are
-    objects, raises DataError naming it.
+    ``Fingerprints`` whose ``references`` is an object and whose cells are
+    objects with the fields of ``Cell`` whose ``records`` is an object,
+    raises DataError naming it.
     """
     path = results_dir / FILENAME
     try:
@@ -94,11 +116,12 @@ def read(results_dir: Path) -> Fingerprints | None:
     except FileNotFoundError:
         return None
     except ValueError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        raise DataError(f"{path}: invalid JSON: {exc} (run 'evaluate' again)") from exc
     try:
         fingerprints = Fingerprints(**data)
+        cells = [Cell(**cell) for cell in fingerprints.cells]
     except TypeError as exc:  # not an object, or a missing or unknown field
-        raise DataError(f"{path}: not a fingerprints file: {exc}") from exc
-    if not all(isinstance(value, dict) for value in fingerprints[:3]):
-        raise DataError(f"{path}: not a fingerprints file")
-    return fingerprints
+        raise DataError(f"{path}: not a fingerprints file: {exc} (run 'evaluate' again)") from exc
+    if not isinstance(fingerprints.references, dict) or any(not isinstance(c.records, dict) for c in cells):
+        raise DataError(f"{path}: not a fingerprints file (run 'evaluate' again)")
+    return fingerprints._replace(cells=cells)

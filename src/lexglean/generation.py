@@ -511,6 +511,29 @@ def _json_files(prefix: str, top: bool = False) -> Iterator[str]:
             yield prefix + entry.name
 
 
+def record_files(out_dir: str | Path) -> Iterator[tuple[str, str, bytes]]:
+    """Every record file under a run directory: its path, the output id the
+    path names and its bytes, in path-component order (see ``read_records``)."""
+    top = str(Path(out_dir))
+    prefix = "" if top == "." else os.path.join(top, "")
+    for path in _json_files(prefix, top=True) if os.path.isdir(top) else ():
+        with open(path, "rb") as handle:
+            yield path, path[len(prefix):-len(".json")], handle.read()
+
+
+def load_record(out_dir: str | Path, path: str, named_id: str, data: bytes) -> GenerationRecord:
+    """Parse one of ``record_files``; DataError names a file that is not a
+    record or not the ``record_path`` of its ``output_id``."""
+    record = parse_record(GenerationRecord, data, path)
+    # The string test settles every ordinary id; Path equality is the rule.
+    if record.output_id != named_id and Path(path) != record_path(out_dir, record.output_id):
+        raise DataError(
+            f"{path}: holds output_id '{record.output_id}', whose record file is "
+            f"{record_path(out_dir, record.output_id)} (corrupted run directory)"
+        )
+    return record
+
+
 def read_records(
     out_dir: str | Path, digests: dict[str, str] | None = None
 ) -> list[GenerationRecord]:
@@ -521,20 +544,9 @@ def read_records(
     raises DataError naming the file.  Given ``digests``, it maps each
     output id to the sha256 (hex) of its record file's bytes.
     """
-    top = str(Path(out_dir))
-    prefix = "" if top == "." else os.path.join(top, "")
     records: list[GenerationRecord] = []
-    for path in _json_files(prefix, top=True) if os.path.isdir(top) else ():
-        with open(path, "rb") as handle:
-            data = handle.read()
-        record = parse_record(GenerationRecord, data, path)
-        # The string test settles every ordinary id; Path equality is the rule.
-        expected = prefix + record.output_id + ".json"
-        if path != expected and Path(path) != record_path(out_dir, record.output_id):
-            raise DataError(
-                f"{path}: holds output_id '{record.output_id}', whose record file is "
-                f"{record_path(out_dir, record.output_id)} (corrupted run directory)"
-            )
+    for path, named_id, data in record_files(out_dir):
+        record = load_record(out_dir, path, named_id, data)
         if digests is not None:
             digests[record.output_id] = hashlib.sha256(data).hexdigest()
         records.append(record)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import pytest
 from hypothesis import given, strategies as st
 
-from lexglean.codec import DataError, from_json, parse_record, to_json
+from lexglean.codec import DataError, atomic_writer, from_json, parse_record, to_json
 from lexglean.evaluation import ConditionSummary, EvaluationRecord, OverlapResult
 from lexglean.generation import GenerationRecord, SamplingParams
 from lexglean.langid import FidelityResult, LidPrediction
@@ -117,3 +117,19 @@ def test_parse_record_reports_an_infinite_int_as_bad_value():
     raw = b'{"temperature": 0.7, "top_p": 0.95, "max_output_tokens": 1e400}'
     with pytest.raises(DataError, match=r"^run/m/hau/t/p\.json: bad value"):
         parse_record(SamplingParams, raw, "run/m/hau/t/p.json")
+
+
+def test_atomic_writer_that_raises_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "summary.json"
+    target.write_bytes(b"old\n")
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_writer(target) as handle:
+            handle.write(b"new, cut ")
+            raise OSError("disk full")
+    assert target.read_bytes() == b"old\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["summary.json"]
+
+    with atomic_writer(target) as handle:
+        handle.write(b"new\n")
+    assert target.read_bytes() == b"new\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["summary.json"]

@@ -1,6 +1,8 @@
+import errno
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -330,6 +332,42 @@ def test_export_usable_corpus(tmp_path):
         "m/hau/creative/cw_02",
     ]
     assert (tmp_path / "fon.provenance.jsonl").exists()
+
+
+class _DiskFull:
+    """A file handle whose first write stores half its data and then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_export_cut_short_leaves_no_truncated_corpus_file(tmp_path, monkeypatch):
+    pairs = [
+        (make_record(f"m/hau/creative/cw_0{i}", text=f"Jimla ta {word}."), make_eval(f"m/hau/creative/cw_0{i}"))
+        for i, word in enumerate(["farko", "biyu", "uku"], start=1)
+    ]
+    export_usable_corpus(filter_usable(pairs[:1]), tmp_path, ["hau"])
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    real_open = Path.open
+
+    def open_then_fail(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return _DiskFull(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(Path, "open", open_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        export_usable_corpus(filter_usable(pairs), tmp_path, ["hau"])
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 # ------------------------------------------------------------- persistence

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from lexglean import cli, data_dir, evaluation, fingerprints
-from lexglean.codec import parse_record
-from lexglean.evaluation import EvaluationRecord, read_evaluations
+from lexglean.codec import load_list, parse_record
+from lexglean.evaluation import EvaluationRecord, OverlapResult, read_evaluations, read_summaries
 from lexglean.fingerprints import FILENAME
 from lexglean.generation import GenerationRecord, dumps_record, read_records, record_path
 
@@ -82,6 +82,17 @@ def rewrite(outputs, output_id, text):
     path = record_path(outputs, output_id)
     record = parse_record(GenerationRecord, path.read_bytes(), path)
     path.write_text(dumps_record(dataclasses.replace(record, response_text=text)), encoding="utf-8")
+
+
+def copy_as(source, outputs, model_id):
+    """Copy the records under ``source`` into ``outputs`` as the records of ``model_id``."""
+    for record in read_records(source):
+        _, language, task_type, prompt_id = record.output_id.split("/")
+        output_id = f"{model_id}/{language}/{task_type}/{prompt_id}"
+        path = record_path(outputs, output_id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        copy = dataclasses.replace(record, output_id=output_id, model_id=model_id)
+        path.write_text(dumps_record(copy), encoding="utf-8")
 
 
 # Each example runs three evaluates; shrinking a failure would run hundreds
@@ -153,8 +164,12 @@ def test_fingerprints_name_no_path(outputs, tmp_path):
     text = (results / FILENAME).read_text(encoding="utf-8")
     assert str(tmp_path) not in text and str(SEEDS_DIR) not in text
     content = json.loads(text)
-    assert sorted(content) == ["cells", "evaluations", "inputs", "overlap", "records"]
-    assert len(content["records"]) == 150
+    assert sorted(content) == ["cells", "evaluations", "inputs", "overlap", "references", "summary"]
+    assert sum(len(cell["records"]) for cell in content["cells"]) == 150
+    fields = ("model_id", "language", "task_type")
+    summaries = json.loads((results / "summary.json").read_text(encoding="utf-8"))["summaries"]
+    assert [[c[f] for f in fields] for c in content["cells"]] == [[s[f] for f in fields] for s in summaries]
+    assert sorted(content["references"]) == ["hau"]
     assert content["inputs"]["config"] == {"lid": "builtin", "threshold": 20, "w_conf": 0.5}
 
 
@@ -257,12 +272,80 @@ def test_deleted_record_recomputes_its_cell(outputs, tmp_path, monkeypatch):
     assert_equals_cold(outputs, results, *REFERENCES[:2])
 
 
-@pytest.mark.parametrize("name", ["evaluations.jsonl", "overlap.json", FILENAME])
+@pytest.mark.parametrize("name", ["evaluations.jsonl", "overlap.json", "summary.json", FILENAME])
 def test_tampered_results_evaluate_cold(outputs, tmp_path, name):
     results = tmp_path / "results"
     evaluate(outputs, results, *REFERENCES[:2])
     path = results / name
     path.write_text(path.read_text(encoding="utf-8").replace("0.", "0.1", 1), encoding="utf-8")
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
+def test_evaluations_missing_a_line_evaluate_cold(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    path = results / "evaluations.jsonl"
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[1:]))
+    # The fingerprints are made to name the short file, so only its line
+    # count shows that its lines no longer match the listed output ids.
+    content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
+    content["evaluations"] = fingerprints.file_digest(path)
+    (results / FILENAME).write_text(json.dumps(content), encoding="utf-8")
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
+def test_model_id_prefixing_another_keeps_both_orders(run150, tmp_path, monkeypatch):
+    # "-" sorts before "/": overlaps, in key-string order, put "m-x/..."
+    # first; summaries, in (model, language, task) order, put "m" first.
+    outputs, results = tmp_path / "outputs", tmp_path / "results"
+    copy_as(run150, outputs, "m")
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    copy_as(run150, outputs, "m-x")
+    rewrite(outputs, "m/hau/creative/cw_01", "Sannu da zuwa.")
+    overlaps = count_overlaps(monkeypatch)
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 149
+    assert overlaps[-1] == "m/hau/creative" and len(overlaps) == 7
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+    assert [s.model_id for s in read_summaries(results / "summary.json")] == ["m"] * 6 + ["m-x"] * 6
+    keys = [o.key for o in load_list(OverlapResult, results / "overlap.json", "overlaps")]
+    assert [key.split("/")[0] for key in keys] == ["m-x"] * 6 + ["m"] * 6
+
+
+def test_model_id_with_a_slash_keeps_its_cells(run150, tmp_path, monkeypatch):
+    # Record files of model "org/m" sit in nested directories; splitting an
+    # output id at "/" would name model "org" and language "m".
+    outputs, results = tmp_path / "outputs", tmp_path / "results"
+    copy_as(run150, outputs, "org/m")
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    rewrite(outputs, "org/m/hau/creative/cw_01", "Sannu da zuwa.")
+    overlaps = count_overlaps(monkeypatch)
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 149
+    assert overlaps == ["org/m/hau/creative"]
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+    summaries = read_summaries(results / "summary.json")
+    assert {(s.model_id, s.language) for s in summaries} == {("org/m", "hau")}
+
+
+def test_fingerprints_of_the_earlier_layout(outputs, tmp_path):
+    # The layout before cells carried their own records: one flat map of
+    # record digests, and an overlap digest per cell key.
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
+    earlier = {
+        "cells": {"/".join(cell[f] for f in ("model_id", "language", "task_type")): cell["digest"]
+                  for cell in content["cells"]},
+        "evaluations": content["evaluations"],
+        "inputs": content["inputs"],
+        "overlap": content["overlap"],
+        "records": {i: digest for cell in content["cells"] for i, digest in cell["records"].items()},
+    }
+    (results / FILENAME).write_text(json.dumps(earlier, indent=2, sort_keys=True), encoding="utf-8")
+    code, _, err = _filter(results, outputs, tmp_path)
+    assert code == 1
+    assert "not a fingerprints file" in err and "(run 'evaluate' again)" in err
     assert evaluate(outputs, results, *REFERENCES[:2]) == 0
     assert_equals_cold(outputs, results, *REFERENCES[:2])
 
@@ -305,7 +388,8 @@ def test_filter_refuses_a_record_the_fingerprints_do_not_list(outputs, tmp_path)
     results = tmp_path / "results"
     evaluate(outputs, results)
     fingerprints = json.loads((results / FILENAME).read_text(encoding="utf-8"))
-    del fingerprints["records"]["gpt-4o-mini/hau/creative/cw_03"]
+    (cell,) = [cell for cell in fingerprints["cells"] if "gpt-4o-mini/hau/creative/cw_03" in cell["records"]]
+    del cell["records"]["gpt-4o-mini/hau/creative/cw_03"]
     (results / FILENAME).write_text(json.dumps(fingerprints), encoding="utf-8")
     code, _, err = _filter(results, outputs, tmp_path)
     assert code == 1

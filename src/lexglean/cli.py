@@ -342,8 +342,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if language is None:
             raise CliError(f"record {min(records)}: unknown language '{key[1]}'")
         pairs = {output_id: digests[output_id] for output_id in sorted(records)}
-        fingerprint_cells.append(fingerprints.Cell(*key, pairs, fingerprints.cell_digest(key, pairs.items())))
-        same = key in old_cells and old_cells[key].digest == fingerprint_cells[-1].digest
+        fingerprint_cells.append(fingerprints.Cell(*key, pairs))
+        same = key in old_cells and old_cells[key].records == pairs
         # "" never equals a digest or None: no overlap is kept for a cell
         # without a reference, or whose reference changed.
         kept_overlap = same and old_references.get(key[1], "") == reference_digests.get(key[1])
@@ -475,8 +475,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise CliError(f"no summary at {summary_path} (run 'evaluate' first)", code=EXIT_DATA)
         content = render_report(spec, summaries=read_summaries(summary_path))
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(content, encoding="utf-8")
+        write_atomic(Path(args.out), content)
     else:
         sys.stdout.write(content)
     return EXIT_OK

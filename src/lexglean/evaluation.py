@@ -283,19 +283,15 @@ def evaluation_line(record: EvaluationRecord) -> bytes:
     ).encode("utf-8") + b"\n"
 
 
-def write_evaluations(
-    records: Sequence[EvaluationRecord] | Mapping[str, bytes], path: str | Path
-) -> None:
+def write_evaluations(lines: Mapping[str, bytes], path: str | Path) -> None:
     """Persist evaluations as JSONL, sorted by output id, atomically.
 
-    ``records`` is the evaluation records, or their ``evaluation_line``
-    bytes by output id (so a line read back from a file this code wrote is
-    written as it is, not decoded and encoded again).
+    ``lines`` maps each output id to its ``evaluation_line`` bytes, so a
+    line read back from a file this code wrote is written as it is, not
+    decoded and encoded again.
     """
-    if not isinstance(records, Mapping):
-        records = {record.output_id: evaluation_line(record) for record in records}
     with atomic_writer(Path(path)) as handle:
-        handle.writelines(records[output_id] for output_id in sorted(records))
+        handle.writelines(lines[output_id] for output_id in sorted(lines))
 
 
 def read_evaluations(path: str | Path) -> list[EvaluationRecord]:

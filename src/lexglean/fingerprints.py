@@ -11,9 +11,8 @@ evaluate.  The file holds:
   ``*.py`` sources;
 * ``cells``: one entry per model/language/task cell, in (model, language,
   task) order, with its ``model_id``, ``language`` and ``task_type`` as
-  fields of their own, ``records`` (output id -> digest of its record
-  file's bytes) and ``digest``, a digest of those fields and its sorted
-  (output id, record digest) pairs;
+  fields of their own, and ``records`` (output id -> digest of its record
+  file's bytes);
 * ``references``: language -> digest of its ``--reference`` file's bytes;
 * ``evaluations``, ``overlap`` and ``summary``: digests of the
   ``evaluations.jsonl``, ``overlap.json`` and ``summary.json`` written with
@@ -63,14 +62,6 @@ def code_digest() -> str:
     return files_digest(sorted(Path(__file__).parent.glob("*.py")))
 
 
-def cell_digest(key: tuple[str, str, str], pairs: Iterable[tuple[str, str]]) -> str:
-    """Digest of one cell: its (model, language, task) key and its (output id, record digest) pairs."""
-    digest = hashlib.sha256("\0".join(key).encode() + b"\n")
-    for output_id, record_digest in pairs:
-        digest.update(f"{output_id}\0{record_digest}\n".encode())
-    return digest.hexdigest()
-
-
 class Cell(NamedTuple):
     """One model/language/task cell of a fingerprints file."""
 
@@ -78,7 +69,6 @@ class Cell(NamedTuple):
     language: str
     task_type: str
     records: dict[str, str]
-    digest: str
 
 
 class Fingerprints(NamedTuple):

@@ -7,8 +7,9 @@ as ``{language}`` or ``{word_list_1}`` that are filled in from a language
 configuration at generation time, so the same taxonomy file drives every
 target language.
 
-This module owns loading and validating taxonomy / language / model JSON
-files and rendering templates into concrete prompt texts.
+This module loads taxonomy, language and model JSON files (one loader for
+all three, so each rule about a config file is stated once), validates
+taxonomies and renders templates into concrete prompt texts.
 """
 from __future__ import annotations
 
@@ -21,15 +22,6 @@ from typing import Callable, Iterable, Mapping
 
 SCHEMA_VERSION = 1
 
-TASK_TYPES = (
-    "constrained",
-    "creative",
-    "dialogue",
-    "functional",
-    "structured",
-    "topic_switch",
-)
-
 # Prompt ids look like "cw_07": a two-letter task prefix plus a two-digit
 # sequence number.  The prefix must agree with the task_type field.
 PREFIX_TO_TASK_TYPE = {
@@ -40,8 +32,15 @@ PREFIX_TO_TASK_TYPE = {
     "sk": "structured",
     "ts": "topic_switch",
 }
+TASK_TYPES = tuple(sorted(PREFIX_TO_TASK_TYPE.values()))
 
-BASE_PLACEHOLDERS = ("language", "language_culture", "colonial_language")
+# Placeholder name -> the language config value it stands for.  Any other
+# placeholder must be a word list name (word_list_<n>).
+BASE_PLACEHOLDERS = {
+    "language": attrgetter("name"),
+    "language_culture": attrgetter("culture_name"),
+    "colonial_language": attrgetter("colonial_language"),
+}
 
 _WORD_LIST_NAME = re.compile(r"word_list_\d+\Z")
 _PLACEHOLDER = re.compile(r"\{([a-z0-9_]+)\}")
@@ -138,77 +137,9 @@ def placeholders_in(text: str) -> list[str]:
     return _PLACEHOLDER.findall(text)
 
 
-def _load_json_payload(path: Path, array_key: str, what: str) -> list:
-    """Read a JSON file that is either a bare array or a versioned wrapper.
-
-    The canonical shipped files are objects ``{"schema_version": 1,
-    "<array_key>": [...]}``; a bare top-level array is accepted for
-    hand-written files and treated as version 1.
-    """
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if isinstance(data, list):
-        return data
-    if isinstance(data, dict):
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
-            )
-        payload = data.get(array_key)
-        if not isinstance(payload, list):
-            raise ConfigError(f"{path}: expected a list under key '{array_key}'")
-        return payload
-    raise ConfigError(f"{path}: expected a JSON array or object, got {type(data).__name__}")
-
-
 def load_taxonomy(path: str | Path) -> list[PromptTemplate]:
-    """Load prompt templates from a taxonomy JSON file.
-
-    Raises ConfigError for unparseable files, missing required fields,
-    duplicate template ids or an empty template list.
-    """
-    path = Path(path)
-    entries = _load_json_payload(path, "templates", "taxonomy")
-    if not entries:
-        raise ConfigError(f"{path}: no templates")
-    templates: list[PromptTemplate] = []
-    seen: dict[str, int] = {}
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: entry {index} is not an object")
-        try:
-            tid = entry["id"]
-            task_type = entry["task_type"]
-            subtask = entry["subtask"]
-            text = entry["template"]
-        except KeyError as exc:
-            raise ConfigError(f"{path}: entry {index} is missing field {exc}") from exc
-        if not isinstance(tid, str) or not tid:
-            raise ConfigError(f"{path}: entry {index} has a bad id {tid!r}")
-        if tid in seen:
-            raise ConfigError(
-                f"{path}: duplicate template id '{tid}' (entries {seen[tid]} and {index})"
-            )
-        seen[tid] = index
-        templates.append(
-            PromptTemplate(
-                id=tid,
-                task_type=str(task_type),
-                subtask=str(subtask),
-                template_text=str(text),
-                required_placeholders=frozenset(placeholders_in(str(text))),
-            )
-        )
-    return templates
+    """Load every prompt template from a taxonomy JSON file."""
+    return _load_configs(path, "templates", _as_template, attrgetter("id"))
 
 
 def validate_taxonomy(templates: Iterable[PromptTemplate]) -> ValidationReport:
@@ -243,12 +174,8 @@ def render_text(text: str, lang: LanguageConfig, *, context: str = "template") -
 
     def _substitute(match: re.Match[str]) -> str:
         name = match.group(1)
-        if name == "language":
-            return lang.name
-        if name == "language_culture":
-            return lang.culture_name
-        if name == "colonial_language":
-            return lang.colonial_language
+        if name in BASE_PLACEHOLDERS:
+            return BASE_PLACEHOLDERS[name](lang)
         if _WORD_LIST_NAME.match(name):
             words = lang.word_lists.get(name)
             if not words:
@@ -272,6 +199,14 @@ def _text(entry: dict, key: str, default: str | None = None) -> str:
     if not isinstance(value, str):
         raise TypeError(f"'{key}' must be a string, not {type(value).__name__}")
     return value
+
+
+def _as_template(entry: dict) -> PromptTemplate:
+    tid, task_type, subtask = _text(entry, "id"), str(entry["task_type"]), str(entry["subtask"])
+    if not tid:
+        raise ValueError("'id' must be nonempty")
+    text = str(entry["template"])
+    return PromptTemplate(tid, task_type, subtask, text, frozenset(placeholders_in(text)))
 
 
 def _as_language(entry: dict) -> LanguageConfig:
@@ -304,20 +239,37 @@ def _as_model(entry: dict) -> ModelConfig:
 
 
 def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) -> list:
-    """Build every entry listed under ``key`` ("languages" or "models").
+    """Build every entry listed under ``key`` ("templates", "languages" or "models").
 
-    An empty list, an entry that is not an object, lacks a required field or
-    holds a value of the wrong type, and two entries with the same ``ident``
-    raise ConfigError naming the file (and the entry).  A ConfigError from
-    the config's own validation keeps its message.
+    The file is either a bare array of entries or a versioned wrapper
+    ``{"schema_version": 1, "<key>": [...]}`` (the shipped files).  A file
+    that cannot be read or parsed, a wrong version, an empty list, an entry
+    that is not an object, lacks a required field or holds a value of the
+    wrong type, and two entries with the same ``ident`` raise ConfigError
+    naming the file (and the entries).  A ConfigError from the config's own
+    validation keeps its message.
     """
     path = Path(path)
     what = key[:-1]
-    entries = _load_json_payload(path, key, f"{what} config")
-    if not entries:
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    if isinstance(data, dict):
+        version = data.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+        data = data.get(key)
+        if not isinstance(data, list):
+            raise ConfigError(f"{path}: expected a list under key '{key}'")
+    elif not isinstance(data, list):
+        raise ConfigError(f"{path}: expected a JSON array or object, got {type(data).__name__}")
+    if not data:
         raise ConfigError(f"{path}: no {key}")
     configs = []
-    for index, entry in enumerate(entries):
+    for index, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: {what} entry {index} is not an object")
         try:
@@ -328,11 +280,11 @@ def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) 
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {what} entry {index}: {exc}") from exc
-    seen: set[str] = set()
-    for config in configs:
-        if ident(config) in seen:
-            raise ConfigError(f"{path}: duplicate {what} '{ident(config)}'")
-        seen.add(ident(config))
+    seen: dict[str, int] = {}
+    for index, config in enumerate(configs):
+        first = seen.setdefault(ident(config), index)
+        if first != index:
+            raise ConfigError(f"{path}: duplicate {what} '{ident(config)}' (entries {first} and {index})")
     return configs
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import threading
@@ -12,6 +13,23 @@ from lexglean.taxonomy import load_language_configs, load_model_configs, load_ta
 
 FIXTURES_PATH = data_dir() / "mock_fixtures.json"
 SEEDS_DIR = data_dir() / "seeds"
+
+
+class DiskFull:
+    """A file handle whose first write stores half its data and then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def run_cli(argv):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from lexglean.evaluation import OverlapResult, reference_overlap, reference_prof
 from lexglean.generation import dumps_record, read_records, record_path
 from lexglean.textstats import trigrams
 
-from conftest import FIXTURES_PATH, SEEDS_DIR, run_cli
+from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +419,25 @@ def test_report_stdout_and_file(mock_run, tmp_path):
     assert code == 0
     assert silent == ""
     assert out_file.read_text() == stdout
+
+
+def test_report_cut_short_leaves_the_old_file(mock_run, tmp_path, monkeypatch):
+    out_file = tmp_path / "efficiency.csv"
+    out_file.write_text("the old report\n", encoding="utf-8")
+    real_open = Path.open
+
+    def open_then_fail(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return DiskFull(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(Path, "open", open_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        run_cli([
+            "report", "--results", mock_run / "results", "--kind", "efficiency", "--format", "csv",
+            "--out", out_file,
+        ])
+    assert [path.name for path in tmp_path.iterdir()] == ["efficiency.csv"]
+    assert out_file.read_text(encoding="utf-8") == "the old report\n"
 
 
 def test_report_overlap_kind(mock_run):

@@ -1,4 +1,3 @@
-import errno
 import json
 import random
 from collections import Counter
@@ -16,6 +15,7 @@ from lexglean.evaluation import (
     aggregate,
     composite_quality,
     evaluate_output,
+    evaluation_line,
     export_usable_corpus,
     filter_usable,
     is_memorization_suspect,
@@ -30,6 +30,8 @@ from lexglean.generation import GenerationRecord, SamplingParams
 from lexglean.langid import FidelityResult, LidPrediction
 from lexglean.taxonomy import LanguageConfig
 from lexglean.textstats import trigrams
+
+from conftest import DiskFull
 
 HAUSA = LanguageConfig("Hausa", "hau", "hau_Latn", "Hausa", "English", False)
 FONGBE = LanguageConfig("Fongbe", "fon", "fon_Latn", "Fon", "French", True)
@@ -334,23 +336,6 @@ def test_export_usable_corpus(tmp_path):
     assert (tmp_path / "fon.provenance.jsonl").exists()
 
 
-class _DiskFull:
-    """A file handle whose first write stores half its data and then fails."""
-
-    def __init__(self, handle):
-        self.handle = handle
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.handle.close()
-
-    def write(self, data):
-        self.handle.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def test_export_cut_short_leaves_no_truncated_corpus_file(tmp_path, monkeypatch):
     pairs = [
         (make_record(f"m/hau/creative/cw_0{i}", text=f"Jimla ta {word}."), make_eval(f"m/hau/creative/cw_0{i}"))
@@ -362,7 +347,7 @@ def test_export_cut_short_leaves_no_truncated_corpus_file(tmp_path, monkeypatch)
 
     def open_then_fail(self, mode="r", *args, **kwargs):
         handle = real_open(self, mode, *args, **kwargs)
-        return _DiskFull(handle) if "w" in mode else handle
+        return DiskFull(handle) if "w" in mode else handle
 
     monkeypatch.setattr(Path, "open", open_then_fail)
     with pytest.raises(OSError, match="No space left"):
@@ -380,7 +365,7 @@ def test_evaluations_roundtrip(tmp_path):
         make_eval("m/fon/creative/cw_01", diacritics=DiacriticStats(10, 5, 0.5, True, 0.7)),
     ]
     path = tmp_path / "evaluations.jsonl"
-    write_evaluations(records, path)
+    write_evaluations({r.output_id: evaluation_line(r) for r in records}, path)
     loaded = read_evaluations(path)
     assert loaded == sorted(records, key=lambda r: r.output_id)
 
@@ -409,7 +394,7 @@ def test_evaluations_jsonl_line_is_pinned(tmp_path):
         quality=0.5,
     )
     path = tmp_path / "evaluations.jsonl"
-    write_evaluations([record], path)
+    write_evaluations({record.output_id: evaluation_line(record)}, path)
     assert path.read_text(encoding="utf-8") == (
         '{"diacritics":{"alphabetic_count":4,"combining_mark_count":1,"diacritic_ratio":0.25,'
         '"has_diacritics":true,"tonal_vowel_fraction":0.5},'

@@ -335,7 +335,7 @@ def test_fingerprints_of_the_earlier_layout(outputs, tmp_path):
     evaluate(outputs, results, *REFERENCES[:2])
     content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
     earlier = {
-        "cells": {"/".join(cell[f] for f in ("model_id", "language", "task_type")): cell["digest"]
+        "cells": {"/".join(cell[f] for f in ("model_id", "language", "task_type")): "0" * 64
                   for cell in content["cells"]},
         "evaluations": content["evaluations"],
         "inputs": content["inputs"],

@@ -87,6 +87,27 @@ def test_load_taxonomy_missing_field(tmp_path):
         load_taxonomy(path)
 
 
+TEMPLATE_ENTRY = {"id": "cw_01", "task_type": "creative", "subtask": "poem", "template": "x"}
+
+
+@pytest.mark.parametrize(
+    "entry,detail",
+    [
+        ("cw_02", " is not an object"),
+        ({**TEMPLATE_ENTRY, "id": 2}, ": 'id' must be a string, not int"),
+        ({**TEMPLATE_ENTRY, "id": ""}, ": 'id' must be nonempty"),
+        ({"id": "cw_02", "task_type": "creative", "subtask": "poem"}, " is missing field 'template'"),
+    ],
+    ids=["not_object", "id_not_string", "id_empty", "missing_field"],
+)
+def test_load_taxonomy_bad_entry_names_file_and_entry(tmp_path, entry, detail):
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps([TEMPLATE_ENTRY, entry]))
+    with pytest.raises(ConfigError) as exc_info:
+        load_taxonomy(path)
+    assert str(exc_info.value) == f"{path}: template entry 1{detail}"
+
+
 def test_load_taxonomy_invalid_json_reports_position(tmp_path):
     path = tmp_path / "tax.json"
     path.write_text('[\n  {"id": }\n]')
@@ -193,7 +214,7 @@ def test_duplicate_language_rejected(tmp_path):
     }
     path = tmp_path / "languages.json"
     path.write_text(json.dumps([entry, entry]))
-    with pytest.raises(ConfigError, match="duplicate language"):
+    with pytest.raises(ConfigError, match=r"duplicate language 'hau' \(entries 0 and 1\)"):
         load_language_configs(path)
 
 
@@ -209,7 +230,7 @@ def test_duplicate_model_rejected(tmp_path):
     }
     path = tmp_path / "models.json"
     path.write_text(json.dumps([entry, entry]))
-    with pytest.raises(ConfigError, match="duplicate model"):
+    with pytest.raises(ConfigError, match=r"duplicate model 'm' \(entries 0 and 1\)"):
         load_model_configs(path)
 
 

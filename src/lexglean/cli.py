@@ -8,10 +8,11 @@ Typical offline session::
     lexglean report --results results/ --kind efficiency --format csv
 
 ``evaluate`` scores one model/language/task cell at a time
-(``score_cell``).  Into a results directory that holds an earlier
-evaluate's results it parses only new and changed records and reuses every
-evaluation, cell summary and overlap whose inputs are unchanged
-(``lexglean.fingerprints``); ``filter`` refuses an evaluation whose record
+(``score_cell``), given the cell's fingerprint and the one an earlier
+evaluate into the same results directory left for it: only new and changed
+records are parsed, and every evaluation, cell summary and overlap whose
+inputs are unchanged is reused (``lexglean.fingerprints``).  ``filter``
+refuses results without a fingerprints file and an evaluation whose record
 changed after it was computed.
 
 Configuration directory precedence: ``--config`` flag, then the
@@ -198,13 +199,12 @@ def _reusable(results_dir: Path, inputs: dict):
     """What an earlier evaluate into ``results_dir`` left that still holds.
 
     Returns its fingerprint cells and summaries by cell key, its
-    ``evaluations.jsonl`` lines by output id, its overlaps by cell key
-    string and its reference digests by language.  All are empty unless the
-    fingerprints file was written with the same ``inputs`` (the package
-    sources among them, so an old line is what the encoder would write now)
-    and every results file is the one it names; anything unreadable counts
-    as nothing to reuse.  The lines are matched to the sorted output ids
-    the fingerprints list, not parsed.
+    ``evaluations.jsonl`` lines by output id and its overlaps by cell key
+    string.  All are empty unless the fingerprints file was written with the
+    same ``inputs`` (the package sources among them, so an old line is what
+    the encoder would write now) and every results file is the one it
+    names; anything unreadable counts as nothing to reuse.  The lines are
+    matched to the sorted output ids the fingerprints list, not parsed.
     """
     summary_path, overlap_path = results_dir / "summary.json", results_dir / "overlap.json"
     try:
@@ -226,15 +226,15 @@ def _reusable(results_dir: Path, inputs: dict):
                     {} if old.overlap is None else {
                         overlap.key: overlap for overlap in load_list(OverlapResult, overlap_path, "overlaps")
                     },
-                    old.references,
                 )
     except (OSError, ValueError, TypeError):
         pass
-    return {}, {}, {}, {}, {}
+    return {}, {}, {}, {}
 
 
 def score_cell(
-    key: Key,
+    cell: fingerprints.Cell,
+    old: fingerprints.Cell | None,
     records: Mapping[str, GenerationRecord | str],
     old_lines: Mapping[str, bytes],
     old_overlap: OverlapResult | None,
@@ -248,21 +248,27 @@ def score_cell(
 ) -> tuple[dict[str, bytes], OverlapResult | None, ConditionSummary]:
     """Evaluation lines by output id, overlap and summary of one cell.
 
-    ``records`` maps each output id of the cell to its record, or to the
-    path of its record file when the file is unchanged since the evaluate
-    that wrote ``old_lines``; ``old_lines`` holds the old line of each such
-    record.  A record with an old line keeps it.  ``old_summary`` is given
-    when no record of the cell changed, and is kept; otherwise the kept
-    lines are decoded and the cell aggregated again.  With a ``reference``,
-    ``old_overlap`` is kept when given; otherwise every record is parsed and
-    the cell's trigrams counted again.
+    ``cell`` is the cell's new fingerprint and ``old`` the one the evaluate
+    that wrote ``old_lines``, ``old_overlap`` and ``old_summary`` left for
+    it, if any.  ``records`` maps each output id of the cell to its record,
+    or to the path of its record file when the file is unchanged since that
+    evaluate; such a record keeps its old line.  When the record digests of
+    ``cell`` and ``old`` are equal the old summary is kept; otherwise the
+    kept lines are decoded and the cell aggregated again.  With a
+    ``reference``, the old overlap is kept when the reference digests are
+    equal too; otherwise every record is parsed and the cell's trigrams
+    counted again.
     """
+    same = old is not None and old.records == cell.records
+    old_summary = old_summary if same else None
+    old_overlap = old_overlap if same and old.reference == cell.reference else None
     count_grams = reference is not None and old_overlap is None
     counts: Counter[str] = Counter()
     lines: dict[str, bytes] = {}
     evaluations = []
     for output_id in sorted(records):
-        record, line = records[output_id], old_lines.get(output_id)
+        record = records[output_id]
+        line = old_lines[output_id] if isinstance(record, str) else None
         if count_grams or line is None:
             if isinstance(record, str):
                 with open(record, "rb") as handle:
@@ -279,8 +285,8 @@ def score_cell(
         elif old_summary is None:
             evaluations.append(parse_record(EvaluationRecord, line, output_id))
         lines[output_id] = line
-    overlap = reference_overlap("/".join(key), counts, reference) if count_grams else old_overlap
-    return lines, overlap, old_summary or aggregate(evaluations)[0]
+    overlap = reference_overlap("/".join(cell[:3]), counts, reference) if count_grams else old_overlap
+    return lines, overlap, old_summary or aggregate(cell[:3], evaluations)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -294,7 +300,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "languages": fingerprints.files_digest([languages_path]),
         "lid_data": lid_digest,
     }
-    old_cells, old_summaries, old_lines, old_overlaps, old_references = _reusable(results_dir, inputs)
+    old_cells, old_summaries, old_lines, old_overlaps = _reusable(results_dir, inputs)
     known = {i: (key, digest) for key, cell in old_cells.items() for i, digest in cell.records.items()}
 
     # Every record file is hashed.  One whose path names an output id that
@@ -303,11 +309,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # be counted again.
     cells: dict[Key, dict[str, GenerationRecord | str]] = {}
     digests: dict[str, str] = {}
+    reused = 0
     for path, output_id, data in record_files(args.outputs):
         digest = hashlib.sha256(data).hexdigest()
         key, old_digest = known.get(output_id, (None, None))
         if digest == old_digest:
             record = path
+            reused += 1
         else:
             record = load_record(args.outputs, path, output_id, data)
             output_id, key = record.output_id, (record.model_id, record.language, record.task_type)
@@ -327,40 +335,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         references[code] = reference_profile(reference_bytes.decode("utf-8").splitlines())
         reference_digests[code] = hashlib.sha256(reference_bytes).hexdigest()
 
-    # A cell whose records are all unchanged keeps its old summary and
-    # lines, and its old overlap if its reference is unchanged too.  Cells
-    # are scored in the order of the overlap results: by language, then by
-    # key string.
+    # Cells are scored in the order of the overlap results: by language,
+    # then by key string.
     lines: dict[str, bytes] = {}
     overlaps = []
     summaries = []
     fingerprint_cells = []
-    reused = 0
     for key in sorted(cells, key=lambda key: (key[1], "/".join(key))):
         language = languages.get(key[1])
         records = cells.pop(key)
         if language is None:
             raise CliError(f"record {min(records)}: unknown language '{key[1]}'")
-        pairs = {output_id: digests[output_id] for output_id in sorted(records)}
-        fingerprint_cells.append(fingerprints.Cell(*key, pairs))
-        same = key in old_cells and old_cells[key].records == pairs
-        # "" never equals a digest or None: no overlap is kept for a cell
-        # without a reference, or whose reference changed.
-        kept_overlap = same and old_references.get(key[1], "") == reference_digests.get(key[1])
-        kept_lines = {i: old_lines[i] for i, record in records.items() if isinstance(record, str)}
+        cell = fingerprints.Cell(*key, {i: digests[i] for i in records}, reference_digests.get(key[1]))
+        fingerprint_cells.append(cell)
         cell_lines, overlap, summary = score_cell(
-            key,
+            cell,
+            old_cells.get(key),
             records,
-            kept_lines,
-            old_overlaps.get("/".join(key)) if kept_overlap else None,
-            old_summaries.get(key) if same else None,
+            old_lines,
+            old_overlaps.get("/".join(key)),
+            old_summaries.get(key),
             language=language,
             backend=backend,
             reference=references.get(key[1]),
             threshold=args.threshold,
             w_conf=args.w_conf,
         )
-        reused += len(kept_lines)
         lines.update(cell_lines)
         if overlap is not None:
             overlaps.append(overlap)
@@ -395,9 +395,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     write_atomic(results_dir / "run_meta.json", json_file_text(meta))
     fingerprints.write(results_dir, fingerprints.Fingerprints(
-        inputs, fingerprint_cells, reference_digests,
-        fingerprints.file_digest(evaluations_path), fingerprints.file_digest(overlap_path),
-        fingerprints.file_digest(summary_path),
+        inputs, fingerprint_cells, fingerprints.file_digest(evaluations_path),
+        fingerprints.file_digest(overlap_path), fingerprints.file_digest(summary_path),
     ))
 
     print(f"lid backend: {backend_name}")
@@ -414,23 +413,19 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if not evaluations_path.exists():
         raise CliError(f"no evaluations at {evaluations_path} (run 'evaluate' first)", code=EXIT_DATA)
     evaluations = read_evaluations(evaluations_path)
-    # Without fingerprints (results of an older evaluate) nothing ties the
-    # evaluations to the record bytes they were computed from.
+    # Without fingerprints (an evaluate cut short, or results of an older
+    # one) nothing ties the evaluations to the records they came from.
     recorded = fingerprints.read(results_dir)
     if recorded is None:
-        print(
-            f"note: no {fingerprints.FILENAME} in {results_dir}; "
-            "evaluations are not checked against the records",
-            file=sys.stderr,
-        )
-    elif recorded.evaluations != fingerprints.file_digest(evaluations_path):
+        raise CliError(f"no {fingerprints.FILENAME} in {results_dir} (run 'evaluate' again)", code=EXIT_DATA)
+    if recorded.evaluations != fingerprints.file_digest(evaluations_path):
         raise CliError(
             f"{evaluations_path} is not the file {fingerprints.FILENAME} describes "
             "(run 'evaluate' again)",
             code=EXIT_DATA,
         )
-    digests: dict[str, str] | None = None if recorded is None else {}
-    recorded_digests = {} if recorded is None else recorded.records()
+    digests: dict[str, str] = {}
+    recorded_digests = recorded.records()
     records = {record.output_id: record for record in read_records(args.outputs, digests)}
     pairs = []
     for evaluation in evaluations:
@@ -440,7 +435,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
                 f"evaluation {evaluation.output_id} has no record under {args.outputs}",
                 code=EXIT_DATA,
             )
-        if digests is not None and recorded_digests.get(record.output_id) != digests[record.output_id]:
+        if recorded_digests.get(record.output_id) != digests[record.output_id]:
             raise CliError(
                 f"evaluation {record.output_id} is stale: its record under {args.outputs} is not "
                 "the one it was computed from (run 'evaluate' again)",
@@ -555,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DataError, BackendError, FileNotFoundError) as exc:
+    except (DataError, BackendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:  # ConfigError among them

@@ -6,8 +6,8 @@ the target-language confidence and the inverse code-switch rate::
 
     quality = w_conf * lang_conf + (1 - w_conf) * (1 - code_switch_rate)
 
-with ``w_conf`` in [0, 1] (default 0.5).  Aggregation groups records by
-(model, language, task_type) and averages over *all* records in the cell,
+with ``w_conf`` in [0, 1] (default 0.5).  Aggregation summarises one
+(model, language, task_type) cell and averages over *all* its records,
 valid or not; ``usable_words_per_call`` divides the words of valid,
 on-target outputs by the total number of outputs in the cell.
 """
@@ -133,53 +133,42 @@ class ConditionSummary:
     avg_diacritic_ratio: float | None
 
 
-def aggregate(records: Iterable[EvaluationRecord]) -> list[ConditionSummary]:
-    """Summarise records per (model, language, task_type), sorted by that key.
+def aggregate(key: tuple[str, str, str], records: Iterable[EvaluationRecord]) -> ConditionSummary:
+    """Summarise the records of the (model, language, task_type) cell ``key``.
 
-    Records inside a cell are reduced in output-id order, which makes the
-    result independent of input ordering down to the last bit.
+    Records are reduced in output-id order, which makes the result
+    independent of input ordering down to the last bit.
     """
-    cells: dict[tuple[str, str, str], list[EvaluationRecord]] = {}
-    for record in records:
-        cells.setdefault((record.model_id, record.language, record.task_type), []).append(record)
-
-    summaries: list[ConditionSummary] = []
-    for key in sorted(cells):
-        cell = sorted(cells[key], key=lambda r: r.output_id)
-        n = len(cell)
-        n_valid = sum(1 for r in cell if r.is_valid)
-        n_target = sum(1 for r in cell if r.fidelity.is_target)
-        usable_words = sum(r.word_count for r in cell if r.is_valid and r.fidelity.is_target)
-        has_diacritics = all(r.diacritics is not None for r in cell)
-        summaries.append(
-            ConditionSummary(
-                model_id=key[0],
-                language=key[1],
-                task_type=key[2],
-                n_outputs=n,
-                valid_pct=100.0 * n_valid / n,
-                avg_words=sum(r.word_count for r in cell) / n,
-                doc_fidelity_pct=100.0 * n_target / n,
-                avg_ttr=sum(r.diversity.ttr for r in cell) / n,
-                avg_hapax=sum(r.diversity.hapax_ratio for r in cell) / n,
-                avg_vocab=sum(r.diversity.vocab_size for r in cell) / n,
-                avg_code_switch=sum(r.fidelity.code_switch_rate for r in cell) / n,
-                avg_lang_conf=sum(r.fidelity.target_confidence for r in cell) / n,
-                avg_quality=sum(r.quality for r in cell) / n,
-                usable_words_per_call=usable_words / n,
-                diacritic_presence_pct=(
-                    100.0 * sum(1 for r in cell if r.diacritics.has_diacritics) / n
-                    if has_diacritics
-                    else None
-                ),
-                avg_diacritic_ratio=(
-                    sum(r.diacritics.diacritic_ratio for r in cell) / n
-                    if has_diacritics
-                    else None
-                ),
-            )
-        )
-    return summaries
+    cell = sorted(records, key=lambda r: r.output_id)
+    n = len(cell)
+    n_valid = sum(1 for r in cell if r.is_valid)
+    n_target = sum(1 for r in cell if r.fidelity.is_target)
+    usable_words = sum(r.word_count for r in cell if r.is_valid and r.fidelity.is_target)
+    has_diacritics = all(r.diacritics is not None for r in cell)
+    return ConditionSummary(
+        *key,
+        n_outputs=n,
+        valid_pct=100.0 * n_valid / n,
+        avg_words=sum(r.word_count for r in cell) / n,
+        doc_fidelity_pct=100.0 * n_target / n,
+        avg_ttr=sum(r.diversity.ttr for r in cell) / n,
+        avg_hapax=sum(r.diversity.hapax_ratio for r in cell) / n,
+        avg_vocab=sum(r.diversity.vocab_size for r in cell) / n,
+        avg_code_switch=sum(r.fidelity.code_switch_rate for r in cell) / n,
+        avg_lang_conf=sum(r.fidelity.target_confidence for r in cell) / n,
+        avg_quality=sum(r.quality for r in cell) / n,
+        usable_words_per_call=usable_words / n,
+        diacritic_presence_pct=(
+            100.0 * sum(1 for r in cell if r.diacritics.has_diacritics) / n
+            if has_diacritics
+            else None
+        ),
+        avg_diacritic_ratio=(
+            sum(r.diacritics.diacritic_ratio for r in cell) / n
+            if has_diacritics
+            else None
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ evaluate.  The file holds:
   ``*.py`` sources;
 * ``cells``: one entry per model/language/task cell, in (model, language,
   task) order, with its ``model_id``, ``language`` and ``task_type`` as
-  fields of their own, and ``records`` (output id -> digest of its record
-  file's bytes);
-* ``references``: language -> digest of its ``--reference`` file's bytes;
+  fields of their own, ``records`` (output id -> digest of its record
+  file's bytes) and ``reference`` (digest of its language's
+  ``--reference`` file's bytes, ``null`` without one);
 * ``evaluations``, ``overlap`` and ``summary``: digests of the
   ``evaluations.jsonl``, ``overlap.json`` and ``summary.json`` written with
   it (``null`` when there is no such file).
@@ -69,6 +69,7 @@ class Cell(NamedTuple):
     language: str
     task_type: str
     records: dict[str, str]
+    reference: str | None
 
 
 class Fingerprints(NamedTuple):
@@ -76,7 +77,6 @@ class Fingerprints(NamedTuple):
 
     inputs: dict
     cells: list[Cell]
-    references: dict[str, str]
     evaluations: str | None
     overlap: str | None
     summary: str | None
@@ -96,9 +96,8 @@ def read(results_dir: Path) -> Fingerprints | None:
     """The fingerprints of a results directory; None when it has none.
 
     A file that is not JSON, or not an object with the fields of
-    ``Fingerprints`` whose ``references`` is an object and whose cells are
-    objects with the fields of ``Cell`` whose ``records`` is an object,
-    raises DataError naming it.
+    ``Fingerprints`` whose cells are objects with the fields of ``Cell``
+    whose ``records`` is an object, raises DataError naming it.
     """
     path = results_dir / FILENAME
     try:
@@ -112,6 +111,6 @@ def read(results_dir: Path) -> Fingerprints | None:
         cells = [Cell(**cell) for cell in fingerprints.cells]
     except TypeError as exc:  # not an object, or a missing or unknown field
         raise DataError(f"{path}: not a fingerprints file: {exc} (run 'evaluate' again)") from exc
-    if not isinstance(fingerprints.references, dict) or any(not isinstance(c.records, dict) for c in cells):
+    if any(not isinstance(cell.records, dict) for cell in cells):
         raise DataError(f"{path}: not a fingerprints file (run 'evaluate' again)")
     return fingerprints._replace(cells=cells)

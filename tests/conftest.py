@@ -31,6 +31,9 @@ class DiskFull:
         self.handle.write(data[: len(data) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
 
+    def writelines(self, lines):
+        self.write(b"".join(lines))
+
 
 def run_cli(argv):
     """Invoke the CLI in-process, capturing stdout/stderr."""

@@ -271,7 +271,7 @@ def _full_yield_record(i):
 
 
 def test_efficiency_identity_at_full_yield(mock_run):
-    summary = aggregate([_full_yield_record(i) for i in range(1, 26)])[0]
+    summary = aggregate(("m", "hau", "creative"), [_full_yield_record(i) for i in range(1, 26)])
     assert summary.valid_pct == 100.0 and summary.doc_fidelity_pct == 100.0
     assert abs(summary.usable_words_per_call - summary.avg_words) < TOLERANCE
 

@@ -431,11 +431,12 @@ def test_report_cut_short_leaves_the_old_file(mock_run, tmp_path, monkeypatch):
         return DiskFull(handle) if "w" in mode else handle
 
     monkeypatch.setattr(Path, "open", open_then_fail)
-    with pytest.raises(OSError, match="No space left"):
-        run_cli([
-            "report", "--results", mock_run / "results", "--kind", "efficiency", "--format", "csv",
-            "--out", out_file,
-        ])
+    code, stdout, err = run_cli([
+        "report", "--results", mock_run / "results", "--kind", "efficiency", "--format", "csv",
+        "--out", out_file,
+    ])
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.rstrip().endswith("No space left on device")
     assert [path.name for path in tmp_path.iterdir()] == ["efficiency.csv"]
     assert out_file.read_text(encoding="utf-8") == "the old report\n"
 

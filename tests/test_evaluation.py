@@ -177,7 +177,7 @@ def test_aggregate_frozen_percentages():
         make_eval(f"m/hau/creative/cw_{i:02d}", valid=i < 23, word_count=100)
         for i in range(25)
     ]
-    summary = aggregate(records)[0]
+    summary = aggregate(("m", "hau", "creative"), records)
     assert summary.n_outputs == 25
     assert summary.valid_pct == pytest.approx(92.0, abs=1e-9)
     assert summary.avg_words == pytest.approx(100.0)
@@ -193,27 +193,27 @@ def test_aggregate_usable_words_per_call():
         make_eval(f"m/hau/creative/cw_{i:02d}", word_count=0, valid=False, on_target=False)
         for i in range(5, 26)
     ]
-    summary = aggregate(records)[0]
+    summary = aggregate(("m", "hau", "creative"), records)
     assert summary.n_outputs == 25
     assert summary.usable_words_per_call == pytest.approx((100 + 50) / 25, abs=1e-9)
 
 
 def test_aggregate_sorted_and_permutation_invariant():
+    key = ("a", "fon", "creative")
+    # Float sums depend on their order: 0.1 + 0.7 + 0.3 != 0.3 + 0.7 + 0.1.
     records = [
-        make_eval("b/hau/creative/cw_01"),
-        make_eval("a/fon/dialogue/dl_01"),
-        make_eval("a/fon/creative/cw_01"),
-        make_eval("a/fon/creative/cw_02", word_count=7),
+        make_eval("a/fon/creative/cw_03", word_count=3, quality=0.1),
+        make_eval("a/fon/creative/cw_01", quality=0.7),
+        make_eval("a/fon/creative/cw_02", word_count=7, quality=0.3),
     ]
-    summaries = aggregate(records)
-    keys = [(s.model_id, s.language, s.task_type) for s in summaries]
-    assert keys == sorted(keys)
+    summary = aggregate(key, records)
+    assert (summary.model_id, summary.language, summary.task_type) == key
 
     rng = random.Random(3)
     for _ in range(5):
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert aggregate(shuffled) == summaries
+        assert aggregate(key, shuffled) == summary
 
 
 def test_aggregate_diacritics_only_when_all_present():
@@ -224,12 +224,12 @@ def test_aggregate_diacritics_only_when_all_present():
         make_eval("m/fon/creative/cw_01", diacritics=stats),
         make_eval("m/fon/creative/cw_02", diacritics=DiacriticStats(10, 0, 0.0, False, 0.0)),
     ]
-    summary = aggregate(with_dia)[0]
+    summary = aggregate(("m", "fon", "creative"), with_dia)
     assert summary.diacritic_presence_pct == pytest.approx(50.0)
     assert summary.avg_diacritic_ratio == pytest.approx(0.25)
 
     mixed = with_dia + [make_eval("m/fon/creative/cw_03", diacritics=None)]
-    summary = aggregate(mixed)[0]
+    summary = aggregate(("m", "fon", "creative"), mixed)
     assert summary.diacritic_presence_pct is None
     assert summary.avg_diacritic_ratio is None
 
@@ -411,7 +411,7 @@ def test_evaluations_jsonl_line_is_pinned(tmp_path):
 
 
 def test_summaries_roundtrip(tmp_path):
-    summaries = aggregate([make_eval("m/hau/creative/cw_01")])
+    summaries = [aggregate(("m", "hau", "creative"), [make_eval("m/hau/creative/cw_01")])]
     path = tmp_path / "summary.json"
     write_summaries(summaries, path)
     assert read_summaries(path) == summaries
@@ -419,6 +419,6 @@ def test_summaries_roundtrip(tmp_path):
 
 
 def test_condition_summary_roundtrip_none_fields():
-    summary = aggregate([make_eval("m/hau/creative/cw_01")])[0]
+    summary = aggregate(("m", "hau", "creative"), [make_eval("m/hau/creative/cw_01")])
     assert summary.diacritic_presence_pct is None
     assert from_json(ConditionSummary, to_json(summary)) == summary

@@ -5,6 +5,7 @@ results reuses what still holds; whatever it reuses, every results file
 (the fingerprints included) must equal a cold evaluate's byte for byte.
 """
 import dataclasses
+import hashlib
 import json
 import re
 import shutil
@@ -20,7 +21,7 @@ from lexglean.evaluation import EvaluationRecord, OverlapResult, read_evaluation
 from lexglean.fingerprints import FILENAME
 from lexglean.generation import GenerationRecord, dumps_record, read_records, record_path
 
-from conftest import FIXTURES_PATH, SEEDS_DIR, run_cli
+from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, run_cli
 
 
 def references(*languages):
@@ -158,18 +159,21 @@ def test_reused_evaluations_are_copied_not_encoded(outputs, tmp_path, monkeypatc
     assert_equals_cold(outputs, results, *REFERENCES[:2])
 
 
-def test_fingerprints_name_no_path(outputs, tmp_path):
+def test_fingerprints_name_no_path(mock_run, tmp_path):
     results = tmp_path / "results"
-    evaluate(outputs, results, *REFERENCES[:2])
+    evaluate(mock_run / "outputs", results, *REFERENCES[:2])
     text = (results / FILENAME).read_text(encoding="utf-8")
-    assert str(tmp_path) not in text and str(SEEDS_DIR) not in text
+    assert str(tmp_path) not in text and str(mock_run) not in text and str(SEEDS_DIR) not in text
     content = json.loads(text)
-    assert sorted(content) == ["cells", "evaluations", "inputs", "overlap", "references", "summary"]
-    assert sum(len(cell["records"]) for cell in content["cells"]) == 150
+    assert sorted(content) == ["cells", "evaluations", "inputs", "overlap", "summary"]
+    assert sum(len(cell["records"]) for cell in content["cells"]) == 600
     fields = ("model_id", "language", "task_type")
     summaries = json.loads((results / "summary.json").read_text(encoding="utf-8"))["summaries"]
     assert [[c[f] for f in fields] for c in content["cells"]] == [[s[f] for f in fields] for s in summaries]
-    assert sorted(content["references"]) == ["hau"]
+    hau = hashlib.sha256((SEEDS_DIR / "hau_Latn.txt").read_bytes()).hexdigest()
+    expected = {"fon": None, "hau": hau}
+    assert [c["reference"] for c in content["cells"]] == [expected[c["language"]] for c in content["cells"]]
+    assert {c["language"] for c in content["cells"]} == set(expected)
     assert content["inputs"]["config"] == {"lid": "builtin", "threshold": 20, "w_conf": 0.5}
 
 
@@ -328,13 +332,10 @@ def test_model_id_with_a_slash_keeps_its_cells(run150, tmp_path, monkeypatch):
     assert {(s.model_id, s.language) for s in summaries} == {("org/m", "hau")}
 
 
-def test_fingerprints_of_the_earlier_layout(outputs, tmp_path):
-    # The layout before cells carried their own records: one flat map of
-    # record digests, and an overlap digest per cell key.
-    results = tmp_path / "results"
-    evaluate(outputs, results, *REFERENCES[:2])
-    content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
-    earlier = {
+def flat_records(content):
+    """The layout before cells carried their own records: one flat map of
+    record digests, and an overlap digest per cell key."""
+    return {
         "cells": {"/".join(cell[f] for f in ("model_id", "language", "task_type")): "0" * 64
                   for cell in content["cells"]},
         "evaluations": content["evaluations"],
@@ -342,7 +343,22 @@ def test_fingerprints_of_the_earlier_layout(outputs, tmp_path):
         "overlap": content["overlap"],
         "records": {i: digest for cell in content["cells"] for i, digest in cell["records"].items()},
     }
-    (results / FILENAME).write_text(json.dumps(earlier, indent=2, sort_keys=True), encoding="utf-8")
+
+
+def top_level_references(content):
+    """The layout before cells carried their reference digest: one
+    language -> digest map beside the cells."""
+    cells = [{f: v for f, v in cell.items() if f != "reference"} for cell in content["cells"]]
+    references = {cell["language"]: cell["reference"] for cell in content["cells"] if cell["reference"]}
+    return {**content, "cells": cells, "references": references}
+
+
+@pytest.mark.parametrize("layout", [flat_records, top_level_references], ids=lambda layout: layout.__name__)
+def test_fingerprints_of_the_earlier_layout(outputs, tmp_path, layout):
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
+    (results / FILENAME).write_text(json.dumps(layout(content), indent=2, sort_keys=True), encoding="utf-8")
     code, _, err = _filter(results, outputs, tmp_path)
     assert code == 1
     assert "not a fingerprints file" in err and "(run 'evaluate' again)" in err
@@ -406,14 +422,54 @@ def test_filter_refuses_evaluations_the_fingerprints_do_not_describe(outputs, tm
     assert f"error: {path} is not the file {FILENAME} describes" in err
 
 
-def test_filter_without_fingerprints_notes_and_proceeds(outputs, tmp_path):
+def test_filter_without_fingerprints_refuses(outputs, tmp_path):
     results = tmp_path / "results"
     evaluate(outputs, results)
-    code, stdout, err = _filter(results, outputs, tmp_path)
+    code, _, err = _filter(results, outputs, tmp_path)
     assert (code, err) == (0, "")
+    shutil.rmtree(tmp_path / "corpus")
     (results / FILENAME).unlink()
-    assert _filter(results, outputs, tmp_path) == (0, stdout, f"note: no {FILENAME} in {results}; "
-                                                   "evaluations are not checked against the records\n")
+    assert _filter(results, outputs, tmp_path) == (
+        1, "", f"error: no {FILENAME} in {results} (run 'evaluate' again)\n"
+    )
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_filter_after_evaluate_cut_short_by_a_full_disk(outputs, tmp_path, monkeypatch):
+    # The old evaluations.jsonl stays when its rewrite fails, and it still
+    # calls the rewritten record usable Hausa; no fingerprints must mean no
+    # corpus.
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    output_id = "gpt-4o-mini/hau/creative/cw_01"
+    (old,) = [e for e in read_evaluations(results / "evaluations.jsonl") if e.output_id == output_id]
+    assert old.is_valid and old.fidelity.is_target
+    english = "The weather was fine this morning, so we walked to the market together. " * 4
+    rewrite(outputs, output_id, english)
+    real_open = Path.open
+
+    def open_then_fail(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return DiskFull(handle) if self.name == "evaluations.jsonl.tmp" else handle
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "open", open_then_fail)
+        code, _, err = run_cli(["evaluate", "--outputs", outputs, "--results", results, *REFERENCES[:2]])
+    assert code == 1
+    assert err.startswith("error: ") and "No space left on device" in err
+    assert not (results / FILENAME).exists()
+    assert not list(results.glob("*.tmp"))
+    assert old in read_evaluations(results / "evaluations.jsonl")
+
+    code, stdout, err = _filter(results, outputs, tmp_path)
+    assert (code, stdout) == (1, "")
+    assert f"error: no {FILENAME} in {results} (run 'evaluate' again)" in err
+    assert not (tmp_path / "corpus").exists()
+
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+    (new,) = [e for e in read_evaluations(results / "evaluations.jsonl") if e.output_id == output_id]
+    assert not new.fidelity.is_target
 
 
 def test_filter_rejects_an_unreadable_fingerprints_file(outputs, tmp_path):

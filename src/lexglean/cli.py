@@ -11,9 +11,16 @@ Typical offline session::
 (``score_cell``), given the cell's fingerprint and the one an earlier
 evaluate into the same results directory left for it: only new and changed
 records are parsed, and every evaluation, cell summary and overlap whose
-inputs are unchanged is reused (``lexglean.fingerprints``).  ``filter``
-refuses results without a fingerprints file and an evaluation whose record
-changed after it was computed.
+inputs are unchanged is reused (``lexglean.fingerprints``).  Before its
+first write it removes the fingerprints and every results file but
+``evaluations.jsonl``, so a run cut short leaves no old tables to report.
+``filter`` refuses results that ``fingerprints.read`` refuses and an
+evaluation whose record changed after it was computed.
+
+An error ends a command with an ``error:`` line and an exit code set by its
+class alone: 1 for unreadable or inconsistent data (``DataError``, a
+``BackendError`` or an ``OSError``), 2 for bad flags or configuration
+(``CliError``, ``ConfigError`` and any other ``ValueError``).
 
 Configuration directory precedence: ``--config`` flag, then the
 ``LEXGLEAN_CONFIG`` environment variable, then the packaged defaults.
@@ -91,10 +98,8 @@ EXIT_USAGE = 2  # bad flags / configuration
 EXIT_CALLS_FAILED = 3  # generate: some calls failed; a re-run retries only those
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Bad flags or configuration (exit 2)."""
 
 
 def _resolve_config_dir(flag_value: str | None) -> Path:
@@ -200,25 +205,20 @@ def _reusable(results_dir: Path, inputs: dict):
 
     Returns its fingerprint cells and summaries by cell key, its
     ``evaluations.jsonl`` lines by output id and its overlaps by cell key
-    string.  All are empty unless the fingerprints file was written with the
-    same ``inputs`` (the package sources among them, so an old line is what
-    the encoder would write now) and every results file is the one it
-    names; anything unreadable counts as nothing to reuse.  The lines are
+    string.  All are empty unless ``fingerprints.read`` accepts the
+    directory, its fingerprints were written with the same ``inputs`` (the
+    package sources among them, so an old line is what the encoder would
+    write now) and ``evaluations.jsonl`` has one line per output id they
+    list; anything unreadable counts as nothing to reuse.  The lines are
     matched to the sorted output ids the fingerprints list, not parsed.
     """
     summary_path, overlap_path = results_dir / "summary.json", results_dir / "overlap.json"
     try:
         old = fingerprints.read(results_dir)
-        if (
-            old is not None
-            and old.inputs == inputs
-            and old.summary == fingerprints.file_digest(summary_path)
-            and old.overlap == fingerprints.file_digest(overlap_path)
-        ):
-            data = (results_dir / "evaluations.jsonl").read_bytes()
-            lines = data.splitlines(keepends=True)
+        if old.inputs == inputs:
+            lines = (results_dir / "evaluations.jsonl").read_bytes().splitlines(keepends=True)
             output_ids = sorted(old.records())
-            if old.evaluations == hashlib.sha256(data).hexdigest() and len(lines) == len(output_ids):
+            if len(lines) == len(output_ids):
                 return (
                     {cell[:3]: cell for cell in old.cells},
                     {(s.model_id, s.language, s.task_type): s for s in read_summaries(summary_path)},
@@ -322,7 +322,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         digests[output_id] = digest
         cells.setdefault(key, {})[output_id] = record
     if not cells:
-        raise CliError(f"no records under {args.outputs}", code=EXIT_DATA)
+        raise DataError(f"no records under {args.outputs}")
 
     # Every reference is read before anything is written, so a bad one
     # leaves the results directory as it was.
@@ -368,20 +368,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     summaries.sort(key=lambda s: (s.model_id, s.language, s.task_type))
     fingerprint_cells.sort(key=lambda cell: cell[:3])
 
-    # The fingerprints go first and come back last, so a run cut short
-    # leaves none and the next evaluate starts cold.
+    # The fingerprints and every results file but evaluations.jsonl go
+    # first, and the fingerprints come back last: a run cut short leaves no
+    # fingerprints, so the next evaluate starts cold and filter refuses the
+    # results, and no summary or overlap that report would show as current.
     results_dir.mkdir(parents=True, exist_ok=True)
-    (results_dir / fingerprints.FILENAME).unlink(missing_ok=True)
-    evaluations_path = results_dir / "evaluations.jsonl"
-    write_evaluations(lines, evaluations_path)
-    summary_path = results_dir / "summary.json"
-    write_summaries(summaries, summary_path)
+    for name in (fingerprints.FILENAME, "summary.json", "summary.csv", "overlap.json", "run_meta.json"):
+        (results_dir / name).unlink(missing_ok=True)
+    write_evaluations(lines, results_dir / "evaluations.jsonl")
+    write_summaries(summaries, results_dir / "summary.json")
     write_atomic(results_dir / "summary.csv", render_report(ReportSpec("full_summary", "csv"), summaries))
-    overlap_path = results_dir / "overlap.json"
     if overlaps:
-        write_atomic(overlap_path, json_file_text({"overlaps": [to_json(o) for o in overlaps]}))
-    else:
-        overlap_path.unlink(missing_ok=True)  # a stale one would be reported as current
+        overlap_text = json_file_text({"overlaps": [to_json(o) for o in overlaps]})
+        write_atomic(results_dir / "overlap.json", overlap_text)
 
     meta = {
         "lid_backend": backend_name,
@@ -394,10 +393,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "n_conditions": len(summaries),
     }
     write_atomic(results_dir / "run_meta.json", json_file_text(meta))
-    fingerprints.write(results_dir, fingerprints.Fingerprints(
-        inputs, fingerprint_cells, fingerprints.file_digest(evaluations_path),
-        fingerprints.file_digest(overlap_path), fingerprints.file_digest(summary_path),
-    ))
+    fingerprints.write(results_dir, inputs, fingerprint_cells)
 
     print(f"lid backend: {backend_name}")
     print(meta["quality_formula"])
@@ -409,37 +405,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
-    evaluations_path = results_dir / "evaluations.jsonl"
-    if not evaluations_path.exists():
-        raise CliError(f"no evaluations at {evaluations_path} (run 'evaluate' first)", code=EXIT_DATA)
-    evaluations = read_evaluations(evaluations_path)
-    # Without fingerprints (an evaluate cut short, or results of an older
-    # one) nothing ties the evaluations to the records they came from.
-    recorded = fingerprints.read(results_dir)
-    if recorded is None:
-        raise CliError(f"no {fingerprints.FILENAME} in {results_dir} (run 'evaluate' again)", code=EXIT_DATA)
-    if recorded.evaluations != fingerprints.file_digest(evaluations_path):
-        raise CliError(
-            f"{evaluations_path} is not the file {fingerprints.FILENAME} describes "
-            "(run 'evaluate' again)",
-            code=EXIT_DATA,
-        )
+    recorded_digests = fingerprints.read(results_dir).records()
+    evaluations = read_evaluations(results_dir / "evaluations.jsonl")
     digests: dict[str, str] = {}
-    recorded_digests = recorded.records()
     records = {record.output_id: record for record in read_records(args.outputs, digests)}
     pairs = []
     for evaluation in evaluations:
         record = records.get(evaluation.output_id)
         if record is None:
-            raise CliError(
-                f"evaluation {evaluation.output_id} has no record under {args.outputs}",
-                code=EXIT_DATA,
-            )
+            raise DataError(f"evaluation {evaluation.output_id} has no record under {args.outputs}")
         if recorded_digests.get(record.output_id) != digests[record.output_id]:
-            raise CliError(
+            raise DataError(
                 f"evaluation {record.output_id} is stale: its record under {args.outputs} is not "
-                "the one it was computed from (run 'evaluate' again)",
-                code=EXIT_DATA,
+                "the one it was computed from (run 'evaluate' again)"
             )
         pairs.append((record, evaluation))
 
@@ -458,16 +436,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.kind == "overlap":
         overlap_path = results_dir / "overlap.json"
         if not overlap_path.exists():
-            raise CliError(
-                f"no overlap results at {overlap_path} (run 'evaluate' with --reference)",
-                code=EXIT_DATA,
-            )
+            raise DataError(f"no overlap results at {overlap_path} (run 'evaluate' with --reference)")
         overlaps = load_list(OverlapResult, overlap_path, "overlaps")
         content = render_report(spec, overlaps=overlaps)
     else:
         summary_path = results_dir / "summary.json"
         if not summary_path.exists():
-            raise CliError(f"no summary at {summary_path} (run 'evaluate' first)", code=EXIT_DATA)
+            raise DataError(f"no summary at {summary_path} (run 'evaluate' first)")
         content = render_report(spec, summaries=read_summaries(summary_path))
     if args.out:
         write_atomic(Path(args.out), content)
@@ -547,13 +522,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (DataError, BackendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # ConfigError among them
+    except ValueError as exc:  # CliError and ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,14 +14,17 @@ evaluate.  The file holds:
   fields of their own, ``records`` (output id -> digest of its record
   file's bytes) and ``reference`` (digest of its language's
   ``--reference`` file's bytes, ``null`` without one);
-* ``evaluations``, ``overlap`` and ``summary``: digests of the
-  ``evaluations.jsonl``, ``overlap.json`` and ``summary.json`` written with
-  it (``null`` when there is no such file).
+* one field per file of ``RESULTS`` (``evaluations``, ``overlap`` and
+  ``summary``): the digest of the ``evaluations.jsonl``, ``overlap.json``
+  and ``summary.json`` written with it (``null`` when there is no such
+  file).
 
-``evaluations.jsonl`` holds one line per listed output id, in sorted
-output-id order, so a later evaluate can tell each line's output id and
-cell without parsing it.  The file names no paths and no times, so the same
-inputs give the same bytes.
+``read`` is the one check of a results directory: it raises DataError
+unless the directory has a fingerprints file and every file of ``RESULTS``
+is the one it names.  ``evaluations.jsonl`` holds one line per listed
+output id, in sorted output-id order, so a later evaluate can tell each
+line's output id and cell without parsing it.  The file names no paths and
+no times, so the same inputs give the same bytes.
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ from typing import Iterable, NamedTuple
 from .codec import DataError, json_file_text, write_atomic
 
 FILENAME = "fingerprints.json"
+# The results files a fingerprints file vouches for, by its field.
+RESULTS = {"evaluations": "evaluations.jsonl", "overlap": "overlap.json", "summary": "summary.json"}
 
 
 def file_digest(path: Path) -> str | None:
@@ -86,24 +91,27 @@ class Fingerprints(NamedTuple):
         return {output_id: digest for cell in self.cells for output_id, digest in cell.records.items()}
 
 
-def write(results_dir: Path, fingerprints: Fingerprints) -> None:
-    """Write the fingerprints file of a results directory (its keys sorted)."""
-    cells = [cell._asdict() for cell in fingerprints.cells]
-    write_atomic(results_dir / FILENAME, json_file_text({**fingerprints._asdict(), "cells": cells}))
+def write(results_dir: Path, inputs: dict, cells: list[Cell]) -> None:
+    """Write the fingerprints file of a results directory (its keys sorted),
+    with the digests of the ``RESULTS`` files written before it."""
+    digests = {field: file_digest(results_dir / name) for field, name in RESULTS.items()}
+    data = {"inputs": inputs, "cells": [cell._asdict() for cell in cells], **digests}
+    write_atomic(results_dir / FILENAME, json_file_text(data))
 
 
-def read(results_dir: Path) -> Fingerprints | None:
-    """The fingerprints of a results directory; None when it has none.
+def read(results_dir: Path) -> Fingerprints:
+    """The fingerprints of a results directory, checked against its ``RESULTS`` files.
 
-    A file that is not JSON, or not an object with the fields of
-    ``Fingerprints`` whose cells are objects with the fields of ``Cell``
-    whose ``records`` is an object, raises DataError naming it.
+    A missing file, one that is not JSON, or not an object with the fields
+    of ``Fingerprints`` whose cells are objects with the fields of ``Cell``
+    whose ``records`` is an object, raises DataError naming it; so does a
+    ``RESULTS`` file whose digest is not the one it names.
     """
     path = results_dir / FILENAME
     try:
         data = json.loads(path.read_bytes())
-    except FileNotFoundError:
-        return None
+    except FileNotFoundError as exc:
+        raise DataError(f"no {FILENAME} in {results_dir} (run 'evaluate' again)") from exc
     except ValueError as exc:
         raise DataError(f"{path}: invalid JSON: {exc} (run 'evaluate' again)") from exc
     try:
@@ -113,4 +121,9 @@ def read(results_dir: Path) -> Fingerprints | None:
         raise DataError(f"{path}: not a fingerprints file: {exc} (run 'evaluate' again)") from exc
     if any(not isinstance(cell.records, dict) for cell in cells):
         raise DataError(f"{path}: not a fingerprints file (run 'evaluate' again)")
+    for field, name in RESULTS.items():
+        if getattr(fingerprints, field) != file_digest(results_dir / name):
+            raise DataError(
+                f"{results_dir / name} is not the file {FILENAME} describes (run 'evaluate' again)"
+            )
     return fingerprints._replace(cells=cells)

@@ -84,10 +84,11 @@ def mock_run(tmp_path_factory):
 
 
 class Endpoint:
-    """Replies to each POST with the next scripted (status, body bytes) pair."""
+    """Replies to each POST with the next scripted (status, body bytes) pair;
+    a None reply closes the connection without sending anything."""
 
     def __init__(self):
-        self.replies: list[tuple[int, bytes]] = []
+        self.replies: list[tuple[int, bytes] | None] = []
         self.received: list[tuple[dict, dict]] = []  # (headers, JSON body)
         self.url = ""
 
@@ -103,7 +104,11 @@ def endpoint(monkeypatch):
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             state.received.append((dict(self.headers), body))
-            status, payload = state.replies.pop(0)
+            reply = state.replies.pop(0)
+            if reply is None:
+                self.close_connection = True
+                return
+            status, payload = reply
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))

@@ -10,6 +10,7 @@ from lexglean import data_dir
 from lexglean.cli import main as cli_main
 from lexglean.codec import load_list
 from lexglean.evaluation import OverlapResult, reference_overlap, reference_profile
+from lexglean.fingerprints import FILENAME, file_digest
 from lexglean.generation import dumps_record, read_records, record_path
 from lexglean.textstats import trigrams
 
@@ -350,7 +351,7 @@ def test_filter_requires_evaluate(small_run, tmp_path):
         ["filter", "--results", tmp_path / "empty", "--outputs", small_run, "--out", tmp_path / "c"]
     )
     assert code == 1
-    assert "run 'evaluate' first" in err
+    assert f"error: no fingerprints.json in {tmp_path / 'empty'} (run 'evaluate' again)" in err
 
 
 def test_directory_named_like_a_record_is_walked_not_read(small_run, tmp_path):
@@ -527,10 +528,16 @@ def _infinite_word_count(lines):
 )
 def test_corrupt_evaluations_line_is_a_data_error(mock_run, tmp_path, corrupt, detail):
     results = tmp_path / "results"
-    results.mkdir()
-    lines = (mock_run / "results" / "evaluations.jsonl").read_text(encoding="utf-8").splitlines(True)
+    shutil.copytree(mock_run / "results", results)
+    path = results / "evaluations.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(True)
     corrupt(lines)
-    (results / "evaluations.jsonl").write_text("".join(lines), encoding="utf-8")
+    path.write_text("".join(lines), encoding="utf-8")
+    # The fingerprints are made to name the corrupt file, so that filter
+    # gets as far as reading it.
+    content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
+    content["evaluations"] = file_digest(path)
+    (results / FILENAME).write_text(json.dumps(content), encoding="utf-8")
     code, _, err = run_cli(
         ["filter", "--results", results, "--outputs", mock_run / "outputs", "--out", tmp_path / "c"]
     )

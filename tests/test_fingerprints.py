@@ -422,6 +422,19 @@ def test_filter_refuses_evaluations_the_fingerprints_do_not_describe(outputs, tm
     assert f"error: {path} is not the file {FILENAME} describes" in err
 
 
+@pytest.mark.parametrize("name", ["summary.json", "overlap.json"])
+def test_filter_refuses_results_files_the_fingerprints_do_not_describe(outputs, tmp_path, name):
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    path = results / name
+    with path.open("ab") as handle:
+        handle.write(b"\n")
+    assert _filter(results, outputs, tmp_path) == (
+        1, "", f"error: {path} is not the file {FILENAME} describes (run 'evaluate' again)\n"
+    )
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_filter_without_fingerprints_refuses(outputs, tmp_path):
     results = tmp_path / "results"
     evaluate(outputs, results)
@@ -460,11 +473,19 @@ def test_filter_after_evaluate_cut_short_by_a_full_disk(outputs, tmp_path, monke
     assert not (results / FILENAME).exists()
     assert not list(results.glob("*.tmp"))
     assert old in read_evaluations(results / "evaluations.jsonl")
+    # Nor is any file left that report would show as current.
+    assert sorted(path.name for path in results.iterdir()) == ["evaluations.jsonl"]
 
     code, stdout, err = _filter(results, outputs, tmp_path)
     assert (code, stdout) == (1, "")
     assert f"error: no {FILENAME} in {results} (run 'evaluate' again)" in err
     assert not (tmp_path / "corpus").exists()
+    for kind, message in [
+        ("efficiency", f"no summary at {results / 'summary.json'} (run 'evaluate' first)"),
+        ("overlap", f"no overlap results at {results / 'overlap.json'} (run 'evaluate' with --reference)"),
+    ]:
+        report = ["report", "--results", results, "--kind", kind, "--format", "csv"]
+        assert run_cli(report) == (1, "", f"error: {message}\n")
 
     assert evaluate(outputs, results, *REFERENCES[:2]) == 0
     assert_equals_cold(outputs, results, *REFERENCES[:2])

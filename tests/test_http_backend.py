@@ -129,12 +129,25 @@ def test_non_string_content_or_finish_reason_is_unavailable(endpoint, reply):
         HttpBackend().complete(_request(endpoint.url))
 
 
-def test_rate_limited_then_ok_through_execute(endpoint):
-    endpoint.replies = [(429, b"{}"), (200, _completion("Daidai."))]
+@pytest.mark.parametrize(
+    "first",
+    [(429, b"{}"), (500, b"{}"), (503, b"{}"), None],  # None: the connection is reset
+    ids=["429", "500", "503", "reset"],
+)
+def test_rate_limited_then_ok_through_execute(endpoint, first):
+    endpoint.replies = [first, (200, _completion("Daidai."))]
     record = execute(_request(endpoint.url), _policy(), HttpBackend())
     assert record.attempt_count == 2
     assert record.response_text == "Daidai."
     assert len(endpoint.received) == 2
+
+
+def test_unavailable_every_time_exhausts_the_retries(endpoint):
+    endpoint.replies = [(503, b"{}")] * 3
+    with pytest.raises(CallError, match=r"cw_01: retries exhausted after 3 attempts \(HTTP 503\)\Z"):
+        execute(_request(endpoint.url), _policy(), HttpBackend())
+    assert len(endpoint.received) == 3
+
 
 
 def test_bad_request_is_a_permanent_call_error(endpoint):

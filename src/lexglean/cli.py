@@ -15,7 +15,9 @@ inputs are unchanged is reused (``lexglean.fingerprints``).  Before its
 first write it removes the fingerprints and every results file but
 ``evaluations.jsonl``, so a run cut short leaves no old tables to report.
 ``filter`` refuses results that ``fingerprints.read`` refuses and an
-evaluation whose record changed after it was computed.
+evaluation whose record changed after it was computed.  It reads
+``evaluations.jsonl``, then the record files, one item at a time, and keeps
+of each output only what its checks and the corpus files need.
 
 An error ends a command with an ``error:`` line and an exit code set by its
 class alone: 1 for unreadable or inconsistent data (``DataError``, a
@@ -50,7 +52,6 @@ from .evaluation import (
     aggregate,
     evaluate_output,
     evaluation_line,
-    filter_usable,
     export_usable_corpus,
     read_evaluations,
     read_summaries,
@@ -59,6 +60,7 @@ from .evaluation import (
     write_evaluations,
     write_summaries,
     OverlapResult,
+    UsableOutput,
 )
 from .generation import (
     GenerationRecord,
@@ -67,7 +69,6 @@ from .generation import (
     RetryPolicy,
     load_mock_fixtures,
     load_record,
-    read_records,
     record_files,
     run_batch,
 )
@@ -404,26 +405,45 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    if args.min_quality is not None and not 0.0 <= args.min_quality <= 1.0:
+        raise CliError(f"--min-quality must be in [0, 1], got {args.min_quality}")
     results_dir = Path(args.results)
     recorded_digests = fingerprints.read(results_dir).records()
-    evaluations = read_evaluations(results_dir / "evaluations.jsonl")
-    digests: dict[str, str] = {}
-    records = {record.output_id: record for record in read_records(args.outputs, digests)}
-    pairs = []
-    for evaluation in evaluations:
-        record = records.get(evaluation.output_id)
-        if record is None:
-            raise DataError(f"evaluation {evaluation.output_id} has no record under {args.outputs}")
-        if recorded_digests.get(record.output_id) != digests[record.output_id]:
+
+    # One pass over the evaluations, then one over the record files; each
+    # parsed object is dropped at once.  An evaluation leaves its output id
+    # (in file order, for the checks below) and language and, if usable,
+    # its word count and quality; a record file leaves whether it is the
+    # one evaluated and, if usable, what the corpus files hold of it.
+    evaluated: list[str] = []
+    languages: set[str] = set()
+    scores: dict[str, tuple[int, float]] = {}
+    for evaluation in read_evaluations(results_dir / "evaluations.jsonl"):
+        evaluated.append(evaluation.output_id)
+        languages.add(evaluation.language)
+        if evaluation.is_valid and evaluation.fidelity.is_target and not (
+            args.min_quality is not None and evaluation.quality < args.min_quality
+        ):
+            scores[evaluation.output_id] = (evaluation.word_count, evaluation.quality)
+    current: dict[str, bool] = {}
+    usable: dict[str, UsableOutput] = {}
+    for path, named_id, data in record_files(args.outputs):
+        record = load_record(args.outputs, path, named_id, data)
+        output_id = record.output_id
+        current[output_id] = recorded_digests.get(output_id) == hashlib.sha256(data).hexdigest()
+        if output_id in scores:
+            kept = (output_id, record.model_id, record.language, record.task_type, record.response_text)
+            usable[output_id] = UsableOutput(*kept, *scores[output_id])
+
+    for output_id in evaluated:
+        if output_id not in current:
+            raise DataError(f"evaluation {output_id} has no record under {args.outputs}")
+        if not current[output_id]:
             raise DataError(
-                f"evaluation {record.output_id} is stale: its record under {args.outputs} is not "
+                f"evaluation {output_id} is stale: its record under {args.outputs} is not "
                 "the one it was computed from (run 'evaluate' again)"
             )
-        pairs.append((record, evaluation))
-
-    usable = filter_usable(pairs, min_quality=args.min_quality)
-    languages = sorted({evaluation.language for evaluation in evaluations})
-    totals = export_usable_corpus(usable, args.out, languages)
+    totals = export_usable_corpus([usable[i] for i in sorted(usable)], args.out, sorted(languages))
     for language, (documents, words) in sorted(totals.items()):
         print(f"{language}: {documents} documents, {words} words")
     print(f"total usable words: {sum(words for _, words in totals.values())}")

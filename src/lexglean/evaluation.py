@@ -1,4 +1,4 @@
-"""Per-output scoring, per-condition aggregation and corpus filtering.
+"""Per-output scoring, per-condition aggregation and usable-corpus export.
 
 An output is *valid* when it has at least ``DEFAULT_VALIDITY_THRESHOLD``
 word tokens (inclusive).  The composite quality score is a weighted mean of
@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codec import (
     DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic,
@@ -199,69 +199,55 @@ def reference_overlap(
     return OverlapResult(key, value, is_memorization_suspect(value))
 
 
-def filter_usable(
-    pairs: Sequence[tuple[GenerationRecord, EvaluationRecord]],
-    min_quality: float | None = None,
-) -> list[tuple[GenerationRecord, EvaluationRecord]]:
-    """The valid, on-target pairs (above ``min_quality`` if given), sorted by output id."""
-    seen: set[str] = set()
-    kept: list[tuple[GenerationRecord, EvaluationRecord]] = []
-    for generation, evaluation in pairs:
-        if generation.output_id != evaluation.output_id:
-            raise ValueError(
-                f"record/evaluation mismatch: {generation.output_id} vs {evaluation.output_id}"
-            )
-        if generation.output_id in seen:
-            raise ValueError(
-                f"duplicate output_id '{generation.output_id}' (corrupted run directory)"
-            )
-        seen.add(generation.output_id)
-        if not (evaluation.is_valid and evaluation.fidelity.is_target):
-            continue
-        if min_quality is not None and evaluation.quality < min_quality:
-            continue
-        kept.append((generation, evaluation))
-    kept.sort(key=lambda pair: pair[0].output_id)
-    return kept
+class UsableOutput(NamedTuple):
+    """What the corpus files keep of one usable output: fields of its record, then of its evaluation."""
+
+    output_id: str
+    model_id: str
+    language: str
+    task_type: str
+    response_text: str
+    word_count: int
+    quality: float
 
 
 def export_usable_corpus(
-    usable: Sequence[tuple[GenerationRecord, EvaluationRecord]],
+    usable: Sequence[UsableOutput],
     out_dir: str | Path,
     languages: Sequence[str],
 ) -> dict[str, tuple[int, int]]:
     """Write one text file per language plus a provenance JSONL sidecar.
 
-    Documents are separated by a blank line.  A language with no usable
-    outputs still gets an (empty) corpus file.  Returns (documents, words)
-    per language.
+    ``usable`` is in output-id order, which the files keep.  Documents are
+    separated by a blank line.  A language with no usable outputs still gets
+    an (empty) corpus file.  Returns (documents, words) per language.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_language: dict[str, list[tuple[GenerationRecord, EvaluationRecord]]] = {}
-    for pair in usable:
-        by_language.setdefault(pair[0].language, []).append(pair)
+    by_language: dict[str, list[UsableOutput]] = {}
+    for output in usable:
+        by_language.setdefault(output.language, []).append(output)
     totals: dict[str, tuple[int, int]] = {}
     for language in sorted(set(languages) | set(by_language)):
         group = by_language.get(language, [])
-        body = "\n\n".join(generation.response_text for generation, _ in group)
+        body = "\n\n".join(output.response_text for output in group)
         write_atomic(out_dir / f"{language}.txt", body + "\n" if body else "")
         write_atomic(out_dir / f"{language}.provenance.jsonl", "".join(
             json.dumps(
                 {
-                    "output_id": generation.output_id,
-                    "model_id": generation.model_id,
-                    "task_type": generation.task_type,
-                    "word_count": evaluation.word_count,
-                    "quality": evaluation.quality,
+                    "output_id": output.output_id,
+                    "model_id": output.model_id,
+                    "task_type": output.task_type,
+                    "word_count": output.word_count,
+                    "quality": output.quality,
                 },
                 ensure_ascii=False,
                 sort_keys=True,
             )
             + "\n"
-            for generation, evaluation in group
+            for output in group
         ))
-        totals[language] = (len(group), sum(evaluation.word_count for _, evaluation in group))
+        totals[language] = (len(group), sum(output.word_count for output in group))
     return totals
 
 
@@ -283,20 +269,24 @@ def write_evaluations(lines: Mapping[str, bytes], path: str | Path) -> None:
         handle.writelines(lines[output_id] for output_id in sorted(lines))
 
 
-def read_evaluations(path: str | Path) -> list[EvaluationRecord]:
-    """Load ``evaluations.jsonl``; a bad or repeated line raises DataError naming it."""
+def read_evaluations(path: str | Path) -> Iterator[EvaluationRecord]:
+    """The records of ``evaluations.jsonl`` in file order, parsed one line at a time.
+
+    A bad or repeated line raises DataError naming it when it is reached.
+    """
     path = Path(path)
-    records: dict[str, EvaluationRecord] = {}
+    seen: set[str] = set()
     with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
                 continue
             record = parse_record(EvaluationRecord, line, path, lineno)
-            if records.setdefault(record.output_id, record) is not record:
+            if record.output_id in seen:
                 raise DataError(
                     f"{path}:{lineno}: duplicate output_id '{record.output_id}' (corrupted run directory)"
                 )
-    return list(records.values())
+            seen.add(record.output_id)
+            yield record
 
 
 def write_summaries(summaries: Sequence[ConditionSummary], path: str | Path) -> None:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from lexglean.cli import main as cli_main
 from lexglean.codec import load_list
 from lexglean.evaluation import OverlapResult, reference_overlap, reference_profile
 from lexglean.fingerprints import FILENAME, file_digest
-from lexglean.generation import dumps_record, read_records, record_path
+from lexglean.generation import dumps_record, read_records, record_files, record_path
 from lexglean.textstats import trigrams
 
 from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, run_cli
@@ -473,6 +474,76 @@ def test_filter_exports_corpus(mock_run, tmp_path):
     ]
     document_count = (corpus_dir / "hau.txt").read_text().count("\n\n") + 1
     assert len(provenance) == document_count
+
+
+def test_filter_min_quality_exports_exactly_the_usable_outputs(mock_run, tmp_path):
+    # The expectation comes from the raw JSON lines, not from the package's readers.
+    results, outputs = mock_run / "results", mock_run / "outputs"
+    lines = (results / "evaluations.jsonl").read_text(encoding="utf-8").splitlines()
+    evaluations = [json.loads(line) for line in lines]
+    usable = [e for e in evaluations if e["is_valid"] and e["fidelity"]["is_target"]]
+    kept = sorted((e for e in usable if e["quality"] >= 0.6), key=lambda e: e["output_id"])
+    assert 0 < len(kept) < len(usable)
+    corpus_dir = tmp_path / "corpus"
+    code, stdout, err = run_cli(
+        ["filter", "--results", results, "--outputs", outputs, "--out", corpus_dir, "--min-quality", "0.6"]
+    )
+    assert code == 0, err
+    languages = sorted({e["language"] for e in evaluations})
+    assert sorted(path.name for path in corpus_dir.iterdir()) == sorted(
+        name for language in languages for name in (f"{language}.txt", f"{language}.provenance.jsonl")
+    )
+    expected_stdout = []
+    for language in languages:
+        group = [e for e in kept if e["language"] == language]
+        provenance = (corpus_dir / f"{language}.provenance.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in provenance] == [
+            {key: e[key] for key in ("output_id", "model_id", "task_type", "word_count", "quality")}
+            for e in group
+        ]
+        texts = [
+            json.loads(record_path(outputs, e["output_id"]).read_text(encoding="utf-8"))["response_text"]
+            for e in group
+        ]
+        assert (corpus_dir / f"{language}.txt").read_text(encoding="utf-8") == (
+            "\n\n".join(texts) + "\n" if texts else ""
+        )
+        words = sum(e["word_count"] for e in group)
+        expected_stdout.append(f"{language}: {len(group)} documents, {words} words")
+    expected_stdout.append(f"total usable words: {sum(e['word_count'] for e in kept)}")
+    assert stdout.splitlines() == expected_stdout
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+def test_filter_refuses_min_quality_outside_the_unit_interval(tmp_path, value):
+    # The results directory does not exist: the flag is refused before anything is read.
+    corpus_dir = tmp_path / "corpus"
+    assert run_cli(
+        ["filter", "--results", tmp_path / "results", "--outputs", tmp_path / "outputs",
+         "--out", corpus_dir, "--min-quality", value]
+    ) == (2, "", f"error: --min-quality must be in [0, 1], got {value}\n")
+    assert not corpus_dir.exists()
+
+
+def test_filter_holds_less_than_its_inputs_in_memory(mock_run, tmp_path):
+    # With nothing usable, filter keeps a few fields per output while it
+    # reads; it does not hold every parsed record and evaluation at once.
+    results, outputs = mock_run / "results", mock_run / "outputs"
+    input_bytes = (results / "evaluations.jsonl").stat().st_size + sum(
+        len(data) for _, _, data in record_files(outputs)
+    )
+    tracemalloc.start()
+    try:
+        code, stdout, err = run_cli([
+            "filter", "--results", results, "--outputs", outputs, "--out", tmp_path / "corpus",
+            "--min-quality", "1",
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert stdout.splitlines()[-1] == "total usable words: 0"
+    assert peak < input_bytes
 
 
 def _truncate(path):

@@ -12,12 +12,12 @@ from lexglean.evaluation import (
     DEFAULT_W_CONF,
     EvaluationRecord,
     MEMORIZATION_COSINE_THRESHOLD,
+    UsableOutput,
     aggregate,
     composite_quality,
     evaluate_output,
     evaluation_line,
     export_usable_corpus,
-    filter_usable,
     is_memorization_suspect,
     read_evaluations,
     read_summaries,
@@ -272,58 +272,16 @@ def test_reference_overlap_errors():
 
 # ------------------------------------------------------------- filter/export
 
-def _pairs():
-    specs = [
-        ("m/hau/creative/cw_01", True, True, 0.9),
-        ("m/hau/creative/cw_02", False, True, 0.9),  # invalid
-        ("m/hau/creative/cw_03", True, False, 0.9),  # off target
-        ("m/hau/creative/cw_04", True, True, 0.2),  # low quality
-    ]
-    return [
-        (
-            make_record(output_id, text="kalma " * 30),
-            make_eval(output_id, word_count=30, valid=valid, on_target=target, quality=quality),
-        )
-        for output_id, valid, target, quality in specs
-    ]
-
-
-def test_filter_usable_keeps_valid_on_target():
-    usable = filter_usable(_pairs())
-    assert [record.output_id for record, _ in usable] == [
-        "m/hau/creative/cw_01",
-        "m/hau/creative/cw_04",
-    ]
-    assert sum(evaluation.word_count for _, evaluation in usable) == 60
-
-
-def test_filter_usable_min_quality():
-    usable = filter_usable(_pairs(), min_quality=0.5)
-    assert [record.output_id for record, _ in usable] == ["m/hau/creative/cw_01"]
-
-
-def test_filter_usable_rejects_mismatch_and_duplicates():
-    pairs = _pairs()
-    bad = [(pairs[0][0], pairs[1][1])]
-    with pytest.raises(ValueError, match="mismatch"):
-        filter_usable(bad)
-    with pytest.raises(ValueError, match="duplicate"):
-        filter_usable([pairs[0], pairs[0]])
+def usable_output(output_id, text, word_count=3, quality=0.9):
+    model_id, language, task_type, _ = output_id.split("/")
+    return UsableOutput(output_id, model_id, language, task_type, text, word_count, quality)
 
 
 def test_export_usable_corpus(tmp_path):
-    usable = filter_usable(
-        [
-            (
-                make_record("m/hau/creative/cw_01", text="Jimla ta farko."),
-                make_eval("m/hau/creative/cw_01", word_count=3),
-            ),
-            (
-                make_record("m/hau/creative/cw_02", text="Jimla ta biyu."),
-                make_eval("m/hau/creative/cw_02", word_count=3),
-            ),
-        ]
-    )
+    usable = [
+        usable_output("m/hau/creative/cw_01", "Jimla ta farko."),
+        usable_output("m/hau/creative/cw_02", "Jimla ta biyu."),
+    ]
     totals = export_usable_corpus(usable, tmp_path, ["hau", "fon"])
     assert totals == {"hau": (2, 6), "fon": (0, 0)}
     assert (tmp_path / "hau.txt").read_text() == "Jimla ta farko.\n\nJimla ta biyu.\n"
@@ -337,11 +295,11 @@ def test_export_usable_corpus(tmp_path):
 
 
 def test_export_cut_short_leaves_no_truncated_corpus_file(tmp_path, monkeypatch):
-    pairs = [
-        (make_record(f"m/hau/creative/cw_0{i}", text=f"Jimla ta {word}."), make_eval(f"m/hau/creative/cw_0{i}"))
+    usable = [
+        usable_output(f"m/hau/creative/cw_0{i}", f"Jimla ta {word}.")
         for i, word in enumerate(["farko", "biyu", "uku"], start=1)
     ]
-    export_usable_corpus(filter_usable(pairs[:1]), tmp_path, ["hau"])
+    export_usable_corpus(usable[:1], tmp_path, ["hau"])
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     real_open = Path.open
 
@@ -351,7 +309,7 @@ def test_export_cut_short_leaves_no_truncated_corpus_file(tmp_path, monkeypatch)
 
     monkeypatch.setattr(Path, "open", open_then_fail)
     with pytest.raises(OSError, match="No space left"):
-        export_usable_corpus(filter_usable(pairs), tmp_path, ["hau"])
+        export_usable_corpus(usable, tmp_path, ["hau"])
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
@@ -366,7 +324,7 @@ def test_evaluations_roundtrip(tmp_path):
     ]
     path = tmp_path / "evaluations.jsonl"
     write_evaluations({r.output_id: evaluation_line(r) for r in records}, path)
-    loaded = read_evaluations(path)
+    loaded = list(read_evaluations(path))
     assert loaded == sorted(records, key=lambda r: r.output_id)
 
 
@@ -407,7 +365,7 @@ def test_evaluations_jsonl_line_is_pinned(tmp_path):
         '"quality":0.5,"repetition_4gram":0.0,"repetition_sentence":0.0,"task_type":"creative",'
         '"word_count":3}\n'
     )
-    assert read_evaluations(path) == [record]
+    assert list(read_evaluations(path)) == [record]
 
 
 def test_summaries_roundtrip(tmp_path):

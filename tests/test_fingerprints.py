@@ -400,6 +400,16 @@ def test_filter_refuses_a_record_changed_after_evaluate(outputs, tmp_path):
     assert "error: evaluation gpt-4o-mini/hau/constrained/cg_02 is stale" in err
 
 
+def test_filter_refuses_an_evaluation_whose_record_was_deleted(outputs, tmp_path):
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    record_path(outputs, "gpt-4o-mini/hau/dialogue/dl_03").unlink()
+    assert _filter(results, outputs, tmp_path) == (
+        1, "", f"error: evaluation gpt-4o-mini/hau/dialogue/dl_03 has no record under {outputs}\n"
+    )
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_filter_refuses_a_record_the_fingerprints_do_not_list(outputs, tmp_path):
     results = tmp_path / "results"
     evaluate(outputs, results)

@@ -29,7 +29,6 @@ from .textstats import (
     DiacriticStats,
     DiversityStats,
     TextAnalysis,
-    analyze,
     cosine,
     diacritic_stats,
     diversity,
@@ -81,17 +80,14 @@ def evaluate_output(
     lang: LanguageConfig,
     backend: FidelityBackend,
     *,
-    analysis: TextAnalysis | None = None,
+    analysis: TextAnalysis,
     threshold: int = DEFAULT_VALIDITY_THRESHOLD,
     w_conf: float = DEFAULT_W_CONF,
 ) -> EvaluationRecord:
     """Score one generation record against its target language.
 
-    ``analysis`` is ``analyze(record.response_text)``, computed here if not given.
+    ``analysis`` is ``textstats.analyze(record.response_text)``.
     """
-    text = record.response_text
-    if analysis is None:
-        analysis = analyze(text)
     tokens = analysis.tokens
     word_count = len(tokens)
     fidelity = backend.assess(analysis, lang.target_lid_label, output_id=record.output_id)
@@ -106,7 +102,7 @@ def evaluate_output(
         fidelity=fidelity,
         repetition_4gram=ngram_repetition(tokens, 4),
         repetition_sentence=sentence_repetition(analysis.sentences),
-        diacritics=diacritic_stats(text) if lang.tonal_orthography else None,
+        diacritics=diacritic_stats(record.response_text) if lang.tonal_orthography else None,
         quality=composite_quality(fidelity.target_confidence, fidelity.code_switch_rate, w_conf),
     )
 

@@ -23,7 +23,6 @@ with the other triples.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -513,7 +512,7 @@ def _json_files(prefix: str, top: bool = False) -> Iterator[str]:
 
 def record_files(out_dir: str | Path) -> Iterator[tuple[str, str, bytes]]:
     """Every record file under a run directory: its path, the output id the
-    path names and its bytes, in path-component order (see ``read_records``)."""
+    path names and its bytes, in path-component order (see ``_json_files``)."""
     top = str(Path(out_dir))
     prefix = "" if top == "." else os.path.join(top, "")
     for path in _json_files(prefix, top=True) if os.path.isdir(top) else ():
@@ -523,7 +522,9 @@ def record_files(out_dir: str | Path) -> Iterator[tuple[str, str, bytes]]:
 
 def load_record(out_dir: str | Path, path: str, named_id: str, data: bytes) -> GenerationRecord:
     """Parse one of ``record_files``; DataError names a file that is not a
-    record or not the ``record_path`` of its ``output_id``."""
+    record, not the ``record_path`` of its ``output_id`` (a copied or
+    misplaced file, so also any duplicate id), or whose ``output_id`` is not
+    the one its model, language, task type and prompt id make."""
     record = parse_record(GenerationRecord, data, path)
     # The string test settles every ordinary id; Path equality is the rule.
     if record.output_id != named_id and Path(path) != record_path(out_dir, record.output_id):
@@ -531,24 +532,10 @@ def load_record(out_dir: str | Path, path: str, named_id: str, data: bytes) -> G
             f"{path}: holds output_id '{record.output_id}', whose record file is "
             f"{record_path(out_dir, record.output_id)} (corrupted run directory)"
         )
+    fields_id = output_id_for(record.model_id, record.language, record.task_type, record.prompt_id)
+    if record.output_id != fields_id:
+        raise DataError(
+            f"{path}: holds output_id '{record.output_id}', but its fields make "
+            f"'{fields_id}' (corrupted record)"
+        )
     return record
-
-
-def read_records(
-    out_dir: str | Path, digests: dict[str, str] | None = None
-) -> list[GenerationRecord]:
-    """Load every record file under a run directory, sorted by output id.
-
-    A file that is not a record, or that is not the ``record_path`` of its
-    ``output_id`` (a copied or misplaced file, so also any duplicate id),
-    raises DataError naming the file.  Given ``digests``, it maps each
-    output id to the sha256 (hex) of its record file's bytes.
-    """
-    records: list[GenerationRecord] = []
-    for path, named_id, data in record_files(out_dir):
-        record = load_record(out_dir, path, named_id, data)
-        if digests is not None:
-            digests[record.output_id] = hashlib.sha256(data).hexdigest()
-        records.append(record)
-    records.sort(key=lambda r: r.output_id)
-    return records

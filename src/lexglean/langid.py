@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .codec import JSON_KEY, DataError
-from .textstats import TextAnalysis, merged_trigram_profile, norm, trigrams
+from .textstats import TextAnalysis, merged_trigram_profile, norm
 
 UNKNOWN_LABEL = "und"
 
@@ -184,12 +184,6 @@ def _prediction(
     exps = [math.exp(s - peak) for s in scores]
     denom = sum(exps)
     return LidPrediction(profile_set.labels[best], exps[best] / denom), [e / denom for e in exps]
-
-
-def classify(text: str, profile_set: LanguageProfileSet) -> LidPrediction:
-    """Predict the language of a text; empty text maps to ('und', 0.0)."""
-    grams = trigrams(text)
-    return _prediction(profile_set, profile_set.dot(grams), grams)[0]
 
 
 class BuiltinClassifier:

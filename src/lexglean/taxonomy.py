@@ -120,11 +120,9 @@ class ValidationReport:
     """Result of checking a taxonomy against the structural rules.
 
     ``issues`` lists every problem found, human-readable; ``ok`` is true iff
-    there is none.  ``task_type_counts`` is informational (templates per
-    known task type).
+    there is none.
     """
 
-    task_type_counts: dict[str, int]
     issues: list[str]
 
     @property
@@ -149,8 +147,7 @@ def validate_taxonomy(templates: Iterable[PromptTemplate]) -> ValidationReport:
     then id prefix mismatches.
     """
     templates = list(templates)
-    counts = {task: sum(t.task_type == task for t in templates) for task in TASK_TYPES}
-    issues = [f"{t.id}: unknown task_type '{t.task_type}'" for t in templates if t.task_type not in counts]
+    issues = [f"{t.id}: unknown task_type '{t.task_type}'" for t in templates if t.task_type not in TASK_TYPES]
     issues += [
         f"{t.id}: unknown placeholder '{{{name}}}'"
         for t in templates
@@ -162,7 +159,7 @@ def validate_taxonomy(templates: Iterable[PromptTemplate]) -> ValidationReport:
         for t in templates
         if PREFIX_TO_TASK_TYPE.get(t.id.split("_", 1)[0]) != t.task_type
     ]
-    return ValidationReport(counts, issues)
+    return ValidationReport(issues)
 
 
 def render_text(text: str, lang: LanguageConfig, *, context: str = "template") -> str:

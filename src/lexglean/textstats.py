@@ -12,29 +12,32 @@ of them are breaking:
 * segment_sentences: split on ``.``, ``!``, ``?``, ``…`` and newline runs;
   a run of terminators stays attached to its sentence; sentences are
   trimmed and empties dropped.
-* trigram_profile: NFC-normalise, case-fold, collapse whitespace runs to a
-  single space, strip, pad with one leading and one trailing space, then
-  count every overlapping character trigram.  A profile is a plain
-  ``Counter`` of trigram -> count in order of first occurrence; ``norm`` and
-  ``cosine`` take any such mapping.
+* trigrams: NFC-normalise, case-fold, collapse whitespace runs to a single
+  space, strip, pad with one leading and one trailing space, then take every
+  overlapping character trigram.  A profile is a plain ``Counter`` of
+  trigram -> count in order of first occurrence; ``norm`` and ``cosine``
+  take any such mapping.
 * diacritic counts use NFD decomposition and the combining-diacritics block
   U+0300..U+036F; tone marks are grave, acute, circumflex, caron, macron.
 
-The per-character work runs in C.  ``tokenize`` and ``diacritic_stats`` map
-the text through a code point table with ``str.translate`` (an entry is
-filled from ``unicodedata`` the first time its code point is seen): the token
-table keeps run characters and hyphens and turns the rest into spaces, the
+``analyze`` is the one entry point for the first three rules: it gives
+everything the evaluator needs from a text -- tokens, sentences, document
+grams and each sentence's grams -- from one NFC + case-fold of the text, one
+segmentation of the raw text and one trigram ``findall`` over the padded
+document; each sentence is normalised on its own only to find it in the
+document.  ``tests/oracles.py`` restates the rules independently, and the
+tests compare ``analyze`` with it.
+
+The per-character work runs in C.  Tokens and ``diacritic_stats`` map the
+text through a code point table with ``str.translate`` (an entry is filled
+from ``unicodedata`` the first time its code point is seen): the token table
+keeps run characters and hyphens and turns the rest into spaces, the
 diacritic table maps each character to a class letter.  One compiled regex,
 or ``str.count``, over the result does the rest.  Sentences and trigrams are
-one compiled regex each.  The results follow the rules above exactly;
-``tests/oracles.py`` restates them independently.
+one compiled regex each.
 
-One pass: ``analyze`` gives everything the evaluator needs from a text --
-tokens, sentences, document grams and each sentence's grams -- from one
-NFC + case-fold of the text, one segmentation of the raw text and one
-trigram ``findall`` over the padded document; each sentence is normalised on
-its own only to find it in the document.  It equals the separate kernels
-exactly:
+``analyze`` equals the rules applied to the text and to each sentence on its
+own, although it takes most sentence grams from the document's grams:
 
 * A sentence's grams are those of ``" " + collapsed_sentence + " "``, where
   ``collapsed_sentence`` is the sentence normalised and collapsed by the
@@ -152,15 +155,6 @@ def _tokens(normalized: str) -> tuple[str, ...]:
     return tuple(map(unicodedata.normalize, repeat("NFC"), runs))
 
 
-def tokenize(text: str) -> tuple[str, ...]:
-    """Split a text into word tokens.
-
-    The text is NFC-normalised and case-folded first; each token is
-    re-normalised so token content is itself NFC.
-    """
-    return _tokens(unicodedata.normalize("NFC", text).casefold())
-
-
 def segment_sentences(text: str) -> list[str]:
     """Split a text into trimmed sentences, keeping terminator runs attached."""
     return [sentence for sentence in map(str.strip, _SENTENCE.findall(text)) if sentence]
@@ -227,11 +221,6 @@ def trigrams(text: str) -> list[str]:
     return _TRIGRAM.findall(_collapse(unicodedata.normalize("NFC", text).casefold()))
 
 
-def trigram_profile(text: str) -> Counter[str]:
-    """Character trigram counts of the normalised, space-padded text."""
-    return Counter(trigrams(text))
-
-
 def merged_trigram_profile(texts: Iterable[str]) -> Counter[str]:
     """One trigram profile over several texts, as if counted over each in turn."""
     counts: Counter[str] = Counter()
@@ -251,9 +240,9 @@ class TextAnalysis(NamedTuple):
 
 
 def analyze(text: str) -> TextAnalysis:
-    """``tokenize``, ``segment_sentences`` and the ``trigrams`` of the text and
-    of each sentence, in one pass (see the module docstring for why they are
-    equal to the separate kernels)."""
+    """The tokens, ``segment_sentences`` and ``trigrams`` of the text and the
+    ``trigrams`` of each sentence, in one pass (see the module docstring for
+    why each sentence's grams are its own)."""
     normalized = unicodedata.normalize("NFC", text).casefold()
     padded = _collapse(normalized)
     grams = _TRIGRAM.findall(padded)

@@ -3,12 +3,14 @@ import errno
 import io
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from lexglean import data_dir
 from lexglean.cli import main as cli_main
+from lexglean.generation import load_record, record_files
 from lexglean.taxonomy import load_language_configs, load_model_configs, load_taxonomy
 
 FIXTURES_PATH = data_dir() / "mock_fixtures.json"
@@ -41,6 +43,11 @@ def run_cli(argv):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli_main([str(a) for a in argv])
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def records_under(out_dir):
+    """Every record under a run directory, read as evaluate and filter read them."""
+    return [load_record(out_dir, *entry) for entry in record_files(out_dir)]
 
 
 @pytest.fixture(scope="session")
@@ -85,10 +92,13 @@ def mock_run(tmp_path_factory):
 
 class Endpoint:
     """Replies to each POST with the next scripted (status, body bytes) pair;
-    a None reply closes the connection without sending anything."""
+    a None reply closes the connection without sending anything.  The reply
+    to the n-th POST waits ``delays[n]`` seconds first, if there is such an
+    entry."""
 
     def __init__(self):
         self.replies: list[tuple[int, bytes] | None] = []
+        self.delays: list[float] = []
         self.received: list[tuple[dict, dict]] = []  # (headers, JSON body)
         self.url = ""
 
@@ -103,17 +113,23 @@ def endpoint(monkeypatch):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            index = len(state.received)
             state.received.append((dict(self.headers), body))
             reply = state.replies.pop(0)
+            if index < len(state.delays):
+                time.sleep(state.delays[index])
             if reply is None:
                 self.close_connection = True
                 return
             status, payload = reply
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            try:
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+            except (BrokenPipeError, ConnectionResetError):
+                self.close_connection = True  # the client stopped waiting for a delayed reply
 
         def log_message(self, *args):
             pass

@@ -9,13 +9,14 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import oracles
-from conftest import FIXTURES_PATH, SEEDS_DIR, run_cli
+from conftest import FIXTURES_PATH, SEEDS_DIR, records_under, run_cli
 from lexglean import data_dir, textstats
 from lexglean.evaluation import (
     EvaluationRecord,
@@ -26,6 +27,7 @@ from lexglean.evaluation import (
     evaluate_output,
     is_memorization_suspect,
     read_summaries,
+    reference_profile,
 )
 from lexglean.generation import (
     GenerationRecord,
@@ -34,10 +36,9 @@ from lexglean.generation import (
     RetryPolicy,
     SamplingParams,
     load_mock_fixtures,
-    read_records,
     run_batch,
 )
-from lexglean.langid import FidelityResult, LidPrediction, classify, load_seed_corpora, train_profiles
+from lexglean.langid import BuiltinClassifier, FidelityResult, LidPrediction, load_seed_corpora, train_profiles
 from lexglean.reporting import FORMATS, TABLE_KINDS, ReportSpec, render_report
 from lexglean.taxonomy import (
     LanguageConfig,
@@ -76,12 +77,15 @@ def test_metrics_match_independent_oracles():
     texts = _random_texts()
     profiles = []
     for text in texts:
-        token_seq = textstats.tokenize(text)
+        analysis = textstats.analyze(text)
+        token_seq = analysis.tokens
         tokens = list(token_seq)
         assert tokens == oracles.tokenize(text), repr(text)
 
-        sentences = textstats.segment_sentences(text)
+        sentences = analysis.sentences
         assert sentences == oracles.segment_sentences(text), repr(text)
+        for sentence, grams in zip(sentences, analysis.sentence_grams, strict=True):
+            assert Counter(grams) == oracles.trigram_counts(sentence), repr(sentence)
 
         stats = textstats.diversity(token_seq)
         assert stats.total_tokens == len(tokens)
@@ -105,9 +109,9 @@ def test_metrics_match_independent_oracles():
         assert abs(diacritics.diacritic_ratio - expected_ratio) < TOLERANCE
         assert abs(diacritics.tonal_vowel_fraction - tonal_fraction) < TOLERANCE
 
-        profile = textstats.trigram_profile(text)
+        profile = Counter(analysis.grams)
         assert profile == oracles.trigram_counts(text)
-        assert profile.total() == sum(profile.values())
+        assert len(analysis.grams) == sum(profile.values())
         profiles.append((profile, oracles.trigram_counts(text)))
 
     for (p1, c1), (p2, c2) in zip(profiles, profiles[1:]):
@@ -144,8 +148,10 @@ def _record_with_words(n_words):
 def test_validity_word_count_boundary():
     lang = LanguageConfig("Hausa", "hau", "hau_Latn", "Hausa", "English", False)
     backend = _FixedFidelity()
-    at_threshold = evaluate_output(_record_with_words(20), lang, backend)
-    below = evaluate_output(_record_with_words(19), lang, backend)
+    at_threshold, below = (
+        evaluate_output(record, lang, backend, analysis=textstats.analyze(record.response_text))
+        for record in (_record_with_words(20), _record_with_words(19))
+    )
     assert at_threshold.word_count == 20 and at_threshold.is_valid
     assert below.word_count == 19 and not below.is_valid
     _report("validity-boundary-19-vs-20")
@@ -162,13 +168,18 @@ def test_builtin_lid_holdout_accuracy():
         (label, line)
         for label, lines in corpora.items()
         for line in lines[50:]
-        if len(textstats.tokenize(line)) >= 30
+        if len(textstats.analyze(line).tokens) >= 30
     ]
     assert len(heldout) >= 30
     assert len({label for label, _ in heldout}) == 5
 
-    predictions = [classify(line, profiles) for _, line in heldout]
-    assert predictions == [classify(line, profiles) for _, line in heldout]  # deterministic
+    backend = BuiltinClassifier(profiles)
+
+    def predict(label, line):
+        return backend.assess(textstats.analyze(line), label).document_prediction
+
+    predictions = [predict(label, line) for label, line in heldout]
+    assert predictions == [predict(label, line) for label, line in heldout]  # deterministic
 
     accuracy = sum(1 for (label, _), p in zip(heldout, predictions) if p.label == label) / len(heldout)
     assert accuracy >= 0.90, f"held-out accuracy {accuracy:.3f}"
@@ -189,7 +200,7 @@ def test_mock_batch_end_to_end(tmp_path, monkeypatch):
     assert code == 0, err
     elapsed = time.perf_counter() - started
 
-    assert len(read_records(outputs)) == 600
+    assert len(records_under(outputs)) == 600
     assert len(read_summaries(results / "summary.json")) == 24
     assert elapsed < 30.0, f"mock run took {elapsed:.1f}s"
     _report(f"mock-batch-600-records-24-summaries ({elapsed:.1f}s)")
@@ -284,15 +295,13 @@ def test_efficiency_identity_at_full_yield(mock_run):
 
 
 def test_memorization_flag_straddles_threshold():
-    reference = textstats.trigram_profile(
-        "ruwan sama ya sauka a kan gonakin manoma da gidajen mutane"
-    )
+    reference = reference_profile(["ruwan sama ya sauka a kan gonakin manoma da gidajen mutane"])
 
     def mixture_cosine(k):
         diluted = (
             "ruwan sama ya sauka a kan gonakin manoma da gidajen mutane " + "qz xv wj " * k
         )
-        return textstats.cosine(textstats.trigram_profile(diluted), reference)
+        return textstats.cosine(Counter(textstats.analyze(diluted).grams), reference)
 
     cosines = [mixture_cosine(k) for k in range(400)]
     above = [c for c in cosines if c > MEMORIZATION_COSINE_THRESHOLD]

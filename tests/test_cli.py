@@ -12,10 +12,10 @@ from lexglean.cli import main as cli_main
 from lexglean.codec import load_list
 from lexglean.evaluation import OverlapResult, reference_overlap, reference_profile
 from lexglean.fingerprints import FILENAME, file_digest
-from lexglean.generation import dumps_record, read_records, record_files, record_path
-from lexglean.textstats import trigrams
+from lexglean.generation import dumps_record, record_files, record_path
+from lexglean.textstats import analyze
 
-from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, run_cli
+from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, records_under, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_invalid_taxonomy_rejected(tmp_path):
 
 
 def test_generate_small_run_and_resume(small_run):
-    records = read_records(small_run)
+    records = records_under(small_run)
     assert len(records) == 150
     assert {r.model_id for r in records} == {"gpt-4o-mini"}
     assert {r.language for r in records} == {"hau"}
@@ -253,7 +253,7 @@ def test_streamed_overlap_equals_reference_overlap(small_run, tmp_path):
     # Model ids that share a prefix order their cells differently by output
     # id ("m-r00/..." < "m/...") than by (model, language, task).
     outputs = tmp_path / "o"
-    records = read_records(small_run)
+    records = records_under(small_run)
     for shift, model_id in enumerate(("m", "m-r00")):
         for index, record in enumerate(records):
             for language in ("hau", "fon"):
@@ -279,10 +279,10 @@ def test_streamed_overlap_equals_reference_overlap(small_run, tmp_path):
     for code, path in sorted(references.items()):
         reference = reference_profile(path.read_text(encoding="utf-8").splitlines())
         cells = {}
-        for record in read_records(outputs):
+        for record in records_under(outputs):
             if record.language == code:
                 key = f"{record.model_id}/{record.language}/{record.task_type}"
-                cells.setdefault(key, Counter()).update(trigrams(record.response_text))
+                cells.setdefault(key, Counter()).update(analyze(record.response_text).grams)
         expected += [reference_overlap(key, cells[key], reference) for key in sorted(cells)]
     assert expected[0].key.startswith("m-r00/fon/")
     assert {o.key.split("/")[0] for o in expected} == {"m", "m-r00"}
@@ -578,6 +578,32 @@ def test_corrupt_record_is_a_data_error(small_run, tmp_path, corrupt, detail):
     assert detail in err
 
 
+def test_record_whose_fields_disagree_with_its_id_is_a_data_error(small_run, tmp_path):
+    # Read as it stands, the record would make a ghost/hau/dialogue cell of its own.
+    outputs, results = tmp_path / "outputs", tmp_path / "results"
+    shutil.copytree(small_run, outputs)
+    code, _, err = run_cli(["evaluate", "--outputs", outputs, "--results", results])
+    assert code == 0, err
+    summary = (results / "summary.json").read_bytes()
+    record = outputs / "gpt-4o-mini" / "hau" / "creative" / "cw_01.json"
+    data = json.loads(record.read_text(encoding="utf-8"))
+    data.update(model_id="ghost", task_type="dialogue")
+    record.write_text(json.dumps(data), encoding="utf-8")
+    message = (
+        f"error: {record}: holds output_id 'gpt-4o-mini/hau/creative/cw_01', "
+        "but its fields make 'ghost/hau/dialogue/cw_01'"
+    )
+
+    code, _, err = run_cli(["evaluate", "--outputs", outputs, "--results", results])
+    assert code == 1
+    assert message in err
+    assert (results / "summary.json").read_bytes() == summary
+    code, _, err = run_cli(["filter", "--results", results, "--outputs", outputs, "--out", tmp_path / "corpus"])
+    assert code == 1
+    assert message in err
+    assert not (tmp_path / "corpus").exists()
+
+
 def _truncate_line(lines):
     lines[4] = lines[4][:40] + "\n"
 
@@ -711,7 +737,7 @@ def test_config_dir_precedence(tmp_path, monkeypatch):
         ]
     )
     assert code == 0, err
-    assert len(read_records(out)) == 150
+    assert len(records_under(out)) == 150
 
 
 def test_evaluate_reads_only_the_language_config(small_run, tmp_path):

@@ -29,7 +29,7 @@ from lexglean.evaluation import (
 from lexglean.generation import GenerationRecord, SamplingParams
 from lexglean.langid import FidelityResult, LidPrediction
 from lexglean.taxonomy import LanguageConfig
-from lexglean.textstats import trigrams
+from lexglean.textstats import analyze
 
 from conftest import DiskFull
 
@@ -144,13 +144,14 @@ def test_memorization_threshold_is_strict():
 def test_evaluate_output_counts_and_validity():
     backend = StaticBackend(make_fidelity(target_confidence=0.8, cs=0.25))
     record = make_record(text="kalma " * 20)
-    result = evaluate_output(record, HAUSA, backend)
+    result = evaluate_output(record, HAUSA, backend, analysis=analyze(record.response_text))
     assert result.word_count == 20
     assert result.is_valid
     assert result.quality == pytest.approx(0.5 * 0.8 + 0.5 * 0.75)
     assert result.diacritics is None  # Hausa config is not tonal
 
-    short = evaluate_output(make_record(text="kalma " * 19), HAUSA, backend)
+    record = make_record(text="kalma " * 19)
+    short = evaluate_output(record, HAUSA, backend, analysis=analyze(record.response_text))
     assert short.word_count == 19
     assert not short.is_valid
 
@@ -158,14 +159,15 @@ def test_evaluate_output_counts_and_validity():
 def test_evaluate_output_threshold_override():
     backend = StaticBackend(make_fidelity())
     record = make_record(text="kalma " * 5)
-    assert not evaluate_output(record, HAUSA, backend).is_valid
-    assert evaluate_output(record, HAUSA, backend, threshold=5).is_valid
+    analysis = analyze(record.response_text)
+    assert not evaluate_output(record, HAUSA, backend, analysis=analysis).is_valid
+    assert evaluate_output(record, HAUSA, backend, analysis=analysis, threshold=5).is_valid
 
 
 def test_evaluate_output_tonal_language_gets_diacritics():
     backend = StaticBackend(make_fidelity(label="fon_Latn", target="fon_Latn"))
     record = make_record("m/fon/creative/cw_01", text="àzɔ̌ wà " * 12, language="fon")
-    result = evaluate_output(record, FONGBE, backend)
+    result = evaluate_output(record, FONGBE, backend, analysis=analyze(record.response_text))
     assert result.diacritics is not None
     assert result.diacritics.has_diacritics
 
@@ -242,7 +244,7 @@ def cell_overlaps(records, reference_lines):
     cells = {}
     for record in records:
         key = f"{record.model_id}/{record.language}/{record.task_type}"
-        cells.setdefault(key, Counter()).update(trigrams(record.response_text))
+        cells.setdefault(key, Counter()).update(analyze(record.response_text).grams)
     return [reference_overlap(key, cells[key], reference) for key in sorted(cells)]
 
 

@@ -19,9 +19,9 @@ from lexglean import cli, data_dir, evaluation, fingerprints
 from lexglean.codec import load_list, parse_record
 from lexglean.evaluation import EvaluationRecord, OverlapResult, read_evaluations, read_summaries
 from lexglean.fingerprints import FILENAME
-from lexglean.generation import GenerationRecord, dumps_record, read_records, record_path
+from lexglean.generation import GenerationRecord, dumps_record, record_path
 
-from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, run_cli
+from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, records_under, run_cli
 
 
 def references(*languages):
@@ -87,7 +87,7 @@ def rewrite(outputs, output_id, text):
 
 def copy_as(source, outputs, model_id):
     """Copy the records under ``source`` into ``outputs`` as the records of ``model_id``."""
-    for record in read_records(source):
+    for record in records_under(source):
         _, language, task_type, prompt_id = record.output_id.split("/")
         output_id = f"{model_id}/{language}/{task_type}/{prompt_id}"
         path = record_path(outputs, output_id)
@@ -101,7 +101,7 @@ def copy_as(source, outputs, model_id):
 @settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.randoms(use_true_random=False))
 def test_incremental_evaluate_equals_cold(mock_run, rng):
-    records = read_records(mock_run / "outputs")
+    records = sorted(records_under(mock_run / "outputs"), key=lambda record: record.output_id)
     ids = [record.output_id for record in records]
     first = set(rng.sample(ids, rng.randint(1, len(ids))))
     with tempfile.TemporaryDirectory() as scratch:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import records_under
 from lexglean.codec import DataError, from_json, parse_record
 from lexglean.generation import (
     BackendResponse,
@@ -25,8 +26,9 @@ from lexglean.generation import (
     dumps_record,
     execute,
     load_mock_fixtures,
+    load_record,
     output_id_for,
-    read_records,
+    record_files,
     record_path,
     run_batch,
 )
@@ -235,7 +237,7 @@ def test_run_batch_writes_records_and_manifest(tmp_path):
         "test-model/hau/creative/cw_02",
     }
 
-    record = read_records(tmp_path)[0]
+    record = records_under(tmp_path)[0]
     assert record.response_text == "Amsa ce mai kyau."
     assert record.request_timestamp == MOCK_TIMESTAMP
     assert record.latency == 0.0
@@ -362,7 +364,7 @@ def test_read_records_rejects_duplicates(tmp_path):
     clone = source.with_name("zz_99.json")
     clone.write_text(source.read_text())
     with pytest.raises(ValueError, match="corrupted run directory"):
-        read_records(tmp_path)
+        records_under(tmp_path)
 
 
 def test_read_records_compares_dotted_names_with_record_path(tmp_path):
@@ -375,10 +377,10 @@ def test_read_records_compares_dotted_names_with_record_path(tmp_path):
     assert path.name == "cw.1.json"
     path.parent.mkdir(parents=True)
     path.write_text(dumps_record(record), encoding="utf-8")
-    assert read_records(tmp_path) == [record]
+    assert records_under(tmp_path) == [record]
     path.rename(path.with_name("cw.json"))
     with pytest.raises(DataError, match=r"cw\.json: holds output_id"):
-        read_records(tmp_path)
+        records_under(tmp_path)
 
 
 def _write_record(out_dir, output_id, path=None):
@@ -393,7 +395,8 @@ def _write_record(out_dir, output_id, path=None):
 
 
 def _rglob_records(out_dir, digests):
-    """The reader ``read_records`` replaced: ``rglob``, ``Path`` order and ``record_path`` equality."""
+    """The reader ``record_files`` and ``load_record`` replaced: ``rglob``, ``Path``
+    order and ``record_path`` equality."""
     records = []
     for path in sorted(Path(out_dir).rglob("*.json")):
         if path.name == MANIFEST_FILENAME:
@@ -425,13 +428,14 @@ def test_read_records_walk_finds_what_rglob_finds(tmp_path, monkeypatch, spellin
         monkeypatch.chdir(out)
         out = Path(".")
 
-    digests, old_digests = {}, {}
-    records = read_records(out_dir, digests)
-    assert records == _rglob_records(out_dir, old_digests)
-    assert digests == old_digests
-    assert [record.output_id for record in records] == [
-        ".hidden/hau/creative/cw_01", "m/fon/creative/cw_01", "m/hau/creative/cw.1", "m/hau/creative/cw.2",
+    ids = [".hidden/hau/creative/cw_01", "m/fon/creative/cw_01", "m/hau/creative/cw.1", "m/hau/creative/cw.2"]
+    files = list(record_files(out_dir))
+    assert [(path, output_id) for path, output_id, _ in files] == [
+        (str(record_path(out_dir, output_id)), output_id) for output_id in ids
     ]
+    old_digests = {}
+    assert [load_record(out_dir, *entry) for entry in files] == _rglob_records(out_dir, old_digests)
+    assert {output_id: hashlib.sha256(data).hexdigest() for _, output_id, data in files} == old_digests
 
     # Path-component order puts creative/zz.json before creative.json (a
     # plain string sort would not), so both readers name zz.json.
@@ -442,9 +446,9 @@ def test_read_records_walk_finds_what_rglob_finds(tmp_path, monkeypatch, spellin
         f"{prefix}m/hau/creative/zz.json: holds output_id 'm/hau/creative/cw.1', whose record file is "
         f"{prefix}m/hau/creative/cw.1.json (corrupted run directory)"
     )
-    for reader in (read_records, _rglob_records):
+    for read in (lambda: records_under(out_dir), lambda: _rglob_records(out_dir, {})):
         with pytest.raises(DataError) as raised:
-            reader(out_dir, {})
+            read()
         assert str(raised.value) == message
 
 
@@ -452,10 +456,15 @@ def test_read_records_walks_into_a_directory_named_like_a_record(tmp_path):
     _write_record(tmp_path, "m/hau/creative/cw_01")
     odd = tmp_path / "m/hau/creative/odd.json"
     odd.mkdir()
-    assert [record.output_id for record in read_records(tmp_path)] == ["m/hau/creative/cw_01"]
+    assert [(output_id, data) for _, output_id, data in record_files(tmp_path)] == [
+        ("m/hau/creative/cw_01", record_path(tmp_path, "m/hau/creative/cw_01").read_bytes())
+    ]
     _write_record(tmp_path, "m/hau/creative/cw_01", odd / "cw_01.json")
+    assert [path for path, _, _ in record_files(tmp_path)] == [
+        str(record_path(tmp_path, "m/hau/creative/cw_01")), str(odd / "cw_01.json")
+    ]
     with pytest.raises(DataError, match=r"odd\.json/cw_01\.json: holds output_id"):
-        read_records(tmp_path)
+        records_under(tmp_path)
 
 
 def test_dotted_prompt_ids_get_their_own_record_files(tmp_path):
@@ -469,11 +478,14 @@ def test_dotted_prompt_ids_get_their_own_record_files(tmp_path):
     assert sorted(backend.call_log) == ids
     assert len(manifest.completed) == 2
     assert len({record_path(tmp_path, output_id) for output_id in ids}) == 2
-    assert [record.output_id for record in read_records(tmp_path)] == ids
+    assert [output_id for _, output_id, _ in record_files(tmp_path)] == ids
+    assert [record.output_id for record in records_under(tmp_path)] == ids
 
 
 def test_read_records_sorted(tmp_path):
     backend = MockBackend(_fixtures_for(TEMPLATES))
     run_batch(TEMPLATES, [LANG], [MODEL], tmp_path, backend)
-    ids = [r.output_id for r in read_records(tmp_path)]
+    files = list(record_files(tmp_path))
+    ids = [output_id for _, output_id, _ in files]
     assert ids == sorted(ids)
+    assert [load_record(tmp_path, *entry).output_id for entry in files] == ids

@@ -8,6 +8,7 @@ from datetime import datetime, timezone
 import pytest
 import requests
 
+from lexglean import generation
 from lexglean.generation import (
     BackendUnavailable,
     CallError,
@@ -140,6 +141,19 @@ def test_rate_limited_then_ok_through_execute(endpoint, first):
     assert record.attempt_count == 2
     assert record.response_text == "Daidai."
     assert len(endpoint.received) == 2
+
+
+def test_reply_slower_than_the_read_timeout_is_unavailable_and_retried(endpoint, monkeypatch):
+    monkeypatch.setattr(generation, "HTTP_TIMEOUT", (5.0, 0.2))
+    endpoint.replies = [(200, _completion("Late.")), (200, _completion("Late.")), (200, _completion("Daidai."))]
+    endpoint.delays = [1.0, 1.0]
+    with pytest.raises(BackendUnavailable, match="timed out"):
+        HttpBackend().complete(_request(endpoint.url))
+
+    record = execute(_request(endpoint.url), _policy(), HttpBackend())
+    assert record.attempt_count == 2
+    assert record.response_text == "Daidai."
+    assert len(endpoint.received) == 3
 
 
 def test_unavailable_every_time_exhausts_the_retries(endpoint):

@@ -17,12 +17,11 @@ from lexglean.langid import (
     LidPrediction,
     MIN_SENTENCE_CHARS,
     UNKNOWN_LABEL,
-    classify,
     load_external_predictions,
     load_seed_corpora,
     train_profiles,
 )
-from lexglean.textstats import analyze, cosine, norm, segment_sentences, trigram_profile
+from lexglean.textstats import analyze, cosine, norm, segment_sentences
 
 import oracles
 
@@ -57,33 +56,36 @@ def test_profile_set_rejects_empty_profile():
         LanguageProfileSet({"xx": {}})
 
 
+def predict(text, profile_set):
+    """The document prediction for ``text``; it does not depend on the target."""
+    return BuiltinClassifier(profile_set).assess(analyze(text), UNKNOWN_LABEL).document_prediction
+
+
 def test_classify_shipped_sentences(shipped_profiles):
-    assert classify("Manoma suna shuka gero da dawa a gonakinsu lokacin damina.", shipped_profiles).label == "hau_Latn"
-    assert classify("Les enfants jouent dans la cour de l'école chaque matin.", shipped_profiles).label == "fra_Latn"
-    assert classify("The farmers plant maize and beans in their fields.", shipped_profiles).label == "eng_Latn"
+    assert predict("Manoma suna shuka gero da dawa a gonakinsu lokacin damina.", shipped_profiles).label == "hau_Latn"
+    assert predict("Les enfants jouent dans la cour de l'école chaque matin.", shipped_profiles).label == "fra_Latn"
+    assert predict("The farmers plant maize and beans in their fields.", shipped_profiles).label == "eng_Latn"
 
 
 def test_classify_empty(shipped_profiles):
-    prediction = classify("", shipped_profiles)
+    prediction = predict("", shipped_profiles)
     assert prediction == LidPrediction(UNKNOWN_LABEL, 0.0)
 
 
 def test_tie_breaks_to_smallest_label():
     profile = {" aa": 1, "aa ": 1}
     profiles = LanguageProfileSet({"bbb": profile, "aaa": profile})
-    assert classify("aa", profiles).label == "aaa"
+    assert predict("aa", profiles).label == "aaa"
 
 
 def test_confidence_is_softmax_at_winner():
-    set_ = LanguageProfileSet(
-        {"xx": trigram_profile("aaaa aaaa"), "yy": trigram_profile("zzzz zzzz")}
-    )
+    set_ = train_profiles({"xx": ["aaaa aaaa"], "yy": ["zzzz zzzz"]})
     text = "aaaa"
-    query = trigram_profile(text)
+    query = oracles.trigram_counts(text)
     scores = [cosine(query, set_.profiles[label]) for label in set_.labels]
     exps = [math.exp(s - max(scores)) for s in scores]
     expected = exps[scores.index(max(scores))] / sum(exps)
-    assert classify(text, set_).confidence == pytest.approx(expected, abs=1e-12)
+    assert predict(text, set_).confidence == pytest.approx(expected, abs=1e-12)
 
 
 def test_assess_document_and_sentences(shipped_profiles):
@@ -146,7 +148,7 @@ def _packed_cosines(profiles, query):
 
 @given(lid_texts)
 def test_scores_equal_cosine_exactly(shipped_profiles, text):
-    profile = trigram_profile(text)
+    profile = Counter(analyze(text).grams)
     expected = [cosine(profile, shipped_profiles.profiles[l]) for l in shipped_profiles.labels]
     assert _packed_cosines(shipped_profiles, profile) == expected
 
@@ -178,7 +180,7 @@ def test_assess_sentences_follow_document_or_classify(shipped_profiles, text):
         if normalized_length < MIN_SENTENCE_CHARS:
             assert prediction == result.document_prediction
         else:
-            assert prediction == classify(sentence, shipped_profiles)
+            assert prediction == predict(sentence, shipped_profiles)
 
 
 @given(lid_texts)

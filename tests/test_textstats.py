@@ -14,9 +14,6 @@ from lexglean.textstats import (
     ngram_repetition,
     segment_sentences,
     sentence_repetition,
-    tokenize,
-    trigram_profile,
-    trigrams,
 )
 
 import oracles
@@ -41,15 +38,15 @@ TOKENIZE_CASES = [
 
 @pytest.mark.parametrize("text,expected", TOKENIZE_CASES)
 def test_tokenize_cases(text, expected):
-    assert tokenize(text) == expected
+    assert analyze(text).tokens == expected
 
 
 def test_tokenize_hyphen_needs_both_sides():
     # hyphen glues only between run characters; edges and doubles split
-    assert tokenize("well-known") == ("well-known",)
-    assert tokenize("well- known") == ("well", "known")
-    assert tokenize("well -known") == ("well", "known")
-    assert tokenize("a‐b") == ("a‐b",)
+    assert analyze("well-known").tokens == ("well-known",)
+    assert analyze("well- known").tokens == ("well", "known")
+    assert analyze("well -known").tokens == ("well", "known")
+    assert analyze("a‐b").tokens == ("a‐b",)
 
 
 # ------------------------------------------------------- segment_sentences
@@ -82,7 +79,7 @@ def test_diversity_empty():
 
 
 def test_diversity_accepts_token_sequence():
-    assert diversity(tokenize("ruwa ruwa gona")).vocab_size == 2
+    assert diversity(analyze("ruwa ruwa gona").tokens).vocab_size == 2
 
 
 def test_ngram_repetition_frozen():
@@ -142,20 +139,15 @@ def test_diacritic_stats_empty():
 # ---------------------------------------------------------------- trigrams
 
 def test_trigram_profile_frozen():
-    profile = trigram_profile("ab")
-    assert profile == {" ab": 1, "ab ": 1}
-    assert list(profile) == [" ab", "ab "]
-    assert profile.total() == 2
+    assert analyze("ab").grams == [" ab", "ab "]
 
 
 def test_trigram_profile_collapses_whitespace():
-    assert trigram_profile("  a \n b ") == trigram_profile("a b")
+    assert analyze("  a \n b ").grams == analyze("a b").grams
 
 
 def test_trigram_profile_empty():
-    profile = trigram_profile(" \n ")
-    assert profile == {}
-    assert profile.total() == 0
+    assert analyze(" \n ").grams == []
 
 
 def test_merged_trigram_profile():
@@ -180,7 +172,7 @@ def test_cosine_empty_and_disjoint():
 
 
 def test_cosine_self_is_one():
-    p = trigram_profile("ruwan sama ya sauka")
+    p = Counter(analyze("ruwan sama ya sauka").grams)
     assert cosine(p, p) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -199,7 +191,7 @@ token_texts = st.text(
 
 @given(token_texts)
 def test_tokens_are_clean(text):
-    for token in tokenize(text):
+    for token in analyze(text).tokens:
         assert token
         assert token == unicodedata.normalize("NFC", token)
         assert not any(ch.isspace() for ch in token)
@@ -210,7 +202,12 @@ def test_tokens_are_clean(text):
 @given(token_texts)
 @example("a‐b-c ‐d e‐ f-‐g")  # both hyphens inside and at the edges of runs
 def test_tokenize_matches_oracle(text):
-    assert list(tokenize(text)) == oracles.tokenize(text)
+    assert list(analyze(text).tokens) == oracles.tokenize(text)
+
+
+def _counts(grams):
+    """Gram counts in order of first occurrence, as ``oracles.trigram_counts`` keeps them."""
+    return list(Counter(grams).items())
 
 
 @given(token_texts)
@@ -224,14 +221,12 @@ def test_tokenize_matches_oracle(text):
 @example(" \n\t ")
 def test_analyze_matches_separate_kernels(text):
     analysis = analyze(text)
-    assert analysis.tokens == tokenize(text)
-    assert analysis.sentences == segment_sentences(text)
-    assert analysis.grams == trigrams(text)
-    assert Counter(analysis.grams) == trigram_profile(text)
+    assert list(analysis.tokens) == oracles.tokenize(text)
+    assert analysis.sentences == oracles.segment_sentences(text)
+    assert _counts(analysis.grams) == list(oracles.trigram_counts(text).items())
     assert len(analysis.sentence_grams) == len(analysis.sentences)
     for sentence, grams in zip(analysis.sentences, analysis.sentence_grams):
-        assert Counter(grams) == trigram_profile(sentence)
-        assert len(grams) == trigram_profile(sentence).total()
+        assert _counts(grams) == list(oracles.trigram_counts(sentence).items())
     if analysis.cross_grams is not None:
         assert len(analysis.cross_grams) == len(analysis.sentences) - 1
         tiled = Counter(analysis.cross_grams)
@@ -264,10 +259,10 @@ def test_diacritic_stats_matches_oracle(text):
 
 @given(token_texts)
 def test_trigram_profile_matches_oracle(text):
-    profile = trigram_profile(text)
+    grams = analyze(text).grams
     expected = oracles.trigram_counts(text)
-    assert profile == expected
-    assert profile.total() == sum(expected.values())
+    assert _counts(grams) == list(expected.items())
+    assert len(grams) == sum(expected.values())
 
 
 @given(st.lists(st.sampled_from("abcde"), max_size=50))
@@ -293,7 +288,7 @@ def test_ngram_repetition_bounds(tokens, n):
 
 @given(token_texts, token_texts)
 def test_cosine_symmetric(a, b):
-    p, q = trigram_profile(a), trigram_profile(b)
+    p, q = Counter(analyze(a).grams), Counter(analyze(b).grams)
     assert cosine(p, q) == pytest.approx(cosine(q, p), abs=1e-12)
     assert -1e-12 <= cosine(p, q) <= 1.0 + 1e-12
 
@@ -303,7 +298,5 @@ def test_merged_trigram_profile_sums_text_profiles(texts):
     merged = merged_trigram_profile(texts)
     expected = Counter()
     for text in texts:
-        expected.update(trigram_profile(text))
-    assert merged == expected
-    assert list(merged) == list(expected)
-    assert merged.total() == sum(trigram_profile(text).total() for text in texts)
+        expected.update(oracles.trigram_counts(text))
+    assert list(merged.items()) == list(expected.items())

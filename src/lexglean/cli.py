@@ -11,9 +11,16 @@ Typical offline session::
 (``score_cell``), given the cell's fingerprint and the one an earlier
 evaluate into the same results directory left for it: only new and changed
 records are parsed, and every evaluation, cell summary and overlap whose
-inputs are unchanged is reused (``lexglean.fingerprints``).  Before its
-first write it removes the fingerprints and every results file but
-``evaluations.jsonl``, so a run cut short leaves no old tables to report.
+inputs are unchanged is reused (``lexglean.fingerprints``).  The record
+files are walked in output-id order, so each cell is one run of the walk:
+a cell is scored as its run ends and its lines are spooled to a temporary
+file, the kept ones read from the old ``evaluations.jsonl`` alongside, which
+is in the same order.  So it holds one cell's records at a time, besides one
+fingerprint entry per record and one summary and overlap per cell.  Once
+every record is read and every check has passed, it removes the
+fingerprints and every results file but ``evaluations.jsonl`` before its
+first write, so a run cut short leaves no old tables to report.
+``generate`` keeps a few calls per worker thread in flight (``run_batch``).
 ``filter`` refuses results that ``fingerprints.read`` refuses and an
 evaluation whose record changed after it was computed.  It reads
 ``evaluations.jsonl``, then the record files, one item at a time, and keeps
@@ -33,17 +40,20 @@ environment variables named in the model config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import logging
 import os
 import random
+import shutil
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Iterator, Mapping
 
 from . import __version__, data_dir, fingerprints
-from .codec import DataError, json_file_text, load_list, parse_record, to_json, write_atomic
+from .codec import DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic
 from .evaluation import (
     DEFAULT_VALIDITY_THRESHOLD,
     DEFAULT_W_CONF,
@@ -57,7 +67,6 @@ from .evaluation import (
     read_summaries,
     reference_overlap,
     reference_profile,
-    write_evaluations,
     write_summaries,
     OverlapResult,
     UsableOutput,
@@ -204,40 +213,90 @@ Key = tuple[str, str, str]  # (model_id, language, task_type): one cell
 def _reusable(results_dir: Path, inputs: dict):
     """What an earlier evaluate into ``results_dir`` left that still holds.
 
-    Returns its fingerprint cells and summaries by cell key, its
-    ``evaluations.jsonl`` lines by output id and its overlaps by cell key
-    string.  All are empty unless ``fingerprints.read`` accepts the
-    directory, its fingerprints were written with the same ``inputs`` (the
-    package sources among them, so an old line is what the encoder would
-    write now) and ``evaluations.jsonl`` has one line per output id they
-    list; anything unreadable counts as nothing to reuse.  The lines are
-    matched to the sorted output ids the fingerprints list, not parsed.
+    Returns its fingerprint cells and summaries by cell key and its overlaps
+    by cell key string.  All are empty unless ``fingerprints.read`` accepts
+    the directory, its fingerprints were written with the same ``inputs``
+    (the package sources among them, so an old line is what the encoder
+    would write now) and ``evaluations.jsonl`` has one line per output id
+    they list; anything unreadable counts as nothing to reuse.
     """
     summary_path, overlap_path = results_dir / "summary.json", results_dir / "overlap.json"
     try:
         old = fingerprints.read(results_dir)
         if old.inputs == inputs:
-            lines = (results_dir / "evaluations.jsonl").read_bytes().splitlines(keepends=True)
-            output_ids = sorted(old.records())
-            if len(lines) == len(output_ids):
+            with (results_dir / "evaluations.jsonl").open("rb") as handle:
+                lines = sum(block.count(b"\n") for block in iter(lambda: handle.read(1 << 16), b""))
+            if lines == sum(len(cell.records) for cell in old.cells):
                 return (
                     {cell[:3]: cell for cell in old.cells},
                     {(s.model_id, s.language, s.task_type): s for s in read_summaries(summary_path)},
-                    dict(zip(output_ids, lines)),
                     {} if old.overlap is None else {
                         overlap.key: overlap for overlap in load_list(OverlapResult, overlap_path, "overlaps")
                     },
                 )
     except (OSError, ValueError, TypeError):
         pass
-    return {}, {}, {}, {}
+    return {}, {}, {}
+
+
+def _old_lines(path: Path, output_ids: Collection[str]) -> Iterator[tuple[str, bytes]]:
+    """The (output id, line) pairs of an ``evaluations.jsonl`` that holds one
+    line per output id of ``output_ids``, in sorted order, read one line at a
+    time."""
+    if output_ids:
+        with path.open("rb") as handle:
+            yield from zip(sorted(output_ids), handle)
+
+
+def _cells(
+    out_dir: str, known: Mapping[str, fingerprints.Cell]
+) -> Iterator[tuple[Key, dict[str, str], dict[str, GenerationRecord | tuple[str, bytes]]]]:
+    """The cells of a run directory in output-id order: key, record digests
+    by output id and records by output id.
+
+    Every record file is read once and hashed.  ``known`` maps each output
+    id of the old fingerprints to its cell; a file whose path names such an
+    id and whose digest is the one that cell lists holds that record, in
+    that cell, and stays the path and bytes of the file, parsed only if the
+    cell has to be aggregated or its overlap counted again.  Every other file
+    is parsed with ``load_record``.  ``record_files`` walks in output-id
+    order, so each cell is one run of it; a record that breaks that order
+    (an id not above the last one, or a cell that came before another one)
+    raises DataError naming its file.
+    """
+    key: Key | None = None
+    digests: dict[str, str] = {}
+    records: dict[str, GenerationRecord | tuple[str, bytes]] = {}
+    seen: set[Key] = set()
+    last: str | None = None
+    for path, output_id, data in record_files(out_dir):
+        digest = hashlib.sha256(data).hexdigest()
+        old = known.get(output_id)
+        if old is not None and old.records[output_id] == digest:
+            record_key, record = old[:3], (path, data)
+        else:
+            record = load_record(out_dir, path, output_id, data)
+            output_id, record_key = record.output_id, (record.model_id, record.language, record.task_type)
+        if (last is not None and output_id <= last) or (record_key != key and record_key in seen):
+            raise DataError(
+                f"{path}: holds output_id '{output_id}', out of output-id order after '{last}' "
+                "(corrupted run directory)"
+            )
+        if record_key != key:
+            if records:
+                yield key, digests, records
+            key, digests, records = record_key, {}, {}
+            seen.add(key)
+        digests[output_id], records[output_id], last = digest, record, output_id
+    if records:
+        yield key, digests, records
 
 
 def score_cell(
     cell: fingerprints.Cell,
     old: fingerprints.Cell | None,
-    records: Mapping[str, GenerationRecord | str],
-    old_lines: Mapping[str, bytes],
+    records: Mapping[str, GenerationRecord | tuple[str, bytes]],
+    old_lines: Iterator[tuple[str, bytes]],
     old_overlap: OverlapResult | None,
     old_summary: ConditionSummary | None,
     *,
@@ -246,34 +305,35 @@ def score_cell(
     reference: Counter[str] | None,
     threshold: int,
     w_conf: float,
-) -> tuple[dict[str, bytes], OverlapResult | None, ConditionSummary]:
-    """Evaluation lines by output id, overlap and summary of one cell.
+) -> tuple[list[bytes], OverlapResult | None, ConditionSummary]:
+    """Evaluation lines in output-id order, overlap and summary of one cell.
 
     ``cell`` is the cell's new fingerprint and ``old`` the one the evaluate
     that wrote ``old_lines``, ``old_overlap`` and ``old_summary`` left for
     it, if any.  ``records`` maps each output id of the cell to its record,
-    or to the path of its record file when the file is unchanged since that
-    evaluate; such a record keeps its old line.  When the record digests of
-    ``cell`` and ``old`` are equal the old summary is kept; otherwise the
-    kept lines are decoded and the cell aggregated again.  With a
-    ``reference``, the old overlap is kept when the reference digests are
-    equal too; otherwise every record is parsed and the cell's trigrams
-    counted again.
+    or to the path and bytes of its record file when the file is unchanged
+    since that evaluate; such a record keeps its old line, taken from
+    ``old_lines`` (that file's (output id, line) pairs, read on from where
+    the last cell stopped).  When the record digests of ``cell`` and ``old``
+    are equal the old summary is kept; otherwise the kept lines are decoded
+    and the cell aggregated again.  With a ``reference``, the old overlap is
+    kept when the reference digests are equal too; otherwise every record is
+    parsed and the cell's trigrams counted again.
     """
     same = old is not None and old.records == cell.records
     old_summary = old_summary if same else None
     old_overlap = old_overlap if same and old.reference == cell.reference else None
     count_grams = reference is not None and old_overlap is None
     counts: Counter[str] = Counter()
-    lines: dict[str, bytes] = {}
+    lines: list[bytes] = []
     evaluations = []
     for output_id in sorted(records):
         record = records[output_id]
-        line = old_lines[output_id] if isinstance(record, str) else None
+        kept = isinstance(record, tuple)
+        line = next(line for old_id, line in old_lines if old_id == output_id) if kept else None
         if count_grams or line is None:
-            if isinstance(record, str):
-                with open(record, "rb") as handle:
-                    record = parse_record(GenerationRecord, handle.read(), record)
+            if kept:
+                record = parse_record(GenerationRecord, record[1], record[0])
             analysis = analyze(record.response_text)
             if count_grams:
                 counts.update(analysis.grams)
@@ -285,7 +345,7 @@ def score_cell(
             evaluations.append(evaluation)
         elif old_summary is None:
             evaluations.append(parse_record(EvaluationRecord, line, output_id))
-        lines[output_id] = line
+        lines.append(line)
     overlap = reference_overlap("/".join(cell[:3]), counts, reference) if count_grams else old_overlap
     return lines, overlap, old_summary or aggregate(cell[:3], evaluations)
 
@@ -301,88 +361,84 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "languages": fingerprints.files_digest([languages_path]),
         "lid_data": lid_digest,
     }
-    old_cells, old_summaries, old_lines, old_overlaps = _reusable(results_dir, inputs)
-    known = {i: (key, digest) for key, cell in old_cells.items() for i, digest in cell.records.items()}
+    old_cells, old_summaries, old_overlaps = _reusable(results_dir, inputs)
+    known = {output_id: cell for cell in old_cells.values() for output_id in cell.records}
 
-    # Every record file is hashed.  One whose path names an output id that
-    # the old fingerprints list with the same digest holds that record, in
-    # that cell: it stays a path, parsed only if its cell's overlap has to
-    # be counted again.
-    cells: dict[Key, dict[str, GenerationRecord | str]] = {}
-    digests: dict[str, str] = {}
-    reused = 0
-    for path, output_id, data in record_files(args.outputs):
-        digest = hashlib.sha256(data).hexdigest()
-        key, old_digest = known.get(output_id, (None, None))
-        if digest == old_digest:
-            record = path
-            reused += 1
-        else:
-            record = load_record(args.outputs, path, output_id, data)
-            output_id, key = record.output_id, (record.model_id, record.language, record.task_type)
-        digests[output_id] = digest
-        cells.setdefault(key, {})[output_id] = record
-    if not cells:
-        raise DataError(f"no records under {args.outputs}")
-
-    # Every reference is read before anything is written, so a bad one
-    # leaves the results directory as it was.
+    # Every reference is read before any record: its digest goes into the
+    # fingerprint of each cell of its language, its profile into their
+    # overlaps.
     references = {}
-    reference_digests = {}
     for code, reference_path in sorted(_parse_references(args.reference).items()):
         reference_bytes = reference_path.read_bytes()
-        if not any(key[1] == code for key in cells):
-            raise CliError(f"--reference {code}: no records for that language")
-        references[code] = reference_profile(reference_bytes.decode("utf-8").splitlines())
-        reference_digests[code] = hashlib.sha256(reference_bytes).hexdigest()
-
-    # Cells are scored in the order of the overlap results: by language,
-    # then by key string.
-    lines: dict[str, bytes] = {}
-    overlaps = []
-    summaries = []
-    fingerprint_cells = []
-    for key in sorted(cells, key=lambda key: (key[1], "/".join(key))):
-        language = languages.get(key[1])
-        records = cells.pop(key)
-        if language is None:
-            raise CliError(f"record {min(records)}: unknown language '{key[1]}'")
-        cell = fingerprints.Cell(*key, {i: digests[i] for i in records}, reference_digests.get(key[1]))
-        fingerprint_cells.append(cell)
-        cell_lines, overlap, summary = score_cell(
-            cell,
-            old_cells.get(key),
-            records,
-            old_lines,
-            old_overlaps.get("/".join(key)),
-            old_summaries.get(key),
-            language=language,
-            backend=backend,
-            reference=references.get(key[1]),
-            threshold=args.threshold,
-            w_conf=args.w_conf,
+        references[code] = (
+            hashlib.sha256(reference_bytes).hexdigest(),
+            reference_profile(reference_bytes.decode("utf-8").splitlines()),
         )
-        lines.update(cell_lines)
-        if overlap is not None:
-            overlaps.append(overlap)
-        summaries.append(summary)
-    summaries.sort(key=lambda s: (s.model_id, s.language, s.task_type))
-    fingerprint_cells.sort(key=lambda cell: cell[:3])
 
-    # The fingerprints and every results file but evaluations.jsonl go
-    # first, and the fingerprints come back last: a run cut short leaves no
-    # fingerprints, so the next evaluate starts cold and filter refuses the
-    # results, and no summary or overlap that report would show as current.
-    results_dir.mkdir(parents=True, exist_ok=True)
-    for name in (fingerprints.FILENAME, "summary.json", "summary.csv", "overlap.json", "run_meta.json"):
-        (results_dir / name).unlink(missing_ok=True)
-    write_evaluations(lines, results_dir / "evaluations.jsonl")
+    # Each cell is scored as its run of the walk ends and its lines go to a
+    # spool file, so memory holds the records of one cell.
+    fingerprint_cells = []
+    summaries = []
+    overlaps = []
+    reused = 0
+    with tempfile.TemporaryFile() as spool:
+        lines_path = results_dir / "evaluations.jsonl"
+        with contextlib.closing(_old_lines(lines_path, known)) as old_lines:
+            for key, digests, records in _cells(args.outputs, known):
+                if key[1] not in languages:
+                    raise CliError(f"record {min(records)}: unknown language '{key[1]}'")
+                reference_digest, reference = references.get(key[1], (None, None))
+                cell = fingerprints.Cell(*key, digests, reference_digest)
+                cell_lines, overlap, summary = score_cell(
+                    cell,
+                    old_cells.get(key),
+                    records,
+                    old_lines,
+                    old_overlaps.get("/".join(key)),
+                    old_summaries.get(key),
+                    language=languages[key[1]],
+                    backend=backend,
+                    reference=reference,
+                    threshold=args.threshold,
+                    w_conf=args.w_conf,
+                )
+                spool.writelines(cell_lines)
+                fingerprint_cells.append(cell)
+                summaries.append(summary)
+                if overlap is not None:
+                    overlaps.append(((key[1], overlap.key), overlap))
+                reused += sum(isinstance(record, tuple) for record in records.values())
+        if not fingerprint_cells:
+            raise DataError(f"no records under {args.outputs}")
+        # Every check that can fail runs before anything is written, so a
+        # failed one leaves the results directory as it was.
+        for code in references:
+            if not any(cell.language == code for cell in fingerprint_cells):
+                raise CliError(f"--reference {code}: no records for that language")
+        # Summaries and fingerprint cells are written in (model, language,
+        # task) order, overlaps by language and then key string.
+        summaries.sort(key=lambda s: (s.model_id, s.language, s.task_type))
+        overlaps.sort(key=lambda overlap: overlap[0])
+        fingerprint_cells.sort(key=lambda cell: cell[:3])
+
+        # The fingerprints and every results file but evaluations.jsonl go
+        # first, and the fingerprints come back last: a run cut short leaves
+        # no fingerprints, so the next evaluate starts cold and filter
+        # refuses the results, and no summary or overlap that report would
+        # show as current.
+        results_dir.mkdir(parents=True, exist_ok=True)
+        for name in (fingerprints.FILENAME, "summary.json", "summary.csv", "overlap.json", "run_meta.json"):
+            (results_dir / name).unlink(missing_ok=True)
+        spool.seek(0)
+        with atomic_writer(lines_path) as handle:
+            shutil.copyfileobj(spool, handle)
     write_summaries(summaries, results_dir / "summary.json")
     write_atomic(results_dir / "summary.csv", render_report(ReportSpec("full_summary", "csv"), summaries))
     if overlaps:
-        overlap_text = json_file_text({"overlaps": [to_json(o) for o in overlaps]})
+        overlap_text = json_file_text({"overlaps": [to_json(overlap) for _, overlap in overlaps]})
         write_atomic(results_dir / "overlap.json", overlap_text)
 
+    n_records = sum(len(cell.records) for cell in fingerprint_cells)
     meta = {
         "lid_backend": backend_name,
         "validity_threshold": args.threshold,
@@ -390,7 +446,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"quality = {args.w_conf:g}*lang_conf"
             f" + {1.0 - args.w_conf:g}*(1 - code_switch_rate)"
         ),
-        "n_records": len(digests),
+        "n_records": n_records,
         "n_conditions": len(summaries),
     }
     write_atomic(results_dir / "run_meta.json", json_file_text(meta))
@@ -398,8 +454,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     print(f"lid backend: {backend_name}")
     print(meta["quality_formula"])
-    print(f"reused {reused} of {len(digests)} evaluations")
-    print(f"evaluated {len(digests)} records into {len(summaries)} conditions")
+    print(f"reused {reused} of {n_records} evaluations")
+    print(f"evaluated {n_records} records into {len(summaries)} conditions")
     print(format_condition_table(summaries))
     return EXIT_OK
 

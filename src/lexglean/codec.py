@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import os
 import types
@@ -60,6 +61,16 @@ def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8 through ``atomic_writer``."""
     with atomic_writer(path) as handle:
         handle.write(text.encode("utf-8"))
+
+
+def write_json(path: Path, data: Any) -> None:
+    """Write ``json_file_text(data)`` to ``path`` through ``atomic_writer``,
+    encoded a block of chunks at a time, so the whole text is never held."""
+    chunks = json.JSONEncoder(ensure_ascii=False, indent=2, sort_keys=True).iterencode(data)
+    with atomic_writer(path) as handle:
+        while block := "".join(itertools.islice(chunks, 4096)):
+            handle.write(block.encode("utf-8"))
+        handle.write(b"\n")
 
 
 def to_json(obj: Any) -> dict:

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .codec import (
-    DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic,
-)
+from .codec import DataError, json_file_text, load_list, parse_record, to_json, write_atomic
 from .generation import GenerationRecord
 from .langid import FidelityBackend, FidelityResult
 from .taxonomy import LanguageConfig
@@ -252,17 +250,6 @@ def evaluation_line(record: EvaluationRecord) -> bytes:
     return json.dumps(
         to_json(record), ensure_ascii=False, sort_keys=True, separators=(",", ":")
     ).encode("utf-8") + b"\n"
-
-
-def write_evaluations(lines: Mapping[str, bytes], path: str | Path) -> None:
-    """Persist evaluations as JSONL, sorted by output id, atomically.
-
-    ``lines`` maps each output id to its ``evaluation_line`` bytes, so a
-    line read back from a file this code wrote is written as it is, not
-    decoded and encoded again.
-    """
-    with atomic_writer(Path(path)) as handle:
-        handle.writelines(lines[output_id] for output_id in sorted(lines))
 
 
 def read_evaluations(path: str | Path) -> Iterator[EvaluationRecord]:

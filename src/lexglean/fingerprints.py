@@ -33,7 +33,7 @@ import json
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .codec import DataError, json_file_text, write_atomic
+from .codec import DataError, write_json
 
 FILENAME = "fingerprints.json"
 # The results files a fingerprints file vouches for, by its field.
@@ -96,7 +96,7 @@ def write(results_dir: Path, inputs: dict, cells: list[Cell]) -> None:
     with the digests of the ``RESULTS`` files written before it."""
     digests = {field: file_digest(results_dir / name) for field, name in RESULTS.items()}
     data = {"inputs": inputs, "cells": [cell._asdict() for cell in cells], **digests}
-    write_atomic(results_dir / FILENAME, json_file_text(data))
+    write_json(results_dir / FILENAME, data)
 
 
 def read(results_dir: Path) -> Fingerprints:

@@ -29,15 +29,16 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Protocol, Sequence
 
 import requests
 
-from .codec import DataError, json_file_text, parse_record, to_json, write_atomic
+from .codec import DataError, json_file_text, parse_record, to_json, write_atomic, write_json
 from .taxonomy import (
     ConfigError,
     LanguageConfig,
@@ -59,6 +60,10 @@ MAX_BACKOFF = 60.0  # seconds
 
 # (connect, read) timeouts of one HTTP call, in seconds.
 HTTP_TIMEOUT = (10.0, 120.0)
+
+# run_batch keeps at most this many calls per worker thread submitted and
+# not yet recorded: one running and one queued behind it.
+IN_FLIGHT_PER_WORKER = 2
 
 
 class BackendUnavailable(RuntimeError):
@@ -428,9 +433,12 @@ def run_batch(
 
     Already-present record files are skipped, so a partially completed
     directory resumes where it left off and never re-requests a finished
-    triple.  Per-call failures are recorded in the manifest; anything else
-    (config errors, interrupts) aborts the batch after letting in-flight
-    calls finish persisting.
+    triple.  Calls go to ``parallelism`` worker threads, at most
+    ``IN_FLIGHT_PER_WORKER`` per worker submitted at a time, and each is
+    dropped once its result is recorded, so memory grows with
+    ``parallelism``, not with the batch.  Per-call failures are recorded in
+    the manifest; anything else (config errors, interrupts) aborts the batch
+    after letting running calls finish persisting, and sends no queued call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -467,16 +475,24 @@ def run_batch(
         return output_id
 
     if jobs:
-        executor = ThreadPoolExecutor(max_workers=max(1, parallelism))
+        workers = max(1, parallelism)
+        executor = ThreadPoolExecutor(max_workers=workers)
+        queue = iter(jobs)
+        futures: dict[Future, str] = {}
         try:
-            futures = {executor.submit(run_one, job): job[0] for job in jobs}
-            for future in as_completed(futures):
-                output_id = futures[future]
-                try:
-                    manifest.completed.add(future.result())
-                except CallError as exc:
-                    log.warning("call failed: %s", exc)
-                    manifest.failures.append((output_id, str(exc)))
+            while True:
+                for job in islice(queue, IN_FLIGHT_PER_WORKER * workers - len(futures)):
+                    futures[executor.submit(run_one, job)] = job[0]
+                if not futures:
+                    break
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                for future in done:
+                    output_id = futures.pop(future)
+                    try:
+                        manifest.completed.add(future.result())
+                    except CallError as exc:
+                        log.warning("call failed: %s", exc)
+                        manifest.failures.append((output_id, str(exc)))
         except BaseException:
             # Let running calls finish persisting, drop the queued ones,
             # then surface the abort; the directory stays resumable.
@@ -485,7 +501,7 @@ def run_batch(
         executor.shutdown(wait=True)
 
     manifest.failures.sort()
-    write_atomic(out_dir / MANIFEST_FILENAME, json_file_text(manifest.to_json_dict()))
+    write_json(out_dir / MANIFEST_FILENAME, manifest.to_json_dict())
     return manifest
 
 
@@ -493,13 +509,18 @@ def _json_files(prefix: str, top: bool = False) -> Iterator[str]:
     """The ``*.json`` files under the directory ``prefix`` names, as ``rglob`` finds them.
 
     ``prefix`` is the directory's path with a trailing separator, or "" for
-    the working directory.  Files come in path-component order; symlinked
-    directories are not followed, a directory whose name ends in ``.json``
-    is walked rather than read, and the top-level manifest is left out.
+    the working directory.  Files come in output-id order: each level is
+    sorted by what an entry adds to the output id, ``name + "/"`` for a
+    directory and the stem for a record file, so every cell's records are one
+    run of the walk.  Symlinked directories are not followed, a directory
+    whose name ends in ``.json`` is walked rather than read, and the
+    top-level manifest is left out.
     """
     try:
         with os.scandir(prefix or ".") as scan:
-            entries = sorted(scan, key=lambda entry: entry.name)
+            entries = sorted(
+                scan, key=lambda entry: entry.name + "/" if entry.is_dir() else entry.name.removesuffix(".json")
+            )
     except PermissionError:
         return  # rglob skips an unreadable directory too
     for entry in entries:
@@ -512,7 +533,7 @@ def _json_files(prefix: str, top: bool = False) -> Iterator[str]:
 
 def record_files(out_dir: str | Path) -> Iterator[tuple[str, str, bytes]]:
     """Every record file under a run directory: its path, the output id the
-    path names and its bytes, in path-component order (see ``_json_files``)."""
+    path names and its bytes, in output-id order (see ``_json_files``)."""
     top = str(Path(out_dir))
     prefix = "" if top == "." else os.path.join(top, "")
     for path in _json_files(prefix, top=True) if os.path.isdir(top) else ():

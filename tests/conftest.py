@@ -135,7 +135,9 @@ def endpoint(monkeypatch):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # serve_forever checks for shutdown() once per poll interval; its default
+    # of 0.5 s would make every teardown wait about that long.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     state.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     try:

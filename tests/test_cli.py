@@ -604,6 +604,28 @@ def test_record_whose_fields_disagree_with_its_id_is_a_data_error(small_run, tmp
     assert not (tmp_path / "corpus").exists()
 
 
+def test_cell_split_by_another_in_output_id_order_is_a_data_error(small_run, tmp_path):
+    # Model "m/hau/creative" puts its record between two of cell
+    # m/hau/creative: evaluate scores a cell as its run of the walk ends, so
+    # a cell that comes back is refused before anything is written.
+    outputs = tmp_path / "outputs"
+    (template,) = records_under(small_run)[:1]
+    for model_id, prompt_id in (("m", "cw_01"), ("m/hau/creative", "cw_01"), ("m", "zz")):
+        output_id = f"{model_id}/hau/creative/{prompt_id}"
+        record = dataclasses.replace(
+            template, output_id=output_id, model_id=model_id, task_type="creative", prompt_id=prompt_id
+        )
+        record_path(outputs, output_id).parent.mkdir(parents=True, exist_ok=True)
+        record_path(outputs, output_id).write_text(dumps_record(record), encoding="utf-8")
+    code, stdout, err = run_cli(["evaluate", "--outputs", outputs, "--results", tmp_path / "results"])
+    assert (code, stdout) == (1, "")
+    assert err == (
+        f"error: {record_path(outputs, 'm/hau/creative/zz')}: holds output_id 'm/hau/creative/zz', "
+        "out of output-id order after 'm/hau/creative/hau/creative/cw_01' (corrupted run directory)\n"
+    )
+    assert not (tmp_path / "results").exists()
+
+
 def _truncate_line(lines):
     lines[4] = lines[4][:40] + "\n"
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import pytest
 from hypothesis import given, strategies as st
 
-from lexglean.codec import DataError, atomic_writer, from_json, parse_record, to_json
+from lexglean.codec import DataError, atomic_writer, from_json, json_file_text, parse_record, to_json, write_json
 from lexglean.evaluation import ConditionSummary, EvaluationRecord, OverlapResult
 from lexglean.generation import GenerationRecord, SamplingParams
 from lexglean.langid import FidelityResult, LidPrediction
@@ -133,3 +133,13 @@ def test_atomic_writer_that_raises_leaves_the_target_and_no_temp_file(tmp_path):
         handle.write(b"new\n")
     assert target.read_bytes() == b"new\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["summary.json"]
+
+
+def test_write_json_writes_json_file_text(tmp_path):
+    # Enough entries for several blocks of chunks, non-ASCII kept.
+    data = {"cells": [{"records": {f"m/yor/creative/cw_{i:05d}": "ọ̀" * (i % 3)}, "n": i} for i in range(5000)]}
+    data["inputs"] = {"w_conf": 0.5, "empty": {}, "none": None}
+    write_json(tmp_path / "f.json", data)
+    assert (tmp_path / "f.json").read_text(encoding="utf-8") == json_file_text(data)
+    write_json(tmp_path / "g.json", {})
+    assert (tmp_path / "g.json").read_text(encoding="utf-8") == "{}\n"

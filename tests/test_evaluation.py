@@ -23,7 +23,6 @@ from lexglean.evaluation import (
     read_summaries,
     reference_overlap,
     reference_profile,
-    write_evaluations,
     write_summaries,
 )
 from lexglean.generation import GenerationRecord, SamplingParams
@@ -325,7 +324,7 @@ def test_evaluations_roundtrip(tmp_path):
         make_eval("m/fon/creative/cw_01", diacritics=DiacriticStats(10, 5, 0.5, True, 0.7)),
     ]
     path = tmp_path / "evaluations.jsonl"
-    write_evaluations({r.output_id: evaluation_line(r) for r in records}, path)
+    path.write_bytes(b"".join(evaluation_line(r) for r in sorted(records, key=lambda r: r.output_id)))
     loaded = list(read_evaluations(path))
     assert loaded == sorted(records, key=lambda r: r.output_id)
 
@@ -354,7 +353,7 @@ def test_evaluations_jsonl_line_is_pinned(tmp_path):
         quality=0.5,
     )
     path = tmp_path / "evaluations.jsonl"
-    write_evaluations({record.output_id: evaluation_line(record)}, path)
+    path.write_bytes(evaluation_line(record))
     assert path.read_text(encoding="utf-8") == (
         '{"diacritics":{"alphabetic_count":4,"combining_mark_count":1,"diacritic_ratio":0.25,'
         '"has_diacritics":true,"tonal_vowel_fraction":0.5},'

@@ -4,12 +4,14 @@ An evaluate into a results directory that holds an earlier evaluate's
 results reuses what still holds; whatever it reuses, every results file
 (the fingerprints included) must equal a cold evaluate's byte for byte.
 """
+import builtins
 import dataclasses
 import hashlib
 import json
 import re
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,30 @@ def test_reused_evaluations_are_copied_not_encoded(outputs, tmp_path, monkeypatc
     assert reused == 149
     assert encoded == ["gpt-4o-mini/hau/creative/cw_01"]
     assert len(encoded) == 150 - reused
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
+def test_each_record_file_is_read_once(outputs, tmp_path, monkeypatch):
+    # Changing one record of a cell with a reference makes evaluate parse
+    # the cell's unchanged records too, for its overlap: from the bytes it
+    # hashed, not from a second read.
+    results = tmp_path / "results"
+    reads = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).startswith(str(outputs)):
+            reads[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for rewritten in (None, "gpt-4o-mini/hau/creative/cw_01"):
+        if rewritten:
+            rewrite(outputs, rewritten, "Sannu da zuwa.")
+        reads.clear()
+        evaluate(outputs, results, *REFERENCES[:2])
+        assert len(reads) == 150 and set(reads.values()) == {1}
+    monkeypatch.undo()
     assert_equals_cold(outputs, results, *REFERENCES[:2])
 
 

@@ -2,12 +2,16 @@ import hashlib
 import json
 import os
 import random
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import records_under
-from lexglean.codec import DataError, from_json, parse_record
+from conftest import FIXTURES_PATH, records_under
+from lexglean.codec import DataError, from_json, json_file_text, parse_record
 from lexglean.generation import (
     BackendResponse,
     BackendUnavailable,
@@ -15,6 +19,7 @@ from lexglean.generation import (
     ChatRequest,
     GenerationRecord,
     HttpBackend,
+    IN_FLIGHT_PER_WORKER,
     MANIFEST_FILENAME,
     MOCK_TIMESTAMP,
     MockAborted,
@@ -298,6 +303,82 @@ def test_run_batch_abort_leaves_resumable_dir(tmp_path):
     )
 
 
+def _serial_batch(templates, languages, models, backend):
+    """Record bytes by output id and manifest bytes of a batch run one call
+    at a time, in a plain loop."""
+    records = {}
+    for model in models:
+        for lang in languages:
+            for template in sorted(templates, key=lambda t: t.id):
+                request = build_request(template, render_prompt(template, lang), model, lang)
+                records[request.output_id] = dumps_record(execute(request, RetryPolicy(), backend)).encode()
+    manifest = {
+        "models": [m.model_id for m in models],
+        "languages": [l.iso_code for l in languages],
+        "expected_calls": len(records),
+        "completed": sorted(records),
+        "failures": [],
+    }
+    return records, json_file_text(manifest).encode()
+
+
+def _batch_files(out_dir):
+    return {output_id: data for _, output_id, data in record_files(out_dir)}
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_run_batch_keeps_only_a_few_calls_in_flight(
+    tmp_path, monkeypatch, shipped_templates, shipped_languages, shipped_models, parallelism
+):
+    languages = [lang for lang in shipped_languages if lang.iso_code in ("hau", "fon")]
+    fixtures = load_mock_fixtures(FIXTURES_PATH)
+    records, manifest = _serial_batch(shipped_templates, languages, shipped_models, MockBackend(fixtures))
+    assert len(records) == 600
+    bound = IN_FLIGHT_PER_WORKER * parallelism
+
+    pending, peaks = set(), []
+    real_submit = ThreadPoolExecutor.submit
+
+    def counting_submit(self, fn, *args, **kwargs):
+        pending.difference_update([future for future in pending if future.done()])
+        future = real_submit(self, fn, *args, **kwargs)
+        pending.add(future)
+        peaks.append(len(pending))
+        return future
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    out = tmp_path / "whole"
+    run_batch(shipped_templates, languages, shipped_models, out, MockBackend(fixtures), parallelism=parallelism)
+    assert len(peaks) == 600 and max(peaks) <= bound
+    assert _batch_files(out) == records
+    assert (out / MANIFEST_FILENAME).read_bytes() == manifest
+
+    # Cut short: the calls running when the backend dies finish, no queued
+    # one is sent, and a resume asks only for the triples without a record.
+    class Counting(MockBackend):
+        def complete(self, request):
+            attempts.append(request.output_id)
+            return super().complete(request)
+
+    attempts = []
+    out = tmp_path / "resumed"
+    with pytest.raises(MockAborted):
+        run_batch(
+            shipped_templates, languages, shipped_models, out, Counting(fixtures, fail_after=250),
+            parallelism=parallelism,
+        )
+    assert len(attempts) <= 250 + bound
+    written = _batch_files(out)
+    assert len(written) == 250 and not (out / MANIFEST_FILENAME).exists()
+    assert written == {output_id: records[output_id] for output_id in written}
+    backend = MockBackend(fixtures)
+    manifest_after = run_batch(shipped_templates, languages, shipped_models, out, backend, parallelism=parallelism)
+    assert sorted(backend.call_log) == sorted(set(records) - set(written))
+    assert manifest_after.new_requests == 350
+    assert _batch_files(out) == records
+    assert (out / MANIFEST_FILENAME).read_bytes() == manifest
+
+
 def test_rate_gate_spaces_requests(tmp_path):
     model = ModelConfig(
         model_id="test-model",
@@ -395,10 +476,12 @@ def _write_record(out_dir, output_id, path=None):
 
 
 def _rglob_records(out_dir, digests):
-    """The reader ``record_files`` and ``load_record`` replaced: ``rglob``, ``Path``
-    order and ``record_path`` equality."""
+    """The reader ``record_files`` and ``load_record`` replaced (``rglob`` and
+    ``record_path`` equality), with its files sorted in output-id order: by
+    their path under ``out_dir`` without the ``.json``."""
     records = []
-    for path in sorted(Path(out_dir).rglob("*.json")):
+    paths = sorted(Path(out_dir).rglob("*.json"), key=lambda path: path.relative_to(out_dir).as_posix()[:-5])
+    for path in paths:
         if path.name == MANIFEST_FILENAME:
             continue
         data = path.read_bytes()
@@ -437,14 +520,15 @@ def test_read_records_walk_finds_what_rglob_finds(tmp_path, monkeypatch, spellin
     assert [load_record(out_dir, *entry) for entry in files] == _rglob_records(out_dir, old_digests)
     assert {output_id: hashlib.sha256(data).hexdigest() for _, output_id, data in files} == old_digests
 
-    # Path-component order puts creative/zz.json before creative.json (a
-    # plain string sort would not), so both readers name zz.json.
+    # Output-id order puts creative.json (it names "m/hau/creative") before
+    # creative/zz.json ("m/hau/creative/zz"), so both readers name
+    # creative.json; path-component order would put zz.json first.
     _write_record(out, "m/hau/creative/cw.1", out / "m/hau/creative/zz.json")
     _write_record(out, "m/hau/creative/cw.2", out / "m/hau/creative.json")
     prefix = "" if spelling == "working_directory" else f"{out}{os.sep}"
     message = (
-        f"{prefix}m/hau/creative/zz.json: holds output_id 'm/hau/creative/cw.1', whose record file is "
-        f"{prefix}m/hau/creative/cw.1.json (corrupted run directory)"
+        f"{prefix}m/hau/creative.json: holds output_id 'm/hau/creative/cw.2', whose record file is "
+        f"{prefix}m/hau/creative/cw.2.json (corrupted run directory)"
     )
     for read in (lambda: records_under(out_dir), lambda: _rglob_records(out_dir, {})):
         with pytest.raises(DataError) as raised:
@@ -489,3 +573,27 @@ def test_read_records_sorted(tmp_path):
     ids = [output_id for _, output_id, _ in files]
     assert ids == sorted(ids)
     assert [load_record(tmp_path, *entry).output_id for entry in files] == ids
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(
+    st.tuples(
+        st.sampled_from(["m", "m-x", "m.x", "m_x", "mx"]),
+        st.sampled_from(["hau", "fon"]),
+        st.sampled_from(["creative", "dialogue"]),
+        st.sampled_from(["cw", "cw.1", "cw.10", "cw.2", "cw-1", "cw_1", "cw.json"]),
+    ),
+    min_size=1,
+    max_size=25,
+))
+def test_record_files_walk_in_output_id_order(triples):
+    # "-" and "." sort before "/", "_" and letters after it: a path-component
+    # walk would put the "m" directory before "m-x" and "m.x".
+    ids = sorted(output_id_for(*fields) for fields in triples)
+    with tempfile.TemporaryDirectory() as scratch:
+        for output_id in ids:
+            _write_record(Path(scratch), output_id)
+        walked = [output_id for _, output_id, _ in record_files(scratch)]
+    assert walked == ids
+    cells = [output_id.rsplit("/", 1)[0] for output_id in walked]
+    assert len([cell for cell, _ in groupby(cells)]) == len(set(cells))

@@ -22,9 +22,11 @@ fingerprints and every results file but ``evaluations.jsonl`` before its
 first write, so a run cut short leaves no old tables to report.
 ``generate`` keeps a few calls per worker thread in flight (``run_batch``).
 ``filter`` refuses results that ``fingerprints.read`` refuses and an
-evaluation whose record changed after it was computed.  It reads
-``evaluations.jsonl``, then the record files, one item at a time, and keeps
-of each output only what its checks and the corpus files need.
+evaluation whose record changed after it was computed.  It merges
+``evaluations.jsonl`` with the walk ``evaluate`` makes of the record files
+(``_cells``, the one place a record file is compared with its fingerprint),
+both in output-id order, and parses a record only when its output is
+usable.
 
 An error ends a command with an ``error:`` line and an exit code set by its
 class alone: 1 for unreadable or inconsistent data (``DataError``, a
@@ -50,7 +52,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Collection, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import __version__, data_dir, fingerprints
 from .codec import DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic
@@ -138,6 +140,8 @@ def _select(available, wanted_csv: str, key, what: str):
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.parallelism < 1:
+        raise CliError(f"--parallelism must be at least 1, got {args.parallelism}")
     config_dir = _resolve_config_dir(args.config)
     languages_all = load_language_configs(config_dir / "languages.json")
     models_all = load_model_configs(config_dir / "models.json")
@@ -203,6 +207,8 @@ def _parse_references(pairs: list[str]) -> dict[str, Path]:
         language, separator, pathname = pair.partition("=")
         if not separator or not language or not pathname:
             raise CliError(f"bad --reference '{pair}' (expected LANG=PATH)")
+        if language in references:
+            raise CliError(f"--reference {language} given more than once")
         references[language] = Path(pathname)
     return references
 
@@ -239,31 +245,32 @@ def _reusable(results_dir: Path, inputs: dict):
     return {}, {}, {}
 
 
-def _old_lines(path: Path, output_ids: Collection[str]) -> Iterator[tuple[str, bytes]]:
+def _old_lines(path: Path, cells: Iterable[fingerprints.Cell]) -> Iterator[tuple[str, bytes]]:
     """The (output id, line) pairs of an ``evaluations.jsonl`` that holds one
-    line per output id of ``output_ids``, in sorted order, read one line at a
-    time."""
-    if output_ids:
-        with path.open("rb") as handle:
-            yield from zip(sorted(output_ids), handle)
+    line per output id of ``cells``, in sorted order, read one line at a
+    time; the file is opened when the first pair is taken."""
+    with path.open("rb") as handle:
+        yield from zip(sorted(output_id for cell in cells for output_id in cell.records), handle)
 
 
 def _cells(
-    out_dir: str, known: Mapping[str, fingerprints.Cell]
+    out_dir: str, old_cells: Iterable[fingerprints.Cell]
 ) -> Iterator[tuple[Key, dict[str, str], dict[str, GenerationRecord | tuple[str, bytes]]]]:
     """The cells of a run directory in output-id order: key, record digests
     by output id and records by output id.
 
-    Every record file is read once and hashed.  ``known`` maps each output
-    id of the old fingerprints to its cell; a file whose path names such an
-    id and whose digest is the one that cell lists holds that record, in
-    that cell, and stays the path and bytes of the file, parsed only if the
-    cell has to be aggregated or its overlap counted again.  Every other file
-    is parsed with ``load_record``.  ``record_files`` walks in output-id
-    order, so each cell is one run of it; a record that breaks that order
-    (an id not above the last one, or a cell that came before another one)
-    raises DataError naming its file.
+    Every record file is read once and hashed.  A file whose path names an
+    output id of ``old_cells`` (the cells of a fingerprints file) and whose
+    digest is the one its cell lists holds that record, in that cell, and
+    stays the path and bytes of the file: it is the record the evaluation
+    those fingerprints vouch for was computed from, and is parsed only when
+    its text is needed.  Every other file is parsed with ``load_record``.
+    This is the one place a record file is compared with its fingerprint.
+    ``record_files`` walks in output-id order, so each cell is one run of
+    it; a record that breaks that order (an id not above the last one, or a
+    cell that came before another one) raises DataError naming its file.
     """
+    known = {output_id: cell for cell in old_cells for output_id in cell.records}
     key: Key | None = None
     digests: dict[str, str] = {}
     records: dict[str, GenerationRecord | tuple[str, bytes]] = {}
@@ -351,6 +358,7 @@ def score_cell(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    reference_paths = _parse_references(args.reference)
     languages_path = _resolve_config_dir(args.config) / "languages.json"
     languages = {language.iso_code: language for language in load_language_configs(languages_path)}
     backend, backend_name, lid_digest = _make_lid_backend(args.lid)
@@ -362,13 +370,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "lid_data": lid_digest,
     }
     old_cells, old_summaries, old_overlaps = _reusable(results_dir, inputs)
-    known = {output_id: cell for cell in old_cells.values() for output_id in cell.records}
 
     # Every reference is read before any record: its digest goes into the
     # fingerprint of each cell of its language, its profile into their
     # overlaps.
     references = {}
-    for code, reference_path in sorted(_parse_references(args.reference).items()):
+    for code, reference_path in sorted(reference_paths.items()):
         reference_bytes = reference_path.read_bytes()
         references[code] = (
             hashlib.sha256(reference_bytes).hexdigest(),
@@ -383,8 +390,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     reused = 0
     with tempfile.TemporaryFile() as spool:
         lines_path = results_dir / "evaluations.jsonl"
-        with contextlib.closing(_old_lines(lines_path, known)) as old_lines:
-            for key, digests, records in _cells(args.outputs, known):
+        with contextlib.closing(_old_lines(lines_path, old_cells.values())) as old_lines:
+            for key, digests, records in _cells(args.outputs, old_cells.values()):
                 if key[1] not in languages:
                     raise CliError(f"record {min(records)}: unknown language '{key[1]}'")
                 reference_digest, reference = references.get(key[1], (None, None))
@@ -464,42 +471,36 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if args.min_quality is not None and not 0.0 <= args.min_quality <= 1.0:
         raise CliError(f"--min-quality must be in [0, 1], got {args.min_quality}")
     results_dir = Path(args.results)
-    recorded_digests = fingerprints.read(results_dir).records()
+    cells = fingerprints.read(results_dir).cells
 
-    # One pass over the evaluations, then one over the record files; each
-    # parsed object is dropped at once.  An evaluation leaves its output id
-    # (in file order, for the checks below) and language and, if usable,
-    # its word count and quality; a record file leaves whether it is the
-    # one evaluated and, if usable, what the corpus files hold of it.
-    evaluated: list[str] = []
-    languages: set[str] = set()
-    scores: dict[str, tuple[int, float]] = {}
+    # The evaluations and the record files are both in output-id order, so
+    # one merge meets each evaluation with its record.  A record the walk
+    # kept as path and bytes is the one its evaluation was computed from;
+    # one it parsed has changed since, or the fingerprints do not list it.
+    # Only a usable output's record is parsed, for its text.
+    walk = ((i, key, record) for key, _, records in _cells(args.outputs, cells) for i, record in records.items())
+    usable: list[UsableOutput] = []
     for evaluation in read_evaluations(results_dir / "evaluations.jsonl"):
-        evaluated.append(evaluation.output_id)
-        languages.add(evaluation.language)
-        if evaluation.is_valid and evaluation.fidelity.is_target and not (
-            args.min_quality is not None and evaluation.quality < args.min_quality
-        ):
-            scores[evaluation.output_id] = (evaluation.word_count, evaluation.quality)
-    current: dict[str, bool] = {}
-    usable: dict[str, UsableOutput] = {}
-    for path, named_id, data in record_files(args.outputs):
-        record = load_record(args.outputs, path, named_id, data)
-        output_id = record.output_id
-        current[output_id] = recorded_digests.get(output_id) == hashlib.sha256(data).hexdigest()
-        if output_id in scores:
-            kept = (output_id, record.model_id, record.language, record.task_type, record.response_text)
-            usable[output_id] = UsableOutput(*kept, *scores[output_id])
-
-    for output_id in evaluated:
-        if output_id not in current:
-            raise DataError(f"evaluation {output_id} has no record under {args.outputs}")
-        if not current[output_id]:
+        for output_id, key, record in walk:
+            if output_id >= evaluation.output_id:
+                break
+        else:
+            output_id = None
+        if output_id != evaluation.output_id:
+            raise DataError(f"evaluation {evaluation.output_id} has no record under {args.outputs}")
+        if not isinstance(record, tuple):
             raise DataError(
                 f"evaluation {output_id} is stale: its record under {args.outputs} is not "
                 "the one it was computed from (run 'evaluate' again)"
             )
-    totals = export_usable_corpus([usable[i] for i in sorted(usable)], args.out, sorted(languages))
+        if evaluation.is_valid and evaluation.fidelity.is_target and not (
+            args.min_quality is not None and evaluation.quality < args.min_quality
+        ):
+            text = parse_record(GenerationRecord, record[1], record[0]).response_text
+            usable.append(UsableOutput(output_id, *key, text, evaluation.word_count, evaluation.quality))
+    for _ in walk:  # a record file past the last evaluation is still checked
+        pass
+    totals = export_usable_corpus(usable, args.out, sorted({cell.language for cell in cells}))
     for language, (documents, words) in sorted(totals.items()):
         print(f"{language}: {documents} documents, {words} words")
     print(f"total usable words: {sum(words for _, words in totals.values())}")

@@ -86,10 +86,6 @@ class Fingerprints(NamedTuple):
     overlap: str | None
     summary: str | None
 
-    def records(self) -> dict[str, str]:
-        """Output id -> record digest over every cell."""
-        return {output_id: digest for cell in self.cells for output_id, digest in cell.records.items()}
-
 
 def write(results_dir: Path, inputs: dict, cells: list[Cell]) -> None:
     """Write the fingerprints file of a results directory (its keys sorted),

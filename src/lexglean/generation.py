@@ -475,13 +475,12 @@ def run_batch(
         return output_id
 
     if jobs:
-        workers = max(1, parallelism)
-        executor = ThreadPoolExecutor(max_workers=workers)
+        executor = ThreadPoolExecutor(max_workers=parallelism)
         queue = iter(jobs)
         futures: dict[Future, str] = {}
         try:
             while True:
-                for job in islice(queue, IN_FLIGHT_PER_WORKER * workers - len(futures)):
+                for job in islice(queue, IN_FLIGHT_PER_WORKER * parallelism - len(futures)):
                     futures[executor.submit(run_one, job)] = job[0]
                 if not futures:
                     break

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from lexglean import data_dir
+from lexglean import cli, data_dir
 from lexglean.cli import main as cli_main
 from lexglean.codec import load_list
 from lexglean.evaluation import OverlapResult, reference_overlap, reference_profile
 from lexglean.fingerprints import FILENAME, file_digest
-from lexglean.generation import dumps_record, record_files, record_path
+from lexglean.generation import GenerationRecord, dumps_record, record_files, record_path
 from lexglean.textstats import analyze
 
 from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, records_under, run_cli
@@ -140,6 +140,15 @@ def test_generate_exits_3_when_calls_fail(tmp_path):
     assert "completed 150/150, failed 0" in stdout
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_generate_refuses_parallelism_below_one(tmp_path, value):
+    out = tmp_path / "o"
+    assert run_cli(["generate", "--mock", FIXTURES_PATH, "--out", out, "--parallelism", value]) == (
+        2, "", f"error: --parallelism must be at least 1, got {value}\n"
+    )
+    assert not out.exists()
+
+
 def test_repeated_selection_requests_each_triple_once(tmp_path):
     out = tmp_path / "o"
     code, stdout, err = run_cli(
@@ -208,6 +217,19 @@ def test_evaluate_bad_reference_format(small_run, tmp_path):
     )
     assert code == 2
     assert "bad --reference 'hau'" in err
+
+
+def test_evaluate_refuses_a_repeated_reference_language(small_run, tmp_path):
+    # Neither the missing reference nor the missing LID predictions file is
+    # read: the flags are refused first.
+    argv = [
+        "evaluate", "--outputs", small_run, "--results", tmp_path / "r",
+        "--lid", f"external:{tmp_path / 'missing.jsonl'}",
+        "--reference", f"hau={tmp_path / 'missing.txt'}",
+        "--reference", f"hau={SEEDS_DIR / 'hau_Latn.txt'}",
+    ]
+    assert run_cli(argv) == (2, "", "error: --reference hau given more than once\n")
+    assert not (tmp_path / "r").exists()
 
 
 def test_evaluate_reference_without_records(small_run, tmp_path):
@@ -546,6 +568,36 @@ def test_filter_holds_less_than_its_inputs_in_memory(mock_run, tmp_path):
     assert peak < input_bytes
 
 
+def test_filter_parses_only_the_records_it_exports(mock_run, tmp_path, monkeypatch):
+    # An evaluation is checked against its record by the record file's
+    # digest; the record is parsed only when its text goes into the corpus.
+    parses = Counter()
+    real_parse_record, real_load_record = cli.parse_record, cli.load_record
+
+    def parse_record(cls, *args):
+        if cls is GenerationRecord:
+            parses["parse_record"] += 1
+        return real_parse_record(cls, *args)
+
+    def load_record(*args):
+        parses["load_record"] += 1
+        return real_load_record(*args)
+
+    monkeypatch.setattr(cli, "parse_record", parse_record)
+    monkeypatch.setattr(cli, "load_record", load_record)
+    argv = ["filter", "--results", mock_run / "results", "--outputs", mock_run / "outputs"]
+    code, stdout, err = run_cli([*argv, "--out", tmp_path / "none", "--min-quality", "1"])
+    assert (code, err) == (0, "")
+    assert stdout.splitlines()[-1] == "total usable words: 0"
+    assert parses == {}
+
+    code, stdout, err = run_cli([*argv, "--out", tmp_path / "corpus"])
+    assert (code, err) == (0, "")
+    documents = sum(int(line.split()[1]) for line in stdout.splitlines()[:-1])
+    assert documents > 0
+    assert parses == {"parse_record": documents}
+
+
 def _truncate(path):
     text = path.read_text(encoding="utf-8")
     path.write_text(text[: len(text) // 2], encoding="utf-8")
@@ -604,26 +656,49 @@ def test_record_whose_fields_disagree_with_its_id_is_a_data_error(small_run, tmp
     assert not (tmp_path / "corpus").exists()
 
 
-def test_cell_split_by_another_in_output_id_order_is_a_data_error(small_run, tmp_path):
-    # Model "m/hau/creative" puts its record between two of cell
-    # m/hau/creative: evaluate scores a cell as its run of the walk ends, so
-    # a cell that comes back is refused before anything is written.
-    outputs = tmp_path / "outputs"
-    (template,) = records_under(small_run)[:1]
-    for model_id, prompt_id in (("m", "cw_01"), ("m/hau/creative", "cw_01"), ("m", "zz")):
+def _write_creative(outputs, template, *model_prompt_ids):
+    """Write ``template`` as the hau creative record of each (model id, prompt id)."""
+    for model_id, prompt_id in model_prompt_ids:
         output_id = f"{model_id}/hau/creative/{prompt_id}"
         record = dataclasses.replace(
             template, output_id=output_id, model_id=model_id, task_type="creative", prompt_id=prompt_id
         )
         record_path(outputs, output_id).parent.mkdir(parents=True, exist_ok=True)
         record_path(outputs, output_id).write_text(dumps_record(record), encoding="utf-8")
-    code, stdout, err = run_cli(["evaluate", "--outputs", outputs, "--results", tmp_path / "results"])
-    assert (code, stdout) == (1, "")
-    assert err == (
+
+
+def _split_cell_error(outputs):
+    return (
         f"error: {record_path(outputs, 'm/hau/creative/zz')}: holds output_id 'm/hau/creative/zz', "
         "out of output-id order after 'm/hau/creative/hau/creative/cw_01' (corrupted run directory)\n"
     )
+
+
+def test_cell_split_by_another_in_output_id_order_is_a_data_error(small_run, tmp_path):
+    # Model "m/hau/creative" puts its record between two of cell
+    # m/hau/creative: evaluate scores a cell as its run of the walk ends, so
+    # a cell that comes back is refused before anything is written.
+    outputs = tmp_path / "outputs"
+    (template,) = records_under(small_run)[:1]
+    _write_creative(outputs, template, ("m", "cw_01"), ("m/hau/creative", "cw_01"), ("m", "zz"))
+    code, stdout, err = run_cli(["evaluate", "--outputs", outputs, "--results", tmp_path / "results"])
+    assert (code, stdout, err) == (1, "", _split_cell_error(outputs))
     assert not (tmp_path / "results").exists()
+
+
+def test_filter_refuses_a_cell_split_by_another(small_run, tmp_path):
+    # filter reads the record files through evaluate's walk, so it refuses
+    # the split cell as evaluate would, although both evaluated records
+    # are unchanged.
+    outputs, results, corpus = tmp_path / "outputs", tmp_path / "results", tmp_path / "corpus"
+    (template,) = records_under(small_run)[:1]
+    _write_creative(outputs, template, ("m", "cw_01"), ("m", "zz"))
+    code, _, err = run_cli(["evaluate", "--outputs", outputs, "--results", results])
+    assert (code, err) == (0, "")
+    _write_creative(outputs, template, ("m/hau/creative", "cw_01"))
+    code, stdout, err = run_cli(["filter", "--results", results, "--outputs", outputs, "--out", corpus])
+    assert (code, stdout, err) == (1, "", _split_cell_error(outputs))
+    assert not corpus.exists()
 
 
 def _truncate_line(lines):

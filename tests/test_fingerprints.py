@@ -448,6 +448,22 @@ def test_filter_refuses_a_record_the_fingerprints_do_not_list(outputs, tmp_path)
     assert "error: evaluation gpt-4o-mini/hau/creative/cw_03 is stale" in err
 
 
+@pytest.mark.parametrize("output_id", ["gpt-4o-mini/hau/creative/cw_00", "zz/hau/constrained/cg_02"])
+def test_filter_checks_the_record_files_added_after_evaluate(run150, outputs, tmp_path, output_id):
+    # Model zz is added after evaluate, so none of its records is exported;
+    # a corrupt record file is refused wherever the walk meets it, before
+    # the last evaluated record or after it.
+    results = tmp_path / "results"
+    evaluate(outputs, results)
+    copy_as(run150, outputs, "zz")
+    path = record_path(outputs, output_id)
+    path.write_text("{", encoding="utf-8")
+    code, stdout, err = _filter(results, outputs, tmp_path)
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {path}: invalid JSON")
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_filter_refuses_evaluations_the_fingerprints_do_not_describe(outputs, tmp_path):
     results = tmp_path / "results"
     evaluate(outputs, results)

@@ -472,6 +472,15 @@ def cmd_filter(args: argparse.Namespace) -> int:
         raise CliError(f"--min-quality must be in [0, 1], got {args.min_quality}")
     results_dir = Path(args.results)
     cells = fingerprints.read(results_dir).cells
+    languages = sorted({cell.language for cell in cells})
+    # Another run's corpus of a language these results lack would stay
+    # beside the new files, which would then read as one run.
+    for path in sorted(Path(args.out).glob("*.provenance.jsonl")):
+        if path.name.removesuffix(".provenance.jsonl") not in languages:
+            raise CliError(
+                f"{path} is from another run: these results hold no outputs in its language "
+                "(filter into a new --out directory)"
+            )
 
     # The evaluations and the record files are both in output-id order, so
     # one merge meets each evaluation with its record.  A record the walk
@@ -500,7 +509,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
             usable.append(UsableOutput(output_id, *key, text, evaluation.word_count, evaluation.quality))
     for _ in walk:  # a record file past the last evaluation is still checked
         pass
-    totals = export_usable_corpus(usable, args.out, sorted({cell.language for cell in cells}))
+    totals = export_usable_corpus(usable, args.out, languages)
     for language, (documents, words) in sorted(totals.items()):
         print(f"{language}: {documents} documents, {words} words")
     print(f"total usable words: {sum(words for _, words in totals.values())}")

@@ -32,6 +32,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Protocol, Sequence
@@ -124,6 +125,7 @@ class BackendResponse:
     latency: float
     text: str = ""
     finish_reason: str = ""
+    retry_after: float | None = None  # seconds a 429 or 503 asked the client to wait
 
 
 class Backend(Protocol):
@@ -234,14 +236,17 @@ def _is_retryable_status(status: int) -> bool:
 def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> GenerationRecord:
     """Run one request to completion, retrying 429/5xx/transport failures.
 
-    Returns a GenerationRecord on success.  Raises CallError for a
-    non-retryable HTTP status and once ``request.max_retries`` retries are
-    spent; neither leaves any partial state behind.
+    A retry sleeps the policy's backoff, or the reply's ``retry_after``
+    capped at ``MAX_BACKOFF`` when it has one.  Returns a GenerationRecord
+    on success.  Raises CallError for a non-retryable HTTP status and once
+    ``request.max_retries`` retries are spent; neither leaves any partial
+    state behind.
     """
     attempt = 0
     while True:
         attempt += 1
         failure: str
+        retry_after = None
         try:
             response = backend.complete(request)
         except BackendUnavailable as exc:
@@ -266,13 +271,32 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
             if not _is_retryable_status(response.status):
                 raise CallError(request.output_id, f"permanent failure, HTTP {response.status}")
             failure = f"HTTP {response.status}"
+            retry_after = response.retry_after
         if attempt > request.max_retries:
             raise CallError(
                 request.output_id, f"retries exhausted after {attempt} attempts ({failure})"
             )
-        delay = policy.backoff(attempt)
+        delay = policy.backoff(attempt) if retry_after is None else min(MAX_BACKOFF, retry_after)
         log.debug("retrying %s after %s (sleep %.2fs)", request.output_id, failure, delay)
         policy.sleep(delay)
+
+
+def parse_retry_after(value: str | None, now: datetime) -> float | None:
+    """Seconds to wait by a ``Retry-After`` header (RFC 9110 section 10.2.3):
+    delay-seconds, or an HTTP-date less ``now`` and no less than 0.  None for
+    an absent or unparseable value."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        date = parsedate_to_datetime(value)
+    except (TypeError, ValueError, IndexError, OverflowError):
+        return None
+    if date.tzinfo is None:  # "-0000": HTTP-dates are in UTC
+        date = date.replace(tzinfo=timezone.utc)
+    return max(0.0, (date - now).total_seconds())
 
 
 class HttpBackend:
@@ -306,7 +330,11 @@ class HttpBackend:
             raise BackendUnavailable(str(exc)) from exc
         latency = time.perf_counter() - started
         if not 200 <= response.status_code < 300:
-            return BackendResponse(response.status_code, timestamp, latency)
+            retry_after = None
+            if response.status_code in (429, 503):
+                now = datetime.now(timezone.utc)
+                retry_after = parse_retry_after(response.headers.get("Retry-After"), now)
+            return BackendResponse(response.status_code, timestamp, latency, retry_after=retry_after)
         try:
             payload = response.json()
             choice = payload["choices"][0]
@@ -419,6 +447,51 @@ def dumps_record(record: GenerationRecord) -> str:
     return json_file_text(to_json(record))
 
 
+def _record_check(out_dir: str) -> Callable[[str], bool]:
+    """A test of whether an output id's record file exists, equal to
+    ``os.path.exists(record_path(out_dir, output_id))``, that lists each
+    record directory once in place of a ``stat`` per id.
+
+    A directory is keyed by the part of the output id before its last "/"
+    and listed the first time one of its ids is tested.  A listed name that
+    is a symlink is followed, so a dangling link is no record; anything else
+    listed under the record's name, a directory too, is one.  A directory
+    that does not exist holds no record.  A name the listing lacks, and every
+    id under a directory that cannot be listed for another reason, is tested
+    with ``os.path.exists``, so a file system that matches names without
+    regard to case, or a directory that can be searched but not read,
+    answers as it would to a ``stat``.
+    """
+    # directory -> {name: is a symlink}, or None for a missing directory.
+    listings: dict[str, dict[str, bool] | None] = {}
+
+    def has_record(output_id: str) -> bool:
+        directory, _, stem = output_id.rpartition("/")
+        try:
+            listing = listings[directory]
+        except KeyError:
+            listing = listings[directory] = _list_names(os.path.join(out_dir, directory))
+        if listing is None:
+            return False
+        if listing.get(stem + ".json") is False:  # listed, and not a symlink
+            return True
+        return os.path.exists(os.path.join(out_dir, output_id + ".json"))
+
+    return has_record
+
+
+def _list_names(directory: str) -> dict[str, bool] | None:
+    """Each name in ``directory`` mapped to whether it is a symlink; None for a
+    directory that does not exist, an empty map for one that cannot be listed."""
+    try:
+        with os.scandir(directory) as scan:
+            return {entry.name: entry.is_symlink() for entry in scan}
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except (OSError, ValueError):
+        return {}
+
+
 def run_batch(
     templates: Sequence[PromptTemplate],
     languages: Sequence[LanguageConfig],
@@ -446,11 +519,13 @@ def run_batch(
 
     jobs: list[tuple[str, PromptTemplate, LanguageConfig, ModelConfig, Path]] = []
     completed: set[str] = set()
+    has_record = _record_check(os.fspath(out_dir))
+    ordered = sorted(templates, key=lambda t: t.id)
     for model in models:
         for lang in languages:
-            for template in sorted(templates, key=lambda t: t.id):
+            for template in ordered:
                 output_id = output_id_for(model.model_id, lang.iso_code, template.task_type, template.id)
-                if os.path.exists(os.path.join(out_dir, output_id + ".json")):
+                if has_record(output_id):
                     completed.add(output_id)
                 else:
                     jobs.append((output_id, template, lang, model, record_path(out_dir, output_id)))

@@ -135,8 +135,13 @@ def _diacritic_class(ch: str) -> str:
     return " "
 
 
+def _decomposed_classes(ch: str) -> str:
+    """The classes of the characters of ``ch``'s NFD decomposition, in order."""
+    return "".join(map(_diacritic_class, unicodedata.normalize("NFD", ch)))
+
+
 _TOKEN_CLASSES = _ClassTable(_token_class)
-_DIACRITIC_CLASSES = _ClassTable(_diacritic_class)
+_DIACRITIC_CLASSES = _ClassTable(_decomposed_classes)
 _TOKEN_RUN = re.compile(r"[^ \-‐]+(?:[\-‐][^ \-‐]+)*")
 _SENTENCE = re.compile(r"[^.!?…\n]*[.!?…]+|[^.!?…\n]+")
 _TONED_VOWEL = re.compile(r"V[mn]*T")
@@ -199,8 +204,15 @@ def diacritic_stats(text: str) -> DiacriticStats:
 
     ``diacritic_ratio`` is marks per base letter; ``tonal_vowel_fraction``
     is the share of vowel letters carrying at least one tone mark.
+
+    Each character is mapped to the classes of its own decomposition, with
+    no NFD pass over the text.  The result is the same: the text's NFD is
+    the characters' decompositions, joined, with canonical reordering, which
+    only permutes the marks within a run of marks.  The counts do not depend
+    on order, and ``V[mn]*T`` matches once for each vowel whose run of marks
+    holds a tone mark, in any order.
     """
-    classes = unicodedata.normalize("NFD", text).translate(_DIACRITIC_CLASSES)
+    classes = text.translate(_DIACRITIC_CLASSES)
     vowel_count = classes.count("V")
     alphabetic = vowel_count + classes.count("L")
     marks = classes.count("T") + classes.count("m")

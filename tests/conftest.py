@@ -91,13 +91,13 @@ def mock_run(tmp_path_factory):
 
 
 class Endpoint:
-    """Replies to each POST with the next scripted (status, body bytes) pair;
-    a None reply closes the connection without sending anything.  The reply
-    to the n-th POST waits ``delays[n]`` seconds first, if there is such an
-    entry."""
+    """Replies to each POST with the next scripted (status, body bytes) pair,
+    or (status, body bytes, {header: value}) to send more headers; a None
+    reply closes the connection without sending anything.  The reply to the
+    n-th POST waits ``delays[n]`` seconds first, if there is such an entry."""
 
     def __init__(self):
-        self.replies: list[tuple[int, bytes] | None] = []
+        self.replies: list[tuple[int, bytes] | tuple[int, bytes, dict[str, str]] | None] = []
         self.delays: list[float] = []
         self.received: list[tuple[dict, dict]] = []  # (headers, JSON body)
         self.url = ""
@@ -121,11 +121,13 @@ def endpoint(monkeypatch):
             if reply is None:
                 self.close_connection = True
                 return
-            status, payload = reply
+            status, payload, *headers = reply
             try:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
+                for name, value in (headers[0] if headers else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(payload)
             except (BrokenPipeError, ConnectionResetError):

@@ -498,6 +498,29 @@ def test_filter_exports_corpus(mock_run, tmp_path):
     assert len(provenance) == document_count
 
 
+def test_filter_refuses_an_out_holding_a_language_the_results_lack(mock_run, small_run, tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    code, _, err = run_cli(
+        ["filter", "--results", mock_run / "results", "--outputs", mock_run / "outputs", "--out", corpus_dir]
+    )
+    assert code == 0, err
+    before = {path.name: path.read_bytes() for path in corpus_dir.iterdir()}
+    assert {"hau.provenance.jsonl", "fon.provenance.jsonl"} <= set(before)
+
+    hau_only = tmp_path / "hau_results"
+    code, _, err = run_cli(["evaluate", "--outputs", small_run, "--results", hau_only])
+    assert code == 0, err
+    code, stdout, err = run_cli(["filter", "--results", hau_only, "--outputs", small_run, "--out", corpus_dir])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {corpus_dir / 'fon.provenance.jsonl'} is from another run")
+    assert {path.name: path.read_bytes() for path in corpus_dir.iterdir()} == before
+
+    code, _, err = run_cli(["filter", "--results", hau_only, "--outputs", small_run, "--out", tmp_path / "hau"])
+    assert code == 0, err
+    assert sorted(path.name for path in (tmp_path / "hau").iterdir()) == ["hau.provenance.jsonl", "hau.txt"]
+
+
 def test_filter_min_quality_exports_exactly_the_usable_outputs(mock_run, tmp_path):
     # The expectation comes from the raw JSON lines, not from the package's readers.
     results, outputs = mock_run / "results", mock_run / "outputs"

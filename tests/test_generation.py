@@ -1,7 +1,10 @@
+import contextlib
+import dataclasses
 import hashlib
 import json
 import os
 import random
+import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby
@@ -377,6 +380,96 @@ def test_run_batch_keeps_only_a_few_calls_in_flight(
     assert manifest_after.new_requests == 350
     assert _batch_files(out) == records
     assert (out / MANIFEST_FILENAME).read_bytes() == manifest
+
+
+def _requested_and_completed(templates, languages, models, out_dir):
+    """The triples ``run_batch`` requests and those it counts as done, with
+    a backend that fails every call, so nothing is written."""
+    backend = MockBackend({})
+    manifest = run_batch(templates, languages, models, out_dir, backend)
+    assert sorted(backend.call_log) == [output_id for output_id, _ in manifest.failures]
+    return sorted(backend.call_log), manifest.completed
+
+
+def test_resume_scan_equals_a_stat_per_triple(tmp_path, monkeypatch):
+    templates = [
+        PromptTemplate(prompt_id, task, "poem", "Write in {language}.", frozenset({"language"}))
+        for prompt_id, task in [
+            ("cw_01", "creative"), ("cw_02", "creative"), ("cw_03", "creative"), ("cw.1", "creative"),
+            ("cw.2", "creative"), ("cw_04", "creative"), ("dg_01", "dialogue"), ("qa_01", "qa"),
+        ]
+    ]
+    languages = [LANG, dataclasses.replace(LANG, iso_code="fon")]
+    models = [MODEL, dataclasses.replace(MODEL, model_id="org/model")]
+    cell = tmp_path / "test-model/hau/creative"
+    cell.mkdir(parents=True)
+    (cell / "cw_01.json").write_text("{}")  # a record file
+    (cell / "cw_02.json").mkdir()  # a directory named like a record
+    (tmp_path / "elsewhere.json").write_text("{}")
+    (cell / "cw.1.json").symlink_to(tmp_path / "elsewhere.json")
+    (cell / "cw.2.json").symlink_to(tmp_path / "gone.json")  # dangling
+    (cell / "cw_03.json.tmp").write_text("{")  # a write cut short; cw_04 was never started
+    (tmp_path / "test-model/hau/dialogue").write_text("")  # a file where a directory should be
+    (tmp_path / "test-model/hau/qa").mkdir()
+    (tmp_path / "test-model/hau/qa/qa_01.json").write_text("{}")
+    (tmp_path / "org/model/fon/creative").mkdir(parents=True)  # a model id holding "/"
+    (tmp_path / "org/model/fon/creative/cw.2.json").write_text("{}")
+
+    triples = [
+        output_id_for(model.model_id, lang.iso_code, template.task_type, template.id)
+        for model in models for lang in languages for template in templates
+    ]
+    by_stat = {output_id for output_id in triples if os.path.exists(os.path.join(tmp_path, output_id + ".json"))}
+    assert by_stat == {
+        "test-model/hau/creative/cw_01", "test-model/hau/creative/cw_02", "test-model/hau/creative/cw.1",
+        "test-model/hau/qa/qa_01", "org/model/fon/creative/cw.2",
+    }
+    expected = (sorted(set(triples) - by_stat), by_stat)
+    assert _requested_and_completed(templates, languages, models, tmp_path) == expected
+
+    # A directory that lists but not every name (a file system that matches
+    # names case-insensitively), and one that cannot be listed, fall back to
+    # a stat per triple.
+    real_scandir = os.scandir
+
+    def shy_scandir(path):
+        if os.path.basename(os.path.normpath(path)) == "qa":
+            raise PermissionError(13, "Permission denied", path)
+        entries = list(real_scandir(path))
+        return contextlib.nullcontext([entry for entry in entries if entry.name != "cw_01.json"])
+
+    monkeypatch.setattr(os, "scandir", shy_scandir)
+    assert _requested_and_completed(templates, languages, models, tmp_path) == expected
+
+
+def test_resume_of_a_complete_batch_lists_each_record_directory_once(
+    tmp_path, monkeypatch, mock_run, shipped_templates, shipped_languages, shipped_models
+):
+    out = tmp_path / "outputs"
+    shutil.copytree(mock_run / "outputs", out)
+    languages = [lang for lang in shipped_languages if lang.iso_code in ("hau", "fon")]
+    calls = {"scandir": [], "exists": [], "stat": []}
+
+    def counted(name, real):
+        def wrapper(path, *args, **kwargs):
+            calls[name].append(os.fspath(path))
+            return real(path, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(os, "scandir", counted("scandir", os.scandir))
+    monkeypatch.setattr(os.path, "exists", counted("exists", os.path.exists))
+    monkeypatch.setattr(os, "stat", counted("stat", os.stat))
+    backend = MockBackend({})
+    manifest = run_batch(shipped_templates, languages, shipped_models, out, backend)
+    monkeypatch.undo()
+
+    assert (manifest.new_requests, len(manifest.completed), backend.call_log) == (0, 600, [])
+    directories = {output_id.rpartition("/")[0] for output_id in manifest.completed}
+    assert len(directories) == 24
+    assert sorted(calls["scandir"]) == sorted(os.path.join(out, directory) for directory in directories)
+    assert calls["exists"] == []
+    assert len(calls["stat"]) < len(directories)  # creating out_dir and writing the manifest
+    assert (out / MANIFEST_FILENAME).read_bytes() == (mock_run / "outputs" / MANIFEST_FILENAME).read_bytes()
 
 
 def test_rate_gate_spaces_requests(tmp_path):

@@ -164,6 +164,47 @@ def test_unavailable_every_time_exhausts_the_retries(endpoint):
 
 
 
+def _sleeps_before_second_attempt(endpoint, status, retry_after):
+    endpoint.replies = [(status, b"{}", {"Retry-After": retry_after}), (200, _completion("Daidai."))]
+    sleeps = []
+    record = execute(
+        _request(endpoint.url), RetryPolicy(rng=random.Random(0), sleep=sleeps.append), HttpBackend()
+    )
+    assert record.attempt_count == 2
+    return sleeps
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_retry_after_seconds_replace_the_jittered_backoff(endpoint, status):
+    assert _sleeps_before_second_attempt(endpoint, status, "2") == [2.0]
+
+
+def test_retry_after_date_in_the_past_sleeps_nothing(endpoint):
+    assert _sleeps_before_second_attempt(endpoint, 429, "Wed, 21 Oct 2015 07:28:00 GMT") == [0.0]
+
+
+def test_retry_after_is_capped_at_the_longest_backoff(endpoint):
+    assert _sleeps_before_second_attempt(endpoint, 429, "999") == [generation.MAX_BACKOFF] == [60.0]
+
+
+@pytest.mark.parametrize("value", ["soon", "-5", "1.5", ""])
+def test_unusable_retry_after_keeps_the_jittered_backoff(endpoint, value):
+    assert _sleeps_before_second_attempt(endpoint, 429, value) == [RetryPolicy(rng=random.Random(0)).backoff(1)]
+
+
+def test_retry_after_on_another_status_is_ignored(endpoint):
+    assert _sleeps_before_second_attempt(endpoint, 500, "2") == [RetryPolicy(rng=random.Random(0)).backoff(1)]
+
+
+def test_parse_retry_after_reads_delta_seconds_and_all_three_date_formats():
+    now = datetime(1994, 11, 6, 8, 49, 30, tzinfo=timezone.utc)
+    assert generation.parse_retry_after("120", now) == 120.0
+    for date in ("Sun, 06 Nov 1994 08:49:37 GMT", "Sunday, 06-Nov-94 08:49:37 GMT", "Sun Nov  6 08:49:37 1994"):
+        assert generation.parse_retry_after(date, now) == 7.0, date
+    for value in (None, "", "soon", "-1", "1.5", "Sun, 06 Nov 1994 25:00:00 GMT"):
+        assert generation.parse_retry_after(value, now) is None, value
+
+
 def test_bad_request_is_a_permanent_call_error(endpoint):
     endpoint.replies = [(400, b'{"error": "bad"}')]
     with pytest.raises(CallError, match=r"cw_01: permanent failure, HTTP 400\Z"):

@@ -257,6 +257,38 @@ def test_diacritic_stats_matches_oracle(text):
     assert stats.tonal_vowel_fraction == fraction
 
 
+# Characters whose NFD is not themselves, or that canonical reordering moves:
+# precomposed letters with one or two marks, marks of several combining
+# classes, Hangul syllables, U+0344 and U+0F73 (one character, two marks),
+# next to letters and marks of any kind.
+decomposing_texts = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            list("aeo\u025b\u0254 Ab")
+            + ["\u1ec3", "\u01d8", "\u1ed9", "\u1e4c", "\u01f9", "\u212b", "\u1fb7"]  # precomposed
+            + ["\u0316", "\u0300", "\u0301", "\u031b", "\u0323", "\u0345", "\u1dc4"]  # marks
+            + ["\ud55c", "\uae00", "\u0344", "\u0f73", "\u0f71", "\u0f72"]  # Hangul; U+0344, U+0F73 and their parts
+        ),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+@given(decomposing_texts)
+@example("\u0316\u1ec3")
+@example("\ud55c\u0300")
+@example("a\u0311\u0f73\u0344e\u0301")
+def test_diacritic_stats_equals_the_rule_on_the_nfd_text(text):
+    stats = diacritic_stats(text)
+    letters, marks, fraction = oracles.diacritic_counts(text)  # counts unicodedata.normalize("NFD", text)
+    assert (stats.alphabetic_count, stats.combining_mark_count, stats.tonal_vowel_fraction) == (
+        letters, marks, fraction
+    )
+    assert stats.diacritic_ratio == (marks / letters if letters else 0.0)
+    assert stats.has_diacritics == (marks > 0)
+
+
 @given(token_texts)
 def test_trigram_profile_matches_oracle(text):
     grams = analyze(text).grams

@@ -358,6 +358,10 @@ def score_cell(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.w_conf <= 1.0:
+        raise CliError(f"--w-conf must be in [0, 1] (both quality weights nonnegative), got {args.w_conf}")
+    if args.threshold < 0:
+        raise CliError(f"--threshold must be nonnegative, got {args.threshold}")
     reference_paths = _parse_references(args.reference)
     languages_path = _resolve_config_dir(args.config) / "languages.json"
     languages = {language.iso_code: language for language in load_language_configs(languages_path)}
@@ -377,10 +381,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     references = {}
     for code, reference_path in sorted(reference_paths.items()):
         reference_bytes = reference_path.read_bytes()
-        references[code] = (
-            hashlib.sha256(reference_bytes).hexdigest(),
-            reference_profile(reference_bytes.decode("utf-8").splitlines()),
-        )
+        try:
+            profile = reference_profile(reference_bytes.decode("utf-8").splitlines())
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{reference_path}: not UTF-8: {exc}") from exc
+        except ValueError as exc:  # an empty corpus
+            raise CliError(f"{reference_path}: {exc}") from exc
+        references[code] = (hashlib.sha256(reference_bytes).hexdigest(), profile)
 
     # Each cell is scored as its run of the walk ends and its lines go to a
     # spool file, so memory holds the records of one cell.

@@ -43,13 +43,18 @@ def json_file_text(data: Any) -> str:
 def atomic_writer(path: Path) -> Iterator[BinaryIO]:
     """A binary handle on ``<path>.tmp``, renamed over ``path`` when the block ends without error.
 
-    When the block (or the rename) raises, the temp file is removed and
-    ``path`` is left as it was.
+    The parent directory is created only when the temp file cannot be
+    opened for want of it.  When the block (or the rename) raises, the temp
+    file is removed and ``path`` is left as it was.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("wb") as handle:
+        handle = tmp.open("wb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = tmp.open("wb")
+    try:
+        with handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

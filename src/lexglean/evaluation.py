@@ -255,20 +255,24 @@ def evaluation_line(record: EvaluationRecord) -> bytes:
 def read_evaluations(path: str | Path) -> Iterator[EvaluationRecord]:
     """The records of ``evaluations.jsonl`` in file order, parsed one line at a time.
 
-    A bad or repeated line raises DataError naming it when it is reached.
+    The file is in output-id order.  A bad line, and one whose output id
+    repeats the last one or is below it, raises DataError naming it when it
+    is reached.
     """
     path = Path(path)
-    seen: set[str] = set()
+    last: str | None = None
     with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
                 continue
             record = parse_record(EvaluationRecord, line, path, lineno)
-            if record.output_id in seen:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate output_id '{record.output_id}' (corrupted run directory)"
+            if last is not None and record.output_id <= last:
+                problem = (
+                    f"duplicate output_id '{last}'" if record.output_id == last
+                    else f"holds output_id '{record.output_id}', out of output-id order after '{last}'"
                 )
-            seen.add(record.output_id)
+                raise DataError(f"{path}:{lineno}: {problem} (corrupted run directory)")
+            last = record.output_id
             yield record
 
 

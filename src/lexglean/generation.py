@@ -5,7 +5,10 @@ Each (model, language, prompt) triple gets a stable output id
 ``<out_dir>/<model_id>/<iso_code>/<task_type>/<prompt_id>.json``.  Record
 files are written atomically (temp file + rename) and never partially;
 re-running a batch skips every triple whose record file already exists, so
-an interrupted run can simply be restarted.
+an interrupted run can simply be restarted.  ``run_batch`` plans one record
+directory at a time: it groups the templates by task type and lists each
+``<out_dir>/<model_id>/<iso_code>/<task_type>`` once, testing a record path
+with ``os.path.exists`` only where the listing cannot answer.
 
 A backend has one method, ``complete(request) -> BackendResponse``, and
 stamps each response with its request time and latency.  ``HttpBackend``
@@ -447,49 +450,16 @@ def dumps_record(record: GenerationRecord) -> str:
     return json_file_text(to_json(record))
 
 
-def _record_check(out_dir: str) -> Callable[[str], bool]:
-    """A test of whether an output id's record file exists, equal to
-    ``os.path.exists(record_path(out_dir, output_id))``, that lists each
-    record directory once in place of a ``stat`` per id.
-
-    A directory is keyed by the part of the output id before its last "/"
-    and listed the first time one of its ids is tested.  A listed name that
-    is a symlink is followed, so a dangling link is no record; anything else
-    listed under the record's name, a directory too, is one.  A directory
-    that does not exist holds no record.  A name the listing lacks, and every
-    id under a directory that cannot be listed for another reason, is tested
-    with ``os.path.exists``, so a file system that matches names without
-    regard to case, or a directory that can be searched but not read,
-    answers as it would to a ``stat``.
-    """
-    # directory -> {name: is a symlink}, or None for a missing directory.
-    listings: dict[str, dict[str, bool] | None] = {}
-
-    def has_record(output_id: str) -> bool:
-        directory, _, stem = output_id.rpartition("/")
-        try:
-            listing = listings[directory]
-        except KeyError:
-            listing = listings[directory] = _list_names(os.path.join(out_dir, directory))
-        if listing is None:
-            return False
-        if listing.get(stem + ".json") is False:  # listed, and not a symlink
-            return True
-        return os.path.exists(os.path.join(out_dir, output_id + ".json"))
-
-    return has_record
-
-
-def _list_names(directory: str) -> dict[str, bool] | None:
-    """Each name in ``directory`` mapped to whether it is a symlink; None for a
-    directory that does not exist, an empty map for one that cannot be listed."""
+def _list_names(directory: str) -> set[str] | None:
+    """The names in ``directory`` that are not symlinks; None for a directory
+    that does not exist, an empty set for one that cannot be listed."""
     try:
         with os.scandir(directory) as scan:
-            return {entry.name: entry.is_symlink() for entry in scan}
+            return {entry.name for entry in scan if not entry.is_symlink()}
     except (FileNotFoundError, NotADirectoryError):
         return None
     except (OSError, ValueError):
-        return {}
+        return set()
 
 
 def run_batch(
@@ -517,18 +487,27 @@ def run_batch(
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = policy or RetryPolicy()
 
+    # A triple is done when its record path exists.  Each record directory
+    # is listed once: a name listed and not a symlink is a record, and a
+    # missing directory holds none.  A symlink, a name the listing lacks (a
+    # file system that ignores case) and every name in a directory that
+    # cannot be listed are tested with os.path.exists.
     jobs: list[tuple[str, PromptTemplate, LanguageConfig, ModelConfig, Path]] = []
     completed: set[str] = set()
-    has_record = _record_check(os.fspath(out_dir))
-    ordered = sorted(templates, key=lambda t: t.id)
+    by_task: dict[str, list[PromptTemplate]] = {}
+    for template in sorted(templates, key=lambda t: t.id):
+        by_task.setdefault(template.task_type, []).append(template)
     for model in models:
         for lang in languages:
-            for template in ordered:
-                output_id = output_id_for(model.model_id, lang.iso_code, template.task_type, template.id)
-                if has_record(output_id):
-                    completed.add(output_id)
-                else:
-                    jobs.append((output_id, template, lang, model, record_path(out_dir, output_id)))
+            for task_type, group in by_task.items():
+                names = _list_names(os.path.join(out_dir, f"{model.model_id}/{lang.iso_code}/{task_type}"))
+                for template in group:
+                    output_id = output_id_for(model.model_id, lang.iso_code, task_type, template.id)
+                    name = template.id + ".json"
+                    if names is not None and (name in names or os.path.exists(record_path(out_dir, output_id))):
+                        completed.add(output_id)
+                    else:
+                        jobs.append((output_id, template, lang, model, record_path(out_dir, output_id)))
 
     manifest = RunManifest(
         models=[m.model_id for m in models],

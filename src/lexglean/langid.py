@@ -148,12 +148,11 @@ def load_seed_corpora(seeds_dir: str | Path) -> dict[str, list[str]]:
         raise ValueError(f"no seed files (*.txt) in {seeds_dir}")
     corpora: dict[str, list[str]] = {}
     for path in files:
-        lines = [
-            line.strip()
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        corpora[path.stem] = lines
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8: {exc}") from exc
+        corpora[path.stem] = [line.strip() for line in text.splitlines() if line.strip()]
     return corpora
 
 

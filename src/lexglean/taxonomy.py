@@ -250,8 +250,8 @@ def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) 
     what = key[:-1]
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if isinstance(data, dict):

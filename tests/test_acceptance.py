@@ -294,6 +294,24 @@ def test_efficiency_identity_at_full_yield(mock_run):
     _report(f"usable-words-equals-avg-words-at-full-yield ({len(full_cells)} real cells)")
 
 
+def test_efficiency_counts_the_words_filter_exports(mock_run, tmp_path):
+    # The paper's efficiency number (usable words per call) and the exported
+    # corpus count the same outputs: valid and in the target language.
+    code, stdout, err = run_cli([
+        "filter", "--results", mock_run / "results", "--outputs", mock_run / "outputs", "--out", tmp_path / "c"
+    ])
+    assert code == 0, err
+    exported = {}
+    for line in stdout.splitlines():  # "<lang>: <documents> documents, <words> words"
+        if line.endswith(" words"):
+            exported[line.split(":")[0]] = int(line.split()[3])
+    efficiency = Counter()
+    for summary in read_summaries(mock_run / "results" / "summary.json"):
+        efficiency[summary.language] += round(summary.usable_words_per_call * summary.n_outputs)
+    assert efficiency == exported == {"hau": 20315, "fon": 26135}
+    _report("efficiency-words-equal-exported-words")
+
+
 def test_memorization_flag_straddles_threshold():
     reference = reference_profile(["ruwan sama ya sauka a kan gonakin manoma da gidajen mutane"])
 

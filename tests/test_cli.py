@@ -244,6 +244,77 @@ def test_evaluate_reference_without_records(small_run, tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+def _empty_reference(inputs):
+    path = inputs / "hau.txt"
+    path.write_text(" \n\n", encoding="utf-8")
+    return path, [], ["--reference", f"hau={path}"]
+
+
+def _reference_not_utf8(inputs):
+    path = inputs / "hau.txt"
+    path.write_bytes((SEEDS_DIR / "hau_Latn.txt").read_bytes() + b"\xff\n")
+    return path, [], ["--reference", f"hau={path}"]
+
+
+def _languages_not_utf8(inputs):
+    path = inputs / "languages.json"
+    path.write_bytes((data_dir() / "languages.json").read_bytes().replace(b"Hausa", b"Hausa\xff", 1))
+    return path, ["--config", inputs], []
+
+
+def _seed_not_utf8(inputs):
+    seeds = inputs / "seeds"
+    shutil.copytree(SEEDS_DIR, seeds)
+    path = seeds / "hau_Latn.txt"
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    return path, [], ["--lid", f"builtin:{seeds}"]
+
+
+@pytest.mark.parametrize(
+    "make_input, expected_code",
+    [(_empty_reference, 2), (_reference_not_utf8, 1), (_languages_not_utf8, 2), (_seed_not_utf8, 1)],
+    ids=["empty_reference", "reference_not_utf8", "languages_not_utf8", "seed_not_utf8"],
+)
+def test_evaluate_names_an_input_file_it_cannot_use(small_run, tmp_path, make_input, expected_code):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    path, global_flags, flags = make_input(inputs)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run_cli(
+        global_flags + ["evaluate", "--outputs", small_run, "--results", tmp_path / "r"] + flags
+    )
+    assert (code, stdout) == (expected_code, "")
+    assert err.startswith(f"error: {path}: "), err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--w-conf", "1.2"), ("--w-conf", "-0.1"), ("--w-conf", "nan"), ("--threshold", "-3")]
+)
+def test_evaluate_refuses_a_weight_or_threshold_before_reading_anything(tmp_path, flag, value):
+    # An empty run directory, a missing LID predictions file and a missing
+    # reference would each be an exit 1 once read.
+    (tmp_path / "empty").mkdir()
+    code, stdout, err = run_cli([
+        "evaluate", "--outputs", tmp_path / "empty", "--results", tmp_path / "r",
+        "--lid", f"external:{tmp_path / 'missing.jsonl'}", "--reference", f"hau={tmp_path / 'missing.txt'}",
+        flag, value,
+    ])
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {flag} must be ") and "nonnegative" in err, err
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_failing_a_check_leaves_existing_results_unchanged(small_run, tmp_path):
+    results = tmp_path / "r"
+    evaluate = ["evaluate", "--outputs", small_run, "--results", results]
+    assert run_cli(evaluate + ["--reference", f"hau={SEEDS_DIR / 'hau_Latn.txt'}"])[0] == 0
+    before = {path: path.read_bytes() for path in results.iterdir()}
+    code, _, err = run_cli(evaluate + ["--reference", f"yor={SEEDS_DIR / 'yor_Latn.txt'}"])
+    assert (code, err) == (2, "error: --reference yor: no records for that language\n")
+    assert {path: path.read_bytes() for path in results.iterdir()} == before
+
+
 def test_evaluate_missing_reference_writes_nothing(small_run, tmp_path):
     missing = tmp_path / "missing.txt"
     code, _, err = run_cli(
@@ -732,6 +803,10 @@ def _repeat_line(lines):
     lines.insert(5, lines[4])
 
 
+def _swap_lines(lines):
+    lines[4], lines[5] = lines[5], lines[4]
+
+
 def _infinite_word_count(lines):
     data = json.loads(lines[4])
     data["word_count"] = 1e400
@@ -740,8 +815,17 @@ def _infinite_word_count(lines):
 
 @pytest.mark.parametrize(
     "corrupt, detail",
-    [(_truncate_line, "5: invalid JSON"), (_repeat_line, "6: duplicate output_id"), (_infinite_word_count, "5: bad value")],
-    ids=["truncated", "repeated", "infinite_int"],
+    [
+        (_truncate_line, "5: invalid JSON"),
+        (_repeat_line, "6: duplicate output_id"),
+        (
+            _swap_lines,
+            "6: holds output_id 'gemini-2.5-flash/fon/constrained/cg_05', out of output-id order "
+            "after 'gemini-2.5-flash/fon/constrained/cg_06' (corrupted run directory)",
+        ),
+        (_infinite_word_count, "5: bad value"),
+    ],
+    ids=["truncated", "repeated", "swapped", "infinite_int"],
 )
 def test_corrupt_evaluations_line_is_a_data_error(mock_run, tmp_path, corrupt, detail):
     results = tmp_path / "results"

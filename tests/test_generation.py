@@ -472,6 +472,54 @@ def test_resume_of_a_complete_batch_lists_each_record_directory_once(
     assert (out / MANIFEST_FILENAME).read_bytes() == (mock_run / "outputs" / MANIFEST_FILENAME).read_bytes()
 
 
+def test_cold_batch_requests_in_prompt_id_order(tmp_path, shipped_templates, shipped_languages, shipped_models):
+    # Planning groups the templates by task type; each task type's ids are
+    # contiguous in id order, so the calls go out as a sort by id sends them.
+    languages = [lang for lang in shipped_languages if lang.iso_code in ("hau", "fon")]
+    backend = MockBackend(load_mock_fixtures(FIXTURES_PATH))
+    run_batch(shipped_templates, languages, shipped_models, tmp_path / "outputs", backend)
+    assert backend.call_log == [
+        output_id_for(model.model_id, lang.iso_code, template.task_type, template.id)
+        for model in shipped_models
+        for lang in languages
+        for template in sorted(shipped_templates, key=lambda t: t.id)
+    ]
+
+
+def test_cold_batch_creates_each_record_directory_once(
+    tmp_path, monkeypatch, mock_run, shipped_templates, shipped_languages, shipped_models
+):
+    out = tmp_path / "outputs"
+    languages = [lang for lang in shipped_languages if lang.iso_code in ("hau", "fon")]
+    calls = {"mkdir": [], "stat": []}
+
+    def counted(name, real):
+        def wrapper(path, *args, **kwargs):
+            calls[name].append(os.fspath(path))
+            return real(path, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(os, "mkdir", counted("mkdir", os.mkdir))
+    monkeypatch.setattr(os, "stat", counted("stat", os.stat))
+    backend = MockBackend(load_mock_fixtures(FIXTURES_PATH))
+    manifest = run_batch(shipped_templates, languages, shipped_models, out, backend)
+    monkeypatch.undo()
+
+    assert (manifest.new_requests, len(manifest.completed)) == (600, 600)
+    directories = {output_id.rpartition("/")[0] for output_id in manifest.completed}
+    assert len(directories) == 24
+    # A directory is made when the first temp file in it cannot be opened,
+    # not once per write.
+    assert len(calls["mkdir"]) < 2 * len(directories)
+    assert len(calls["stat"]) < len(directories)
+    shipped = mock_run / "outputs"
+    assert sorted(path.relative_to(out) for path in out.rglob("*")) == sorted(
+        path.relative_to(shipped) for path in shipped.rglob("*")
+    )
+    for path in out.rglob("*.json"):
+        assert path.read_bytes() == (shipped / path.relative_to(out)).read_bytes()
+
+
 def test_rate_gate_spaces_requests(tmp_path):
     model = ModelConfig(
         model_id="test-model",

@@ -7,26 +7,11 @@ Typical offline session::
     lexglean filter --results results/ --outputs outputs/ --out corpus/
     lexglean report --results results/ --kind efficiency --format csv
 
-``evaluate`` scores one model/language/task cell at a time
-(``score_cell``), given the cell's fingerprint and the one an earlier
-evaluate into the same results directory left for it: only new and changed
-records are parsed, and every evaluation, cell summary and overlap whose
-inputs are unchanged is reused (``lexglean.fingerprints``).  The record
-files are walked in output-id order, so each cell is one run of the walk:
-a cell is scored as its run ends and its lines are spooled to a temporary
-file, the kept ones read from the old ``evaluations.jsonl`` alongside, which
-is in the same order.  So it holds one cell's records at a time, besides one
-fingerprint entry per record and one summary and overlap per cell.  Once
-every record is read and every check has passed, it removes the
-fingerprints and every results file but ``evaluations.jsonl`` before its
-first write, so a run cut short leaves no old tables to report.
 ``generate`` keeps a few calls per worker thread in flight (``run_batch``).
-``filter`` refuses results that ``fingerprints.read`` refuses and an
-evaluation whose record changed after it was computed.  It merges
-``evaluations.jsonl`` with the walk ``evaluate`` makes of the record files
-(``_cells``, the one place a record file is compared with its fingerprint),
-both in output-id order, and parses a record only when its output is
-usable.
+``evaluate`` and ``filter`` read the run directory through
+``lexglean.fingerprints``, which walks the record files, compares each with
+its fingerprint and says what an earlier evaluate left that still holds;
+``evaluate`` scores one model/language/task cell at a time (``score_cell``).
 
 An error ends a command with an ``error:`` line and an exit code set by its
 class alone: 1 for unreadable or inconsistent data (``DataError``, a
@@ -52,7 +37,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import __version__, data_dir, fingerprints
 from .codec import DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic
@@ -79,8 +64,6 @@ from .generation import (
     MockBackend,
     RetryPolicy,
     load_mock_fixtures,
-    load_record,
-    record_files,
     run_batch,
 )
 from .langid import (
@@ -213,92 +196,6 @@ def _parse_references(pairs: list[str]) -> dict[str, Path]:
     return references
 
 
-Key = tuple[str, str, str]  # (model_id, language, task_type): one cell
-
-
-def _reusable(results_dir: Path, inputs: dict):
-    """What an earlier evaluate into ``results_dir`` left that still holds.
-
-    Returns its fingerprint cells and summaries by cell key and its overlaps
-    by cell key string.  All are empty unless ``fingerprints.read`` accepts
-    the directory, its fingerprints were written with the same ``inputs``
-    (the package sources among them, so an old line is what the encoder
-    would write now) and ``evaluations.jsonl`` has one line per output id
-    they list; anything unreadable counts as nothing to reuse.
-    """
-    summary_path, overlap_path = results_dir / "summary.json", results_dir / "overlap.json"
-    try:
-        old = fingerprints.read(results_dir)
-        if old.inputs == inputs:
-            with (results_dir / "evaluations.jsonl").open("rb") as handle:
-                lines = sum(block.count(b"\n") for block in iter(lambda: handle.read(1 << 16), b""))
-            if lines == sum(len(cell.records) for cell in old.cells):
-                return (
-                    {cell[:3]: cell for cell in old.cells},
-                    {(s.model_id, s.language, s.task_type): s for s in read_summaries(summary_path)},
-                    {} if old.overlap is None else {
-                        overlap.key: overlap for overlap in load_list(OverlapResult, overlap_path, "overlaps")
-                    },
-                )
-    except (OSError, ValueError, TypeError):
-        pass
-    return {}, {}, {}
-
-
-def _old_lines(path: Path, cells: Iterable[fingerprints.Cell]) -> Iterator[tuple[str, bytes]]:
-    """The (output id, line) pairs of an ``evaluations.jsonl`` that holds one
-    line per output id of ``cells``, in sorted order, read one line at a
-    time; the file is opened when the first pair is taken."""
-    with path.open("rb") as handle:
-        yield from zip(sorted(output_id for cell in cells for output_id in cell.records), handle)
-
-
-def _cells(
-    out_dir: str, old_cells: Iterable[fingerprints.Cell]
-) -> Iterator[tuple[Key, dict[str, str], dict[str, GenerationRecord | tuple[str, bytes]]]]:
-    """The cells of a run directory in output-id order: key, record digests
-    by output id and records by output id.
-
-    Every record file is read once and hashed.  A file whose path names an
-    output id of ``old_cells`` (the cells of a fingerprints file) and whose
-    digest is the one its cell lists holds that record, in that cell, and
-    stays the path and bytes of the file: it is the record the evaluation
-    those fingerprints vouch for was computed from, and is parsed only when
-    its text is needed.  Every other file is parsed with ``load_record``.
-    This is the one place a record file is compared with its fingerprint.
-    ``record_files`` walks in output-id order, so each cell is one run of
-    it; a record that breaks that order (an id not above the last one, or a
-    cell that came before another one) raises DataError naming its file.
-    """
-    known = {output_id: cell for cell in old_cells for output_id in cell.records}
-    key: Key | None = None
-    digests: dict[str, str] = {}
-    records: dict[str, GenerationRecord | tuple[str, bytes]] = {}
-    seen: set[Key] = set()
-    last: str | None = None
-    for path, output_id, data in record_files(out_dir):
-        digest = hashlib.sha256(data).hexdigest()
-        old = known.get(output_id)
-        if old is not None and old.records[output_id] == digest:
-            record_key, record = old[:3], (path, data)
-        else:
-            record = load_record(out_dir, path, output_id, data)
-            output_id, record_key = record.output_id, (record.model_id, record.language, record.task_type)
-        if (last is not None and output_id <= last) or (record_key != key and record_key in seen):
-            raise DataError(
-                f"{path}: holds output_id '{output_id}', out of output-id order after '{last}' "
-                "(corrupted run directory)"
-            )
-        if record_key != key:
-            if records:
-                yield key, digests, records
-            key, digests, records = record_key, {}, {}
-            seen.add(key)
-        digests[output_id], records[output_id], last = digest, record, output_id
-    if records:
-        yield key, digests, records
-
-
 def score_cell(
     cell: fingerprints.Cell,
     old: fingerprints.Cell | None,
@@ -362,18 +259,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"--w-conf must be in [0, 1] (both quality weights nonnegative), got {args.w_conf}")
     if args.threshold < 0:
         raise CliError(f"--threshold must be nonnegative, got {args.threshold}")
+    results_dir = Path(args.results)
+    if results_dir.resolve().is_relative_to(Path(args.outputs).resolve()):
+        raise CliError(
+            f"--results {args.results} is inside --outputs {args.outputs}, whose .json files are all "
+            "read as records (write the results outside it)"
+        )
     reference_paths = _parse_references(args.reference)
     languages_path = _resolve_config_dir(args.config) / "languages.json"
     languages = {language.iso_code: language for language in load_language_configs(languages_path)}
     backend, backend_name, lid_digest = _make_lid_backend(args.lid)
-    results_dir = Path(args.results)
     inputs = {
         "code": fingerprints.code_digest(),
         "config": {"lid": args.lid.partition(":")[0], "threshold": args.threshold, "w_conf": args.w_conf},
         "languages": fingerprints.files_digest([languages_path]),
         "lid_data": lid_digest,
     }
-    old_cells, old_summaries, old_overlaps = _reusable(results_dir, inputs)
+    old_cells, old_summaries, old_overlaps = fingerprints.reusable(results_dir, inputs)
 
     # Every reference is read before any record: its digest goes into the
     # fingerprint of each cell of its language, its profile into their
@@ -396,9 +298,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     overlaps = []
     reused = 0
     with tempfile.TemporaryFile() as spool:
-        lines_path = results_dir / "evaluations.jsonl"
-        with contextlib.closing(_old_lines(lines_path, old_cells.values())) as old_lines:
-            for key, digests, records in _cells(args.outputs, old_cells.values()):
+        with contextlib.closing(fingerprints.lines(results_dir, old_cells.values())) as old_lines:
+            for key, digests, records in fingerprints.walk(args.outputs, old_cells.values()):
                 if key[1] not in languages:
                     raise CliError(f"record {min(records)}: unknown language '{key[1]}'")
                 reference_digest, reference = references.get(key[1], (None, None))
@@ -440,11 +341,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         # no fingerprints, so the next evaluate starts cold and filter
         # refuses the results, and no summary or overlap that report would
         # show as current.
-        results_dir.mkdir(parents=True, exist_ok=True)
         for name in (fingerprints.FILENAME, "summary.json", "summary.csv", "overlap.json", "run_meta.json"):
             (results_dir / name).unlink(missing_ok=True)
         spool.seek(0)
-        with atomic_writer(lines_path) as handle:
+        with atomic_writer(results_dir / "evaluations.jsonl") as handle:
             shutil.copyfileobj(spool, handle)
     write_summaries(summaries, results_dir / "summary.json")
     write_atomic(results_dir / "summary.csv", render_report(ReportSpec("full_summary", "csv"), summaries))
@@ -494,8 +394,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
     # kept as path and bytes is the one its evaluation was computed from;
     # one it parsed has changed since, or the fingerprints do not list it.
     # Only a usable output's record is parsed, for its text.
-    walk = ((i, key, record) for key, _, records in _cells(args.outputs, cells) for i, record in records.items())
+    walk = ((i, key, record) for key, _, records in fingerprints.walk(args.outputs, cells)
+            for i, record in records.items())
     usable: list[UsableOutput] = []
+    matched = 0
     for evaluation in read_evaluations(results_dir / "evaluations.jsonl"):
         for output_id, key, record in walk:
             if output_id >= evaluation.output_id:
@@ -509,6 +411,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
                 f"evaluation {output_id} is stale: its record under {args.outputs} is not "
                 "the one it was computed from (run 'evaluate' again)"
             )
+        matched += 1
         if evaluation.is_valid and evaluation.fidelity.is_target and not (
             args.min_quality is not None and evaluation.quality < args.min_quality
         ):
@@ -516,6 +419,14 @@ def cmd_filter(args: argparse.Namespace) -> int:
             usable.append(UsableOutput(output_id, *key, text, evaluation.word_count, evaluation.quality))
     for _ in walk:  # a record file past the last evaluation is still checked
         pass
+    # The merge skips a listed record whose line is missing, so the lines it
+    # matched are counted against the outputs the fingerprints list.
+    listed = sum(len(cell.records) for cell in cells)
+    if matched < listed:
+        raise DataError(
+            f"{results_dir / 'evaluations.jsonl'} holds {matched} evaluations, but {fingerprints.FILENAME} "
+            f"lists {listed} outputs (run 'evaluate' again)"
+        )
     totals = export_usable_corpus(usable, args.out, languages)
     for language, (documents, words) in sorted(totals.items()):
         print(f"{language}: {documents} documents, {words} words")

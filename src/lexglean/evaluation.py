@@ -217,7 +217,6 @@ def export_usable_corpus(
     an (empty) corpus file.  Returns (documents, words) per language.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     by_language: dict[str, list[UsableOutput]] = {}
     for output in usable:
         by_language.setdefault(output.language, []).append(output)

@@ -484,7 +484,6 @@ def run_batch(
     after letting running calls finish persisting, and sends no queued call.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     policy = policy or RetryPolicy()
 
     # A triple is done when its record path exists.  Each record directory

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lexglean import cli, data_dir
+from lexglean import cli, data_dir, fingerprints
 from lexglean.cli import main as cli_main
 from lexglean.codec import load_list
 from lexglean.evaluation import OverlapResult, reference_overlap, reference_profile
@@ -303,6 +303,30 @@ def test_evaluate_refuses_a_weight_or_threshold_before_reading_anything(tmp_path
     assert (code, stdout) == (2, "")
     assert err.startswith(f"error: {flag} must be ") and "nonnegative" in err, err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("results", ["outputs", "outputs/results", "link/results", "outputs/x/../results"])
+def test_evaluate_refuses_results_inside_outputs_before_reading_anything(small_run, tmp_path, results):
+    # The walk would read the results files as records on the next run.
+    # A missing LID predictions file would be an exit 1 once read.
+    shutil.copytree(small_run, tmp_path / "outputs")
+    (tmp_path / "link").symlink_to(tmp_path / "outputs", target_is_directory=True)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run_cli([
+        "evaluate", "--outputs", tmp_path / "outputs", "--results", tmp_path / results,
+        "--lid", f"external:{tmp_path / 'missing.jsonl'}",
+    ])
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: --results {tmp_path / results} is inside --outputs {tmp_path / 'outputs'}"), err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_evaluate_accepts_results_beside_outputs_whose_path_extends_it(small_run, tmp_path):
+    # The paths are compared by component: "outputs_results" is not inside "outputs".
+    outputs = tmp_path / "outputs"
+    shutil.copytree(small_run, outputs)
+    code, _, err = run_cli(["evaluate", "--outputs", outputs, "--results", tmp_path / "outputs_results"])
+    assert (code, err) == (0, "")
 
 
 def test_evaluate_failing_a_check_leaves_existing_results_unchanged(small_run, tmp_path):
@@ -666,7 +690,7 @@ def test_filter_parses_only_the_records_it_exports(mock_run, tmp_path, monkeypat
     # An evaluation is checked against its record by the record file's
     # digest; the record is parsed only when its text goes into the corpus.
     parses = Counter()
-    real_parse_record, real_load_record = cli.parse_record, cli.load_record
+    real_parse_record, real_load_record = cli.parse_record, fingerprints.load_record
 
     def parse_record(cls, *args):
         if cls is GenerationRecord:
@@ -678,7 +702,7 @@ def test_filter_parses_only_the_records_it_exports(mock_run, tmp_path, monkeypat
         return real_load_record(*args)
 
     monkeypatch.setattr(cli, "parse_record", parse_record)
-    monkeypatch.setattr(cli, "load_record", load_record)
+    monkeypatch.setattr(fingerprints, "load_record", load_record)
     argv = ["filter", "--results", mock_run / "results", "--outputs", mock_run / "outputs"]
     code, stdout, err = run_cli([*argv, "--out", tmp_path / "none", "--min-quality", "1"])
     assert (code, err) == (0, "")
@@ -844,6 +868,33 @@ def test_corrupt_evaluations_line_is_a_data_error(mock_run, tmp_path, corrupt, d
     )
     assert code == 1
     assert f"error: {results / 'evaluations.jsonl'}:{detail}" in err
+
+
+def test_filter_refuses_evaluations_that_lack_a_listed_output(mock_run, tmp_path):
+    # The fingerprints list an output whose line is gone and are made to
+    # name the shortened file: filter refuses it rather than export one
+    # document fewer, and evaluate reuses nothing from it.
+    results = tmp_path / "results"
+    shutil.copytree(mock_run / "results", results)
+    path = results / "evaluations.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    kept = [line for line in lines if json.loads(line)["output_id"] != "gemini-2.5-flash/fon/constrained/cg_01"]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept), encoding="utf-8")
+    content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
+    content["evaluations"] = file_digest(path)
+    (results / FILENAME).write_text(json.dumps(content), encoding="utf-8")
+    code, stdout, err = run_cli(
+        ["filter", "--results", results, "--outputs", mock_run / "outputs", "--out", tmp_path / "corpus"]
+    )
+    assert (code, stdout) == (1, "")
+    assert err == (
+        f"error: {path} holds 599 evaluations, but {FILENAME} lists 600 outputs (run 'evaluate' again)\n"
+    )
+    assert not (tmp_path / "corpus").exists()
+    code, stdout, err = run_cli(["evaluate", "--outputs", mock_run / "outputs", "--results", results])
+    assert (code, err) == (0, "")
+    assert "reused 0 of 600 evaluations" in stdout.splitlines()
 
 
 @pytest.mark.parametrize("name, kind", [("summary.json", "validity"), ("overlap.json", "overlap")])

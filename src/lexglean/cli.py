@@ -31,7 +31,6 @@ import contextlib
 import hashlib
 import logging
 import os
-import random
 import shutil
 import sys
 import tempfile
@@ -62,7 +61,6 @@ from .generation import (
     GenerationRecord,
     HttpBackend,
     MockBackend,
-    RetryPolicy,
     load_mock_fixtures,
     run_batch,
 )
@@ -146,7 +144,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         backend = HttpBackend()
 
-    policy = RetryPolicy(rng=random.Random(args.seed))
     manifest = run_batch(
         templates,
         languages,
@@ -154,7 +151,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         args.out,
         backend,
         parallelism=args.parallelism,
-        policy=policy,
     )
     done = len(manifest.completed)
     print(f"{manifest.new_requests} new requests, {manifest.expected_calls} expected")
@@ -462,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="config directory with languages.json and models.json")
-    parser.add_argument("--seed", type=int, default=None, help="seed for retry jitter")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,16 +1,25 @@
-"""JSON codec for the dataclasses the pipeline persists.
+"""JSON codec for the dataclasses the pipeline reads and persists.
 
 Record files, ``evaluations.jsonl``, ``summary.json`` and ``overlap.json``
 hold dataclasses as JSON objects with one key per field: the field's name,
-or the key a field declares with ``field(metadata={JSON_KEY: ...})``.  Field
-types may be ``str``, ``int``, ``float``, ``bool``, a dataclass,
-``tuple[X, ...]`` (a JSON list) or ``X | None`` (an absent key reads as
-None).  Reading coerces numbers and booleans with ``int``/``float``/``bool``
-and rejects a ``str`` field that holds anything but a string.  Every file
-is written through ``atomic_writer``, so a reader never sees a partial one.
+or the key a field declares with ``field(metadata={JSON_KEY: ...})``.  The
+inputs are read the same way: the entries of ``taxonomy.json``,
+``languages.json`` and ``models.json``, the mock fixtures and the rows of an
+external LID predictions file.  Field types may be ``str``, ``int``,
+``float``, ``bool``, a dataclass, ``tuple[X, ...]`` (a JSON list),
+``dict[str, X]`` or ``Mapping[str, X]`` (a JSON object) or ``X | None``
+(an absent key reads as None).  A field with a default (or a
+``default_factory``) takes it when its key is absent; any other absent key
+is an error.  Reading coerces numbers with ``int``/``float`` and takes
+nothing else on trust: a ``str`` field holds only a string, a ``bool`` only
+``true`` or ``false``, a tuple only a list, and a dataclass or mapping only
+an object.  The error names the key, but for a dataclass, which names only
+the type it got.  Every file is written through ``atomic_writer``, so a
+reader never sees a partial one.
 """
 from __future__ import annotations
 
+import collections.abc
 import contextlib
 import functools
 import itertools
@@ -18,9 +27,9 @@ import json
 import os
 import types
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterator, NoReturn
 
 JSON_KEY = "json_key"
 
@@ -89,7 +98,12 @@ def from_json(cls: type, data: Any) -> Any:
     A missing field raises KeyError, a value of the wrong type TypeError or
     ValueError, an infinite number in an ``int`` field OverflowError.
     """
-    return _codec(cls)[1](data)
+    return decoder(cls)(data)
+
+
+def decoder(cls: type) -> Callable[[Any], Any]:
+    """The function ``from_json(cls, data)`` applies, for a caller that decodes many objects."""
+    return _codec(cls)[1]
 
 
 def parse_record(cls: type, raw: bytes, path: object, line: int | None = None) -> Any:
@@ -120,38 +134,51 @@ def _data_error(exc: Exception, where: object) -> DataError:
     return DataError(f"{where}: bad value: {exc}")
 
 
-def _text(value: Any) -> str:
-    if type(value) is not str:
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
+# What a str, bool, list or dict value must be, as an error says it.
+_EXPECTED = {str: "a string", bool: "true or false", list: "a list", dict: "an object"}
 
 
-_SCALARS: dict[type, Callable[[Any], Any]] = {str: _text, int: int, float: float, bool: bool}
+def _refuse(name: str, kind: type, value: Any) -> NoReturn:
+    raise TypeError(f"{name} must be {_EXPECTED[kind]}, not {type(value).__name__}")
 
 
 def _is_optional(hint: Any) -> bool:
     return typing.get_origin(hint) in (typing.Union, types.UnionType)
 
 
-def _converters(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[[Any], Any]]:
-    """Encoder (None when the value is JSON as it is) and decoder for one field type."""
-    args = typing.get_args(hint)
+def _converters(hint: Any, name: str) -> tuple[Callable[[Any], Any] | None, Callable[[Any], Any]]:
+    """Encoder (None when the value is JSON as it is) and decoder for one
+    field type; the decoder's errors call the value ``name``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
     if _is_optional(hint):
         if len(args) != 2 or type(None) not in args:
             raise TypeError(f"unsupported union type {hint}; use X | None")
-        encode, decode = _converters(args[0] if args[1] is type(None) else args[1])
+        encode, decode = _converters(args[0] if args[1] is type(None) else args[1], name)
         encode_some = None if encode is None else lambda value: None if value is None else encode(value)
         return encode_some, lambda value: None if value is None else decode(value)
-    if typing.get_origin(hint) is tuple:
+    if origin is tuple:
         if len(args) != 2 or args[1] is not Ellipsis:
             raise TypeError(f"unsupported tuple type {hint}; use tuple[X, ...]")
-        encode, decode = _converters(args[0])
+        encode, decode = _converters(args[0], f"an item of {name}")
         encode_all = list if encode is None else lambda value: [encode(item) for item in value]
-        return encode_all, lambda value: tuple(map(decode, value))
+        return encode_all, lambda value: (
+            tuple(map(decode, value)) if type(value) is list else _refuse(name, list, value)
+        )
+    if origin in (dict, collections.abc.Mapping):
+        if args[0] is not str:
+            raise TypeError(f"unsupported mapping type {hint}; use dict[str, X]")
+        encode, decode = _converters(args[1], f"a value of {name}")
+        encode_map = dict if encode is None else lambda value: {k: encode(item) for k, item in value.items()}
+        return encode_map, lambda value: (
+            {key: decode(item) for key, item in value.items()} if type(value) is dict
+            else _refuse(name, dict, value)
+        )
     if is_dataclass(hint):
         return _codec(hint)
-    if hint in _SCALARS:
-        return None, _SCALARS[hint]
+    if hint is int or hint is float:
+        return None, hint
+    if hint is str or hint is bool:
+        return None, lambda value: value if type(value) is hint else _refuse(name, hint, value)
     raise TypeError(f"unsupported field type {hint}")
 
 
@@ -169,18 +196,35 @@ def _codec(cls: type) -> _Codec:
     if any(not f.init or f.kw_only for f in fields(cls)):
         raise TypeError(f"{cls.__name__}: every field must be a positional __init__ parameter")
     hints = typing.get_type_hints(cls)
-    namespace: dict[str, Any] = {"cls": cls}
-    items, args = [], []
+    namespace: dict[str, Any] = {"cls": cls, "refuse": _refuse}
+    items, lines = [], []
     for index, f in enumerate(fields(cls)):
-        key = repr(f.metadata.get(JSON_KEY, f.name))
-        encode, namespace[f"decode{index}"] = _converters(hints[f.name])
+        key, hint, var = repr(f.metadata.get(JSON_KEY, f.name)), hints[f.name], f"v{index}"
+        encode, namespace[f"decode{index}"] = _converters(hint, key)
         namespace[f"encode{index}"] = encode
         items.append(f"{key}: obj.{f.name}" if encode is None else f"{key}: encode{index}(obj.{f.name})")
-        value = f"data.get({key})" if _is_optional(hints[f.name]) else f"data[{key}]"
-        args.append(f"decode{index}({value})")
+        optional = _is_optional(hint)
+        if optional:
+            hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+        if hint is str or hint is bool:  # checked inline: a call per field shows in ``filter``
+            kind, maybe = hint.__name__, f" and {var} is not None" if optional else ""
+            convert = f"if type({var}) is not {kind}{maybe}: refuse({key!r}, {kind}, {var})"
+        else:
+            convert = f"{var} = decode{index}({var})"
+        if f.default is MISSING and f.default_factory is MISSING:
+            lines += [f"{var} = data.get({key})" if optional else f"{var} = data[{key}]", convert]
+        else:
+            namespace[f"default{index}"] = f.default_factory if f.default is MISSING else f.default
+            fallback = f"default{index}()" if f.default is MISSING else f"default{index}"
+            lines += [f"if {key} in data:", f"    {var} = data[{key}]", f"    {convert}"]
+            lines += ["else:", f"    {var} = {fallback}"]
     source = (
         f"def encode(obj):\n    return {{{', '.join(items)}}}\n"
-        f"def decode(data):\n    return cls({', '.join(args)})\n"
+        "def decode(data):\n"
+        "    if type(data) is not dict:\n"
+        "        raise TypeError(f'expected an object, not {type(data).__name__}')\n"
+        + "".join(f"    {line}\n" for line in lines)
+        + f"    return cls({', '.join(f'v{index}' for index in range(len(items)))})\n"
     )
     exec(compile(source, f"<codec of {cls.__qualname__}>", "exec"), namespace)
     return namespace["encode"], namespace["decode"]

@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 
 import requests
 
-from .codec import DataError, json_file_text, parse_record, to_json, write_atomic, write_json
+from .codec import DataError, decoder, json_file_text, parse_record, to_json, write_atomic, write_json
 from .taxonomy import (
     ConfigError,
     LanguageConfig,
@@ -358,15 +358,17 @@ class MockAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class MockFixture:
-    response_text: str
-    status_schedule: tuple[int, ...] = (200,)
+    response_text: str = ""
+    status_schedule: tuple[int, ...] = (200,)  # an empty schedule serves 200
     finish_reason: str = "stop"
 
 
 def load_mock_fixtures(path: str | Path) -> dict[str, MockFixture]:
     """Load a fixtures file: a JSON map of output_id -> canned response.
 
-    A file that is not such a map raises DataError naming it.
+    Each canned response is decoded by ``lexglean.codec`` as a MockFixture.
+    A file that is not such a map raises DataError naming it, and a bad
+    entry DataError naming the file and the output id.
     """
     path = Path(path)
     try:
@@ -375,19 +377,14 @@ def load_mock_fixtures(path: str | Path) -> dict[str, MockFixture]:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"{path}: fixtures file must be a JSON object keyed by output_id")
-    fixtures: dict[str, MockFixture] = {}
+    decode, fixtures = decoder(MockFixture), {}
     for output_id, entry in data.items():
         if not isinstance(entry, dict):
             raise DataError(f"{path}: fixture '{output_id}' is not a JSON object")
         try:
-            schedule = tuple(int(s) for s in entry.get("status_schedule", [200])) or (200,)
+            fixtures[output_id] = decode(entry)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{path}: fixture '{output_id}': bad status_schedule: {exc}") from exc
-        fixtures[output_id] = MockFixture(
-            response_text=str(entry.get("response_text", "")),
-            status_schedule=schedule,
-            finish_reason=str(entry.get("finish_reason", "stop")),
-        )
+            raise DataError(f"{path}: fixture '{output_id}': bad value: {exc}") from exc
     return fixtures
 
 
@@ -421,7 +418,8 @@ class MockBackend:
         fixture = self.fixtures.get(request.output_id)
         if fixture is None:
             return BackendResponse(404, MOCK_TIMESTAMP, 0.0)
-        status = fixture.status_schedule[min(attempt, len(fixture.status_schedule) - 1)]
+        schedule = fixture.status_schedule or (200,)
+        status = schedule[min(attempt, len(schedule) - 1)]
         if not 200 <= status < 300:
             return BackendResponse(status, MOCK_TIMESTAMP, 0.0)
         return BackendResponse(status, MOCK_TIMESTAMP, 0.0, fixture.response_text, fixture.finish_reason)

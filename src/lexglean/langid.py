@@ -41,7 +41,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .codec import JSON_KEY, DataError
+from .codec import JSON_KEY, DataError, decoder
 from .textstats import TextAnalysis, merged_trigram_profile, norm
 
 UNKNOWN_LABEL = "und"
@@ -215,40 +215,46 @@ class BuiltinClassifier:
         return _fidelity_result(target, document, target_confidence, sentence_predictions)
 
 
+@dataclass(frozen=True)
+class _PredictionRow:
+    """One row of an external predictions file."""
+
+    output_id: str
+    doc_label: str
+    doc_conf: float
+    sentence_labels: tuple[str, ...]
+    sentence_confs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.sentence_labels) != len(self.sentence_confs):
+            raise ValueError("sentence_labels and sentence_confs differ in length")
+
+
 def load_external_predictions(
     path: str | Path,
 ) -> dict[str, tuple[LidPrediction, tuple[LidPrediction, ...]]]:
     """Load externally produced predictions from a JSONL file.
 
-    Each row needs ``output_id``, ``doc_label``, ``doc_conf`` and parallel
-    ``sentence_labels`` / ``sentence_confs`` arrays; it maps the output id
-    to the (document, sentences) predictions.  A malformed row or a
-    repeated output id raises DataError naming ``path:line``.
+    Each row, decoded by ``lexglean.codec``, needs ``output_id``,
+    ``doc_label``, ``doc_conf`` and parallel ``sentence_labels`` /
+    ``sentence_confs`` lists; it maps the output id to the (document,
+    sentences) predictions.  A malformed row or a repeated output id raises
+    DataError naming ``path:line``.
     """
     path = Path(path)
-    bundles = {}
+    decode, bundles = decoder(_PredictionRow), {}
     with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
                 continue
             try:
-                row = json.loads(line)
-                output_id = row["output_id"]
-                if not isinstance(output_id, str):
-                    raise TypeError(f"output_id must be a string, got {output_id!r}")
-                doc = LidPrediction(str(row["doc_label"]), float(row["doc_conf"]))
-                labels = row["sentence_labels"]
-                confs = row["sentence_confs"]
-                if len(labels) != len(confs):
-                    raise ValueError("sentence_labels and sentence_confs differ in length")
-                sentences = tuple(
-                    LidPrediction(str(l), float(c)) for l, c in zip(labels, confs)
-                )
+                row = decode(json.loads(line))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed prediction row: {exc}") from exc
-            if output_id in bundles:
-                raise DataError(f"{path}:{lineno}: duplicate output_id '{output_id}'")
-            bundles[output_id] = (doc, sentences)
+            if row.output_id in bundles:
+                raise DataError(f"{path}:{lineno}: duplicate output_id '{row.output_id}'")
+            sentences = tuple(map(LidPrediction, row.sentence_labels, row.sentence_confs))
+            bundles[row.output_id] = (LidPrediction(row.doc_label, row.doc_conf), sentences)
     return bundles
 
 

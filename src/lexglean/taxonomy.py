@@ -9,7 +9,10 @@ target language.
 
 This module loads taxonomy, language and model JSON files (one loader for
 all three, so each rule about a config file is stated once), validates
-taxonomies and renders templates into concrete prompt texts.
+taxonomies and renders templates into concrete prompt texts.  Each entry is
+decoded by ``lexglean.codec`` from the fields of its dataclass, so a field's
+type and default are its rule: a word list must be a list of strings, a
+flag ``true`` or ``false``.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
+
+from .codec import JSON_KEY, decoder
 
 SCHEMA_VERSION = 1
 
@@ -38,7 +43,7 @@ TASK_TYPES = tuple(sorted(PREFIX_TO_TASK_TYPE.values()))
 # placeholder must be a word list name (word_list_<n>).
 BASE_PLACEHOLDERS = {
     "language": attrgetter("name"),
-    "language_culture": attrgetter("culture_name"),
+    "language_culture": lambda lang: lang.name if lang.culture_name is None else lang.culture_name,
     "colonial_language": attrgetter("colonial_language"),
 }
 
@@ -58,8 +63,15 @@ class PromptTemplate:
     id: str
     task_type: str
     subtask: str
-    template_text: str
-    required_placeholders: frozenset[str] = field(default_factory=frozenset)
+    template_text: str = field(metadata={JSON_KEY: "template"})
+
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise ValueError("'id' must be nonempty")
+
+    @property
+    def required_placeholders(self) -> frozenset[str]:
+        return frozenset(placeholders_in(self.template_text))
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,7 @@ class LanguageConfig:
     name: str
     iso_code: str
     target_lid_label: str
-    culture_name: str
+    culture_name: str | None  # None (an absent key) renders as ``name``
     colonial_language: str
     tonal_orthography: bool
     word_lists: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -137,7 +149,7 @@ def placeholders_in(text: str) -> list[str]:
 
 def load_taxonomy(path: str | Path) -> list[PromptTemplate]:
     """Load every prompt template from a taxonomy JSON file."""
-    return _load_configs(path, "templates", _as_template, attrgetter("id"))
+    return _load_configs(path, "templates", PromptTemplate, attrgetter("id"))
 
 
 def validate_taxonomy(templates: Iterable[PromptTemplate]) -> ValidationReport:
@@ -191,52 +203,8 @@ def render_prompt(template: PromptTemplate, lang: LanguageConfig) -> str:
     return render_text(template.template_text, lang, context=f"template '{template.id}'")
 
 
-def _text(entry: dict, key: str, default: str | None = None) -> str:
-    value = entry[key] if default is None else entry.get(key, default)
-    if not isinstance(value, str):
-        raise TypeError(f"'{key}' must be a string, not {type(value).__name__}")
-    return value
-
-
-def _as_template(entry: dict) -> PromptTemplate:
-    tid, task_type, subtask = _text(entry, "id"), str(entry["task_type"]), str(entry["subtask"])
-    if not tid:
-        raise ValueError("'id' must be nonempty")
-    text = str(entry["template"])
-    return PromptTemplate(tid, task_type, subtask, text, frozenset(placeholders_in(text)))
-
-
-def _as_language(entry: dict) -> LanguageConfig:
-    word_lists = entry.get("word_lists") or {}
-    if not isinstance(word_lists, dict):
-        raise TypeError(f"'word_lists' must be an object, not {type(word_lists).__name__}")
-    return LanguageConfig(
-        name=_text(entry, "name"),
-        iso_code=_text(entry, "iso_code"),
-        target_lid_label=_text(entry, "target_lid_label"),
-        culture_name=_text(entry, "culture_name", _text(entry, "name")),
-        colonial_language=_text(entry, "colonial_language"),
-        tonal_orthography=bool(entry["tonal_orthography"]),
-        word_lists={str(key): tuple(str(w) for w in words) for key, words in word_lists.items()},
-    )
-
-
-def _as_model(entry: dict) -> ModelConfig:
-    return ModelConfig(
-        model_id=_text(entry, "model_id"),
-        endpoint_url=_text(entry, "endpoint_url"),
-        api_key_env_var=_text(entry, "api_key_env_var"),
-        temperature=float(entry["temperature"]),
-        top_p=float(entry["top_p"]),
-        max_output_tokens=int(entry["max_output_tokens"]),
-        system_prompt_template=_text(entry, "system_prompt_template"),
-        max_retries=int(entry.get("max_retries", 5)),
-        min_request_interval=float(entry.get("min_request_interval", 0.0)),
-    )
-
-
-def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) -> list:
-    """Build every entry listed under ``key`` ("templates", "languages" or "models").
+def _load_configs(path: str | Path, key: str, cls: type, ident: Callable) -> list:
+    """Decode every entry listed under ``key`` ("templates", "languages" or "models") as a ``cls``.
 
     The file is either a bare array of entries or a versioned wrapper
     ``{"schema_version": 1, "<key>": [...]}`` (the shipped files).  A file
@@ -265,17 +233,17 @@ def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) 
         raise ConfigError(f"{path}: expected a JSON array or object, got {type(data).__name__}")
     if not data:
         raise ConfigError(f"{path}: no {key}")
-    configs = []
+    decode, configs = decoder(cls), []
     for index, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: {what} entry {index} is not an object")
         try:
-            configs.append(build(entry))
+            configs.append(decode(entry))
         except KeyError as exc:
             raise ConfigError(f"{path}: {what} entry {index} is missing field {exc}") from exc
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: {what} entry {index}: {exc}") from exc
     seen: dict[str, int] = {}
     for index, config in enumerate(configs):
@@ -287,9 +255,9 @@ def _load_configs(path: str | Path, key: str, build: Callable, ident: Callable) 
 
 def load_language_configs(path: str | Path) -> list[LanguageConfig]:
     """Load every language from a languages JSON file."""
-    return _load_configs(path, "languages", _as_language, attrgetter("iso_code"))
+    return _load_configs(path, "languages", LanguageConfig, attrgetter("iso_code"))
 
 
 def load_model_configs(path: str | Path) -> list[ModelConfig]:
     """Load every model from a models JSON file."""
-    return _load_configs(path, "models", _as_model, attrgetter("model_id"))
+    return _load_configs(path, "models", ModelConfig, attrgetter("model_id"))

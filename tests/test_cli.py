@@ -446,10 +446,20 @@ _PREDICTION_ROW = (
         ("generate", '{"m/hau/creative/cw_01": "amsa"}', "{path}: fixture 'm/hau/creative/cw_01' is not"),
         ("generate", '{"m/hau/creative/cw_01": {', "{path}: invalid JSON"),
         ("generate", '{"m/hau/creative/cw_01": {"status_schedule": [null]}}', "{path}: fixture 'm/hau/creative/cw_01': bad"),
+        (
+            "generate",
+            '{"m/hau/creative/cw_01": {"status_schedule": "503"}}',
+            "{path}: fixture 'm/hau/creative/cw_01': bad value: 'status_schedule' must be a list, not str",
+        ),
+        (
+            "evaluate",
+            _PREDICTION_ROW.replace('"sentence_labels": []', '"sentence_labels": "ab"').replace("[]", "[1.0, 1.0]"),
+            "{path}:1: malformed prediction row: 'sentence_labels' must be a list, not str",
+        ),
     ],
     ids=[
         "prediction_missing", "malformed_prediction_row", "fixture_not_object", "malformed_fixtures",
-        "bad_status_schedule",
+        "bad_status_schedule", "status_schedule_not_list", "sentence_labels_not_list",
     ],
 )
 def test_bad_lid_or_fixture_input_is_a_data_error(small_run, tmp_path, command, content, detail):
@@ -917,6 +927,9 @@ def _write_config_subset(target_dir, iso_codes, model_ids):
     (target_dir / "models.json").write_text(json.dumps(models))
 
 
+_HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["languages"][0]["word_lists"]
+
+
 @pytest.mark.parametrize(
     "filename,entry,message",
     [
@@ -934,10 +947,31 @@ def _write_config_subset(target_dir, iso_codes, model_ids):
             "{path}: language entry 0: 'word_lists' must be an object, not list",
         ),
         ("models.json", {"model_id": ["a"]}, "{path}: model entry 0: 'model_id' must be a string, not list"),
+        (
+            "languages.json",
+            {"word_lists": {**_HAU_WORD_LISTS, "word_list_1": "ruwa, gona"}},
+            "{path}: language entry 0: a value of 'word_lists' must be a list, not str",
+        ),
+        (
+            "languages.json",
+            {"tonal_orthography": "no"},
+            "{path}: language entry 0: 'tonal_orthography' must be true or false, not str",
+        ),
+        (
+            "languages.json",
+            {"word_lists": {**_HAU_WORD_LISTS, "word_list_1": ["ruwa", 5]}},
+            "{path}: language entry 0: an item of a value of 'word_lists' must be a string, not int",
+        ),
+        (
+            "models.json",
+            {"max_output_tokens": float("inf")},
+            "{path}: model entry 0: cannot convert float infinity to integer",
+        ),
     ],
     ids=[
         "model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept",
-        "word_lists_not_object", "model_id_not_string",
+        "word_lists_not_object", "model_id_not_string", "word_list_a_string", "flag_a_string",
+        "word_not_a_string", "max_output_tokens_infinite",
     ],
 )
 def test_bad_config_entry_is_a_usage_error_naming_file_and_entry(tmp_path, filename, entry, message):

@@ -1,4 +1,5 @@
 import json
+import re
 import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass
@@ -8,8 +9,9 @@ from hypothesis import given, strategies as st
 
 from lexglean.codec import DataError, atomic_writer, from_json, json_file_text, parse_record, to_json, write_json
 from lexglean.evaluation import ConditionSummary, EvaluationRecord, OverlapResult
-from lexglean.generation import GenerationRecord, SamplingParams
+from lexglean.generation import GenerationRecord, MockFixture, SamplingParams
 from lexglean.langid import FidelityResult, LidPrediction
+from lexglean.taxonomy import LanguageConfig, render_text
 
 CODEC_CLASSES = (GenerationRecord, EvaluationRecord, ConditionSummary, FidelityResult, OverlapResult)
 
@@ -60,22 +62,67 @@ def test_absent_optional_key_reads_as_none():
     assert from_json(ConditionSummary, data) == summary
 
 
-def test_numbers_and_booleans_are_coerced():
+def test_numbers_are_coerced_booleans_are_not():
     sampling = from_json(SamplingParams, {"temperature": 1, "top_p": "0.5", "max_output_tokens": 256.0})
     assert sampling == SamplingParams(1.0, 0.5, 256)
     assert type(sampling.temperature) is float and type(sampling.max_output_tokens) is int
-    assert from_json(OverlapResult, {"key": "k", "cosine": 0, "memorization_suspect": 1}).memorization_suspect is True
+    for value in (1, "no", None):
+        message = rf"\A'memorization_suspect' must be true or false, not {type(value).__name__}\Z"
+        with pytest.raises(TypeError, match=message):
+            from_json(OverlapResult, {"key": "k", "cosine": 0, "memorization_suspect": value})
 
 
 def test_decode_errors():
     with pytest.raises(KeyError, match="label"):
         from_json(LidPrediction, {"confidence": 0.5})
-    with pytest.raises(TypeError, match="expected a string"):
+    with pytest.raises(TypeError, match=r"\A'label' must be a string, not int\Z"):
         from_json(LidPrediction, {"label": 5, "confidence": 0.5})
     with pytest.raises(ValueError):
         from_json(LidPrediction, {"label": "x", "confidence": "high"})
     with pytest.raises(TypeError):
         from_json(FidelityResult, {"document": None})
+
+
+def test_a_non_object_is_refused_naming_its_type():
+    # With defaults, ``key in data`` on a string would be a substring test.
+    for data, name in (("abc", "str"), ([], "list"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=rf"\Aexpected an object, not {name}\Z"):
+            from_json(MockFixture, data)
+    with pytest.raises(TypeError, match=r"\Aexpected an object, not list\Z"):
+        from_json(FidelityResult, {"document": ["hau_Latn", 1.0]})
+
+
+LANGUAGE_ENTRY = {
+    "name": "Hausa", "iso_code": "hau", "target_lid_label": "hau_Latn", "colonial_language": "English",
+    "tonal_orthography": False,
+}
+
+
+def test_absent_key_takes_the_field_default():
+    assert from_json(MockFixture, {}) == MockFixture("", (200,), "stop")
+    assert from_json(MockFixture, {"status_schedule": []}).status_schedule == ()
+    language = from_json(LanguageConfig, LANGUAGE_ENTRY)
+    assert language.word_lists == {} and language.culture_name is None
+    assert render_text("{language_culture}", language) == "Hausa"
+    assert from_json(LanguageConfig, LANGUAGE_ENTRY).word_lists is not language.word_lists  # default_factory
+    with pytest.raises(KeyError, match="tonal_orthography"):
+        from_json(LanguageConfig, {key: v for key, v in LANGUAGE_ENTRY.items() if key != "tonal_orthography"})
+
+
+def test_lists_and_mappings_are_strict_and_name_the_key():
+    language = from_json(LanguageConfig, {**LANGUAGE_ENTRY, "word_lists": {"word_list_1": ["ruwa", "gona"]}})
+    assert language.word_lists == {"word_list_1": ("ruwa", "gona")}
+    cases = [
+        ({"word_lists": ["a"]}, "'word_lists' must be an object, not list"),
+        ({"word_lists": {"word_list_1": "ruwa, gona"}}, "a value of 'word_lists' must be a list, not str"),
+        ({"word_lists": {"word_list_1": ["ruwa", 5]}}, "an item of a value of 'word_lists' must be a string, not int"),
+        ({"tonal_orthography": "no"}, "'tonal_orthography' must be true or false, not str"),
+    ]
+    for override, message in cases:
+        with pytest.raises(TypeError, match=rf"\A{re.escape(message)}\Z"):
+            from_json(LanguageConfig, {**LANGUAGE_ENTRY, **override})
+    with pytest.raises(TypeError, match=r"\A'status_schedule' must be a list, not str\Z"):
+        from_json(MockFixture, {"status_schedule": "503"})
 
 
 def test_unsupported_types_rejected_on_first_use():

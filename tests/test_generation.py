@@ -64,8 +64,8 @@ MODEL = ModelConfig(
 )
 
 TEMPLATES = [
-    PromptTemplate("cw_01", "creative", "poem", "Write a poem in {language}.", frozenset({"language"})),
-    PromptTemplate("cw_02", "creative", "song", "Write a song in {language}.", frozenset({"language"})),
+    PromptTemplate("cw_01", "creative", "poem", "Write a poem in {language}."),
+    PromptTemplate("cw_02", "creative", "song", "Write a song in {language}."),
 ]
 
 
@@ -393,7 +393,7 @@ def _requested_and_completed(templates, languages, models, out_dir):
 
 def test_resume_scan_equals_a_stat_per_triple(tmp_path, monkeypatch):
     templates = [
-        PromptTemplate(prompt_id, task, "poem", "Write in {language}.", frozenset({"language"}))
+        PromptTemplate(prompt_id, task, "poem", "Write in {language}.")
         for prompt_id, task in [
             ("cw_01", "creative"), ("cw_02", "creative"), ("cw_03", "creative"), ("cw.1", "creative"),
             ("cw.2", "creative"), ("cw_04", "creative"), ("dg_01", "dialogue"), ("qa_01", "qa"),
@@ -694,7 +694,7 @@ def test_read_records_walks_into_a_directory_named_like_a_record(tmp_path):
 
 def test_dotted_prompt_ids_get_their_own_record_files(tmp_path):
     templates = [
-        PromptTemplate(f"cw.{n}", "creative", "poem", "Write a poem in {language}.", frozenset({"language"}))
+        PromptTemplate(f"cw.{n}", "creative", "poem", "Write a poem in {language}.")
         for n in (1, 2)
     ]
     backend = MockBackend(_fixtures_for(templates))

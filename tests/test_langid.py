@@ -277,7 +277,7 @@ def test_external_predictions_malformed_rows(tmp_path):
     with pytest.raises(ValueError, match=":1: malformed"):
         load_external_predictions(path)
     path.write_text('{"output_id": ["a"], "doc_label": "x", "doc_conf": 1.0, "sentence_labels": [], "sentence_confs": []}\n')
-    with pytest.raises(DataError, match=":1: malformed prediction row: output_id must be a string"):
+    with pytest.raises(DataError, match=":1: malformed prediction row: 'output_id' must be a string, not list"):
         load_external_predictions(path)
 
 

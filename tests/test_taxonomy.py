@@ -118,9 +118,9 @@ def test_load_taxonomy_invalid_json_reports_position(tmp_path):
 
 def test_validate_flags_problems():
     templates = [
-        PromptTemplate("zz_01", "mystery", "s", "x", frozenset()),
-        PromptTemplate("cw_02", "creative", "s", "{bogus}", frozenset({"bogus"})),
-        PromptTemplate("cg_03", "creative", "s", "x", frozenset()),
+        PromptTemplate("zz_01", "mystery", "s", "x"),
+        PromptTemplate("cw_02", "creative", "s", "{bogus}"),
+        PromptTemplate("cg_03", "creative", "s", "x"),
     ]
     report = validate_taxonomy(templates)
     assert not report.ok

@@ -10,10 +10,11 @@ external LID predictions file.  Field types may be ``str``, ``int``,
 ``dict[str, X]`` or ``Mapping[str, X]`` (a JSON object) or ``X | None``
 (an absent key reads as None).  A field with a default (or a
 ``default_factory``) takes it when its key is absent; any other absent key
-is an error.  Reading coerces numbers with ``int``/``float`` and takes
-nothing else on trust: a ``str`` field holds only a string, a ``bool`` only
-``true`` or ``false``, a tuple only a list, and a dataclass or mapping only
-an object.  The error names the key, but for a dataclass, which names only
+is an error.  Reading converts a number or a numeric string with
+``int``/``float`` and takes nothing else on trust: a number field refuses
+``true`` and ``false``, an ``int`` field a fraction, a ``str`` field holds
+only a string, a ``bool`` only ``true`` or ``false``, a tuple only a list,
+and a dataclass or mapping only an object.  The error names the key, but for a dataclass, which names only
 the type it got.  Every file is written through ``atomic_writer``, so a
 reader never sees a partial one.
 """
@@ -142,6 +143,23 @@ def _refuse(name: str, kind: type, value: Any) -> NoReturn:
     raise TypeError(f"{name} must be {_EXPECTED[kind]}, not {type(value).__name__}")
 
 
+def _number(kind: type, name: str) -> Callable[[Any], Any]:
+    """Decoder of an ``int`` or ``float`` field: a number or a numeric string,
+    but not true or false, and for an ``int`` not a fraction."""
+
+    def decode(value: Any) -> Any:
+        if type(value) is kind:
+            return value
+        if type(value) is bool:
+            raise TypeError(f"{name} must be a number, not bool")
+        number = kind(value)
+        if type(value) is float and number != value:
+            raise ValueError(f"{name} must be a whole number, not {value!r}")
+        return number
+
+    return decode
+
+
 def _is_optional(hint: Any) -> bool:
     return typing.get_origin(hint) in (typing.Union, types.UnionType)
 
@@ -176,7 +194,7 @@ def _converters(hint: Any, name: str) -> tuple[Callable[[Any], Any] | None, Call
     if is_dataclass(hint):
         return _codec(hint)
     if hint is int or hint is float:
-        return None, hint
+        return None, _number(hint, name)
     if hint is str or hint is bool:
         return None, lambda value: value if type(value) is hint else _refuse(name, hint, value)
     raise TypeError(f"unsupported field type {hint}")
@@ -196,35 +214,27 @@ def _codec(cls: type) -> _Codec:
     if any(not f.init or f.kw_only for f in fields(cls)):
         raise TypeError(f"{cls.__name__}: every field must be a positional __init__ parameter")
     hints = typing.get_type_hints(cls)
-    namespace: dict[str, Any] = {"cls": cls, "refuse": _refuse}
-    items, lines = [], []
+    namespace: dict[str, Any] = {"cls": cls}
+    items, args = [], []
     for index, f in enumerate(fields(cls)):
-        key, hint, var = repr(f.metadata.get(JSON_KEY, f.name)), hints[f.name], f"v{index}"
+        key, hint = repr(f.metadata.get(JSON_KEY, f.name)), hints[f.name]
         encode, namespace[f"decode{index}"] = _converters(hint, key)
         namespace[f"encode{index}"] = encode
         items.append(f"{key}: obj.{f.name}" if encode is None else f"{key}: encode{index}(obj.{f.name})")
-        optional = _is_optional(hint)
-        if optional:
-            hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
-        if hint is str or hint is bool:  # checked inline: a call per field shows in ``filter``
-            kind, maybe = hint.__name__, f" and {var} is not None" if optional else ""
-            convert = f"if type({var}) is not {kind}{maybe}: refuse({key!r}, {kind}, {var})"
-        else:
-            convert = f"{var} = decode{index}({var})"
-        if f.default is MISSING and f.default_factory is MISSING:
-            lines += [f"{var} = data.get({key})" if optional else f"{var} = data[{key}]", convert]
-        else:
-            namespace[f"default{index}"] = f.default_factory if f.default is MISSING else f.default
-            fallback = f"default{index}()" if f.default is MISSING else f"default{index}"
-            lines += [f"if {key} in data:", f"    {var} = data[{key}]", f"    {convert}"]
-            lines += ["else:", f"    {var} = {fallback}"]
+        value = f"decode{index}(data.get({key}))" if _is_optional(hint) else f"decode{index}(data[{key}])"
+        if f.default is not MISSING:
+            namespace[f"default{index}"] = f.default
+            value = f"{value} if {key} in data else default{index}"
+        elif f.default_factory is not MISSING:
+            namespace[f"default{index}"] = f.default_factory
+            value = f"{value} if {key} in data else default{index}()"
+        args.append(value)
     source = (
         f"def encode(obj):\n    return {{{', '.join(items)}}}\n"
         "def decode(data):\n"
         "    if type(data) is not dict:\n"
         "        raise TypeError(f'expected an object, not {type(data).__name__}')\n"
-        + "".join(f"    {line}\n" for line in lines)
-        + f"    return cls({', '.join(f'v{index}' for index in range(len(items)))})\n"
+        f"    return cls({', '.join(args)})\n"
     )
     exec(compile(source, f"<codec of {cls.__qualname__}>", "exec"), namespace)
     return namespace["encode"], namespace["decode"]

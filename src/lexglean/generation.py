@@ -359,8 +359,12 @@ class MockAborted(RuntimeError):
 @dataclass(frozen=True)
 class MockFixture:
     response_text: str = ""
-    status_schedule: tuple[int, ...] = (200,)  # an empty schedule serves 200
+    status_schedule: tuple[int, ...] = (200,)
     finish_reason: str = "stop"
+
+    def __post_init__(self) -> None:
+        if not self.status_schedule:
+            object.__setattr__(self, "status_schedule", (200,))
 
 
 def load_mock_fixtures(path: str | Path) -> dict[str, MockFixture]:
@@ -418,8 +422,7 @@ class MockBackend:
         fixture = self.fixtures.get(request.output_id)
         if fixture is None:
             return BackendResponse(404, MOCK_TIMESTAMP, 0.0)
-        schedule = fixture.status_schedule or (200,)
-        status = schedule[min(attempt, len(schedule) - 1)]
+        status = fixture.status_schedule[min(attempt, len(fixture.status_schedule) - 1)]
         if not 200 <= status < 300:
             return BackendResponse(status, MOCK_TIMESTAMP, 0.0)
         return BackendResponse(status, MOCK_TIMESTAMP, 0.0, fixture.response_text, fixture.finish_reason)

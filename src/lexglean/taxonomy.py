@@ -43,7 +43,7 @@ TASK_TYPES = tuple(sorted(PREFIX_TO_TASK_TYPE.values()))
 # placeholder must be a word list name (word_list_<n>).
 BASE_PLACEHOLDERS = {
     "language": attrgetter("name"),
-    "language_culture": lambda lang: lang.name if lang.culture_name is None else lang.culture_name,
+    "language_culture": attrgetter("culture_name"),
     "colonial_language": attrgetter("colonial_language"),
 }
 
@@ -81,12 +81,14 @@ class LanguageConfig:
     name: str
     iso_code: str
     target_lid_label: str
-    culture_name: str | None  # None (an absent key) renders as ``name``
+    culture_name: str | None  # None (an absent key or null) reads as ``name``
     colonial_language: str
     tonal_orthography: bool
     word_lists: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.culture_name is None:
+            object.__setattr__(self, "culture_name", self.name)
         for fieldname in ("name", "iso_code", "target_lid_label", "colonial_language"):
             if not getattr(self, fieldname):
                 raise ConfigError(f"language config: '{fieldname}' must be nonempty")

@@ -967,11 +967,17 @@ _HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["langu
             {"max_output_tokens": float("inf")},
             "{path}: model entry 0: cannot convert float infinity to integer",
         ),
+        ("models.json", {"max_retries": True}, "{path}: model entry 0: 'max_retries' must be a number, not bool"),
+        (
+            "models.json",
+            {"max_output_tokens": 1024.7},
+            "{path}: model entry 0: 'max_output_tokens' must be a whole number, not 1024.7",
+        ),
     ],
     ids=[
         "model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept",
         "word_lists_not_object", "model_id_not_string", "word_list_a_string", "flag_a_string",
-        "word_not_a_string", "max_output_tokens_infinite",
+        "word_not_a_string", "max_output_tokens_infinite", "retries_a_flag", "max_output_tokens_fraction",
     ],
 )
 def test_bad_config_entry_is_a_usage_error_naming_file_and_entry(tmp_path, filename, entry, message):

@@ -70,6 +70,18 @@ def test_numbers_are_coerced_booleans_are_not():
         message = rf"\A'memorization_suspect' must be true or false, not {type(value).__name__}\Z"
         with pytest.raises(TypeError, match=message):
             from_json(OverlapResult, {"key": "k", "cosine": 0, "memorization_suspect": value})
+    cases = [
+        ({"max_output_tokens": True}, TypeError, "'max_output_tokens' must be a number, not bool"),
+        ({"temperature": False}, TypeError, "'temperature' must be a number, not bool"),
+        ({"max_output_tokens": 1024.7}, ValueError, "'max_output_tokens' must be a whole number, not 1024.7"),
+    ]
+    for override, error, message in cases:
+        with pytest.raises(error, match=rf"\A{re.escape(message)}\Z"):
+            from_json(SamplingParams, {**to_json(sampling), **override})
+    with pytest.raises(TypeError, match=r"\Aan item of 'status_schedule' must be a number, not bool\Z"):
+        from_json(MockFixture, {"status_schedule": [True, 200]})
+    with pytest.raises(OverflowError):
+        from_json(SamplingParams, {**to_json(sampling), "max_output_tokens": float("inf")})
 
 
 def test_decode_errors():
@@ -100,9 +112,9 @@ LANGUAGE_ENTRY = {
 
 def test_absent_key_takes_the_field_default():
     assert from_json(MockFixture, {}) == MockFixture("", (200,), "stop")
-    assert from_json(MockFixture, {"status_schedule": []}).status_schedule == ()
+    assert from_json(MockFixture, {"status_schedule": []}).status_schedule == (200,)
     language = from_json(LanguageConfig, LANGUAGE_ENTRY)
-    assert language.word_lists == {} and language.culture_name is None
+    assert language.word_lists == {} and language.culture_name == "Hausa"
     assert render_text("{language_culture}", language) == "Hausa"
     assert from_json(LanguageConfig, LANGUAGE_ENTRY).word_lists is not language.word_lists  # default_factory
     with pytest.raises(KeyError, match="tonal_orthography"):

@@ -14,9 +14,9 @@ its fingerprint and says what an earlier evaluate left that still holds;
 ``evaluate`` scores one model/language/task cell at a time (``score_cell``).
 
 An error ends a command with an ``error:`` line and an exit code set by its
-class alone: 1 for unreadable or inconsistent data (``DataError``, a
-``BackendError`` or an ``OSError``), 2 for bad flags or configuration
-(``CliError``, ``ConfigError`` and any other ``ValueError``).
+class alone: 1 for unreadable or inconsistent data (``DataError`` or an
+``OSError``), 2 for bad flags or configuration (``ConfigError`` or any other
+``ValueError``).
 
 Configuration directory precedence: ``--config`` flag, then the
 ``LEXGLEAN_CONFIG`` environment variable, then the packaged defaults.
@@ -65,7 +65,6 @@ from .generation import (
     run_batch,
 )
 from .langid import (
-    BackendError,
     BuiltinClassifier,
     ExternalPredictionsClassifier,
     FidelityBackend,
@@ -75,6 +74,7 @@ from .langid import (
 )
 from .reporting import FORMATS, TABLE_KINDS, ReportSpec, format_condition_table, render_report
 from .taxonomy import (
+    ConfigError,
     LanguageConfig,
     load_language_configs,
     load_model_configs,
@@ -89,10 +89,6 @@ EXIT_OK = 0
 EXIT_DATA = 1  # missing or corrupt input data
 EXIT_USAGE = 2  # bad flags / configuration
 EXIT_CALLS_FAILED = 3  # generate: some calls failed; a re-run retries only those
-
-
-class CliError(ValueError):
-    """Bad flags or configuration (exit 2)."""
 
 
 def _resolve_config_dir(flag_value: str | None) -> Path:
@@ -113,16 +109,16 @@ def _select(available, wanted_csv: str, key, what: str):
     for name in [part.strip() for part in wanted_csv.split(",") if part.strip()]:
         if name not in by_key:
             known = ", ".join(sorted(by_key))
-            raise CliError(f"unknown {what} '{name}' (known: {known})")
+            raise ConfigError(f"unknown {what} '{name}' (known: {known})")
         selected[name] = by_key[name]
     if not selected:
-        raise CliError(f"no {what} selected")
+        raise ConfigError(f"no {what} selected")
     return list(selected.values())
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.parallelism < 1:
-        raise CliError(f"--parallelism must be at least 1, got {args.parallelism}")
+        raise ConfigError(f"--parallelism must be at least 1, got {args.parallelism}")
     config_dir = _resolve_config_dir(args.config)
     languages_all = load_language_configs(config_dir / "languages.json")
     models_all = load_model_configs(config_dir / "models.json")
@@ -135,12 +131,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not report.ok:
         for issue in report.issues:
             print(f"taxonomy: {issue}", file=sys.stderr)
-        raise CliError(f"taxonomy {taxonomy_path} failed validation")
+        raise ConfigError(f"taxonomy {taxonomy_path} failed validation")
 
     if args.mock:
         backend = MockBackend(load_mock_fixtures(args.mock))
     elif os.environ.get("NO_NETWORK") == "1":
-        raise CliError("NO_NETWORK=1 is set; pass --mock FIXTURES to run offline")
+        raise ConfigError("NO_NETWORK=1 is set; pass --mock FIXTURES to run offline")
     else:
         backend = HttpBackend()
 
@@ -174,10 +170,10 @@ def _make_lid_backend(spec: str):
         )
     if kind == "external":
         if not argument:
-            raise CliError("--lid external needs a predictions file: external:<path>")
+            raise ConfigError("--lid external needs a predictions file: external:<path>")
         backend = ExternalPredictionsClassifier(load_external_predictions(argument))
         return backend, spec, fingerprints.files_digest([Path(argument)])
-    raise CliError(f"unknown --lid backend '{spec}' (use builtin:<seeds-dir> or external:<file>)")
+    raise ConfigError(f"unknown --lid backend '{spec}' (use builtin:<seeds-dir> or external:<file>)")
 
 
 def _parse_references(pairs: list[str]) -> dict[str, Path]:
@@ -185,9 +181,9 @@ def _parse_references(pairs: list[str]) -> dict[str, Path]:
     for pair in pairs:
         language, separator, pathname = pair.partition("=")
         if not separator or not language or not pathname:
-            raise CliError(f"bad --reference '{pair}' (expected LANG=PATH)")
+            raise ConfigError(f"bad --reference '{pair}' (expected LANG=PATH)")
         if language in references:
-            raise CliError(f"--reference {language} given more than once")
+            raise ConfigError(f"--reference {language} given more than once")
         references[language] = Path(pathname)
     return references
 
@@ -252,12 +248,12 @@ def score_cell(
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not 0.0 <= args.w_conf <= 1.0:
-        raise CliError(f"--w-conf must be in [0, 1] (both quality weights nonnegative), got {args.w_conf}")
+        raise ConfigError(f"--w-conf must be in [0, 1] (both quality weights nonnegative), got {args.w_conf}")
     if args.threshold < 0:
-        raise CliError(f"--threshold must be nonnegative, got {args.threshold}")
+        raise ConfigError(f"--threshold must be nonnegative, got {args.threshold}")
     results_dir = Path(args.results)
     if results_dir.resolve().is_relative_to(Path(args.outputs).resolve()):
-        raise CliError(
+        raise ConfigError(
             f"--results {args.results} is inside --outputs {args.outputs}, whose .json files are all "
             "read as records (write the results outside it)"
         )
@@ -284,7 +280,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         except UnicodeDecodeError as exc:
             raise DataError(f"{reference_path}: not UTF-8: {exc}") from exc
         except ValueError as exc:  # an empty corpus
-            raise CliError(f"{reference_path}: {exc}") from exc
+            raise ConfigError(f"{reference_path}: {exc}") from exc
         references[code] = (hashlib.sha256(reference_bytes).hexdigest(), profile)
 
     # Each cell is scored as its run of the walk ends and its lines go to a
@@ -297,7 +293,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with contextlib.closing(fingerprints.lines(results_dir, old_cells.values())) as old_lines:
             for key, digests, records in fingerprints.walk(args.outputs, old_cells.values()):
                 if key[1] not in languages:
-                    raise CliError(f"record {min(records)}: unknown language '{key[1]}'")
+                    raise ConfigError(f"record {min(records)}: unknown language '{key[1]}'")
                 reference_digest, reference = references.get(key[1], (None, None))
                 cell = fingerprints.Cell(*key, digests, reference_digest)
                 cell_lines, overlap, summary = score_cell(
@@ -325,7 +321,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         # failed one leaves the results directory as it was.
         for code in references:
             if not any(cell.language == code for cell in fingerprint_cells):
-                raise CliError(f"--reference {code}: no records for that language")
+                raise ConfigError(f"--reference {code}: no records for that language")
         # Summaries and fingerprint cells are written in (model, language,
         # task) order, overlaps by language and then key string.
         summaries.sort(key=lambda s: (s.model_id, s.language, s.task_type))
@@ -372,7 +368,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     if args.min_quality is not None and not 0.0 <= args.min_quality <= 1.0:
-        raise CliError(f"--min-quality must be in [0, 1], got {args.min_quality}")
+        raise ConfigError(f"--min-quality must be in [0, 1], got {args.min_quality}")
     results_dir = Path(args.results)
     cells = fingerprints.read(results_dir).cells
     languages = sorted({cell.language for cell in cells})
@@ -380,7 +376,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     # beside the new files, which would then read as one run.
     for path in sorted(Path(args.out).glob("*.provenance.jsonl")):
         if path.name.removesuffix(".provenance.jsonl") not in languages:
-            raise CliError(
+            raise ConfigError(
                 f"{path} is from another run: these results hold no outputs in its language "
                 "(filter into a new --out directory)"
             )
@@ -521,10 +517,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (DataError, BackendError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # CliError and ConfigError among them
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -36,7 +36,7 @@ JSON_KEY = "json_key"
 
 _Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
 
-# What from_json or json.loads raise on data that is not a record.
+# What a decoder or json.loads raise on data that is not a record.
 _BAD_DATA = (KeyError, TypeError, ValueError, OverflowError)
 
 
@@ -93,17 +93,13 @@ def to_json(obj: Any) -> dict:
     return _codec(type(obj))[0](obj)
 
 
-def from_json(cls: type, data: Any) -> Any:
-    """Rebuild a ``cls`` instance from its JSON object.
-
-    A missing field raises KeyError, a value of the wrong type TypeError or
-    ValueError, an infinite number in an ``int`` field OverflowError.
-    """
-    return decoder(cls)(data)
-
-
 def decoder(cls: type) -> Callable[[Any], Any]:
-    """The function ``from_json(cls, data)`` applies, for a caller that decodes many objects."""
+    """The function that rebuilds a ``cls`` instance from its JSON object.
+
+    It raises KeyError on a missing field, TypeError or ValueError on a
+    value of the wrong type, OverflowError on an infinite number in an
+    ``int`` field.
+    """
     return _codec(cls)[1]
 
 
@@ -114,7 +110,7 @@ def parse_record(cls: type, raw: bytes, path: object, line: int | None = None) -
     and line.
     """
     try:
-        return from_json(cls, json.loads(raw))
+        return decoder(cls)(json.loads(raw))
     except _BAD_DATA as exc:
         raise _data_error(exc, path if line is None else f"{path}:{line}") from exc
 
@@ -122,7 +118,7 @@ def parse_record(cls: type, raw: bytes, path: object, line: int | None = None) -
 def load_list(cls: type, path: Path, key: str) -> list:
     """The ``cls`` instances listed under ``key`` in the JSON file at ``path``; DataError names a bad file."""
     try:
-        return [from_json(cls, item) for item in json.loads(path.read_bytes())[key]]
+        return list(map(decoder(cls), json.loads(path.read_bytes())[key]))
     except _BAD_DATA as exc:
         raise _data_error(exc, path) from exc
 

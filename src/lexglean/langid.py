@@ -51,10 +51,6 @@ UNKNOWN_LABEL = "und"
 MIN_SENTENCE_CHARS = 3
 
 
-class BackendError(RuntimeError):
-    """A classifier backend could not produce a prediction for an output."""
-
-
 @dataclass(frozen=True)
 class LidPrediction:
     label: str
@@ -276,7 +272,7 @@ class ExternalPredictionsClassifier:
         self, analysis: TextAnalysis, target: str, output_id: str | None = None
     ) -> FidelityResult:
         if output_id not in self.predictions:
-            raise BackendError(f"no external prediction (output {output_id})")
+            raise DataError(f"no external prediction (output {output_id})")
         document, sentences = self.predictions[output_id]
         target_confidence = document.confidence if document.label == target else 0.0
         return _fidelity_result(target, document, target_confidence, sentences)

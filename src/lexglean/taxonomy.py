@@ -52,8 +52,9 @@ _PLACEHOLDER = re.compile(r"\{([a-z0-9_]+)\}")
 
 
 class ConfigError(ValueError):
-    """A taxonomy, language or model file is missing or invalid, or a
-    template placeholder cannot be resolved for a language."""
+    """Bad flags or configuration (exit 2): a taxonomy, language or model
+    file is missing or invalid, a template placeholder cannot be resolved
+    for a language, or a command-line flag is out of range."""
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,6 @@ class PromptTemplate:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("'id' must be nonempty")
-
-    @property
-    def required_placeholders(self) -> frozenset[str]:
-        return frozenset(placeholders_in(self.template_text))
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,7 @@ def validate_taxonomy(templates: Iterable[PromptTemplate]) -> ValidationReport:
     issues += [
         f"{t.id}: unknown placeholder '{{{name}}}'"
         for t in templates
-        for name in sorted(t.required_placeholders)
+        for name in sorted(set(placeholders_in(t.template_text)))
         if name not in BASE_PLACEHOLDERS and not _WORD_LIST_NAME.match(name)
     ]
     issues += [

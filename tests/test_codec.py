@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import pytest
 from hypothesis import given, strategies as st
 
-from lexglean.codec import DataError, atomic_writer, from_json, json_file_text, parse_record, to_json, write_json
+from lexglean.codec import DataError, atomic_writer, decoder, json_file_text, parse_record, to_json, write_json
 from lexglean.evaluation import ConditionSummary, EvaluationRecord, OverlapResult
 from lexglean.generation import GenerationRecord, MockFixture, SamplingParams
 from lexglean.langid import FidelityResult, LidPrediction
@@ -41,7 +41,7 @@ def _strategy(hint):
 @given(data=st.data())
 def test_roundtrip_through_json_text(cls, data):
     value = data.draw(_strategy(cls))
-    assert from_json(cls, json.loads(json.dumps(to_json(value)))) == value
+    assert decoder(cls)(json.loads(json.dumps(to_json(value)))) == value
 
 
 def test_declared_json_keys():
@@ -59,17 +59,17 @@ def test_absent_optional_key_reads_as_none():
     summary = ConditionSummary("m", "hau", "creative", 1, *[1.0] * 10, None, None)
     data = to_json(summary)
     del data["diacritic_presence_pct"], data["avg_diacritic_ratio"]
-    assert from_json(ConditionSummary, data) == summary
+    assert decoder(ConditionSummary)(data) == summary
 
 
 def test_numbers_are_coerced_booleans_are_not():
-    sampling = from_json(SamplingParams, {"temperature": 1, "top_p": "0.5", "max_output_tokens": 256.0})
+    sampling = decoder(SamplingParams)({"temperature": 1, "top_p": "0.5", "max_output_tokens": 256.0})
     assert sampling == SamplingParams(1.0, 0.5, 256)
     assert type(sampling.temperature) is float and type(sampling.max_output_tokens) is int
     for value in (1, "no", None):
         message = rf"\A'memorization_suspect' must be true or false, not {type(value).__name__}\Z"
         with pytest.raises(TypeError, match=message):
-            from_json(OverlapResult, {"key": "k", "cosine": 0, "memorization_suspect": value})
+            decoder(OverlapResult)({"key": "k", "cosine": 0, "memorization_suspect": value})
     cases = [
         ({"max_output_tokens": True}, TypeError, "'max_output_tokens' must be a number, not bool"),
         ({"temperature": False}, TypeError, "'temperature' must be a number, not bool"),
@@ -77,31 +77,31 @@ def test_numbers_are_coerced_booleans_are_not():
     ]
     for override, error, message in cases:
         with pytest.raises(error, match=rf"\A{re.escape(message)}\Z"):
-            from_json(SamplingParams, {**to_json(sampling), **override})
+            decoder(SamplingParams)({**to_json(sampling), **override})
     with pytest.raises(TypeError, match=r"\Aan item of 'status_schedule' must be a number, not bool\Z"):
-        from_json(MockFixture, {"status_schedule": [True, 200]})
+        decoder(MockFixture)({"status_schedule": [True, 200]})
     with pytest.raises(OverflowError):
-        from_json(SamplingParams, {**to_json(sampling), "max_output_tokens": float("inf")})
+        decoder(SamplingParams)({**to_json(sampling), "max_output_tokens": float("inf")})
 
 
 def test_decode_errors():
     with pytest.raises(KeyError, match="label"):
-        from_json(LidPrediction, {"confidence": 0.5})
+        decoder(LidPrediction)({"confidence": 0.5})
     with pytest.raises(TypeError, match=r"\A'label' must be a string, not int\Z"):
-        from_json(LidPrediction, {"label": 5, "confidence": 0.5})
+        decoder(LidPrediction)({"label": 5, "confidence": 0.5})
     with pytest.raises(ValueError):
-        from_json(LidPrediction, {"label": "x", "confidence": "high"})
+        decoder(LidPrediction)({"label": "x", "confidence": "high"})
     with pytest.raises(TypeError):
-        from_json(FidelityResult, {"document": None})
+        decoder(FidelityResult)({"document": None})
 
 
 def test_a_non_object_is_refused_naming_its_type():
     # With defaults, ``key in data`` on a string would be a substring test.
     for data, name in (("abc", "str"), ([], "list"), (None, "NoneType")):
         with pytest.raises(TypeError, match=rf"\Aexpected an object, not {name}\Z"):
-            from_json(MockFixture, data)
+            decoder(MockFixture)(data)
     with pytest.raises(TypeError, match=r"\Aexpected an object, not list\Z"):
-        from_json(FidelityResult, {"document": ["hau_Latn", 1.0]})
+        decoder(FidelityResult)({"document": ["hau_Latn", 1.0]})
 
 
 LANGUAGE_ENTRY = {
@@ -111,18 +111,18 @@ LANGUAGE_ENTRY = {
 
 
 def test_absent_key_takes_the_field_default():
-    assert from_json(MockFixture, {}) == MockFixture("", (200,), "stop")
-    assert from_json(MockFixture, {"status_schedule": []}).status_schedule == (200,)
-    language = from_json(LanguageConfig, LANGUAGE_ENTRY)
+    assert decoder(MockFixture)({}) == MockFixture("", (200,), "stop")
+    assert decoder(MockFixture)({"status_schedule": []}).status_schedule == (200,)
+    language = decoder(LanguageConfig)(LANGUAGE_ENTRY)
     assert language.word_lists == {} and language.culture_name == "Hausa"
     assert render_text("{language_culture}", language) == "Hausa"
-    assert from_json(LanguageConfig, LANGUAGE_ENTRY).word_lists is not language.word_lists  # default_factory
+    assert decoder(LanguageConfig)(LANGUAGE_ENTRY).word_lists is not language.word_lists  # default_factory
     with pytest.raises(KeyError, match="tonal_orthography"):
-        from_json(LanguageConfig, {key: v for key, v in LANGUAGE_ENTRY.items() if key != "tonal_orthography"})
+        decoder(LanguageConfig)({key: v for key, v in LANGUAGE_ENTRY.items() if key != "tonal_orthography"})
 
 
 def test_lists_and_mappings_are_strict_and_name_the_key():
-    language = from_json(LanguageConfig, {**LANGUAGE_ENTRY, "word_lists": {"word_list_1": ["ruwa", "gona"]}})
+    language = decoder(LanguageConfig)({**LANGUAGE_ENTRY, "word_lists": {"word_list_1": ["ruwa", "gona"]}})
     assert language.word_lists == {"word_list_1": ("ruwa", "gona")}
     cases = [
         ({"word_lists": ["a"]}, "'word_lists' must be an object, not list"),
@@ -132,9 +132,9 @@ def test_lists_and_mappings_are_strict_and_name_the_key():
     ]
     for override, message in cases:
         with pytest.raises(TypeError, match=rf"\A{re.escape(message)}\Z"):
-            from_json(LanguageConfig, {**LANGUAGE_ENTRY, **override})
+            decoder(LanguageConfig)({**LANGUAGE_ENTRY, **override})
     with pytest.raises(TypeError, match=r"\A'status_schedule' must be a list, not str\Z"):
-        from_json(MockFixture, {"status_schedule": "503"})
+        decoder(MockFixture)({"status_schedule": "503"})
 
 
 def test_unsupported_types_rejected_on_first_use():
@@ -149,9 +149,9 @@ def test_unsupported_types_rejected_on_first_use():
     with pytest.raises(TypeError, match="unsupported"):
         to_json(Listed(["a"]))
     with pytest.raises(TypeError, match="unsupported"):
-        from_json(Either, {"value": 1})
+        decoder(Either)({"value": 1})
     with pytest.raises(TypeError, match="not a dataclass"):
-        from_json(dict, {})
+        decoder(dict)({})
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from lexglean.codec import from_json, to_json
+from lexglean.codec import decoder, to_json
 from lexglean.evaluation import (
     ConditionSummary,
     DEFAULT_W_CONF,
@@ -380,4 +380,4 @@ def test_summaries_roundtrip(tmp_path):
 def test_condition_summary_roundtrip_none_fields():
     summary = aggregate(("m", "hau", "creative"), [make_eval("m/hau/creative/cw_01")])
     assert summary.diacritic_presence_pct is None
-    assert from_json(ConditionSummary, to_json(summary)) == summary
+    assert decoder(ConditionSummary)(to_json(summary)) == summary

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES_PATH, records_under
-from lexglean.codec import DataError, from_json, json_file_text, parse_record
+from lexglean.codec import DataError, decoder, json_file_text, parse_record
 from lexglean.generation import (
     BackendResponse,
     BackendUnavailable,
@@ -576,7 +576,7 @@ def test_dumps_record_shape():
         '  "task_type": "creative"\n'
         "}\n"
     )
-    assert from_json(GenerationRecord, json.loads(text)) == record
+    assert decoder(GenerationRecord)(json.loads(text)) == record
 
 
 def test_read_records_rejects_duplicates(tmp_path):

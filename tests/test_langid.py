@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lexglean import data_dir
-from lexglean.codec import DataError, from_json, to_json
+from lexglean.codec import DataError, decoder, to_json
 from lexglean.langid import (
-    BackendError,
     BuiltinClassifier,
     ExternalPredictionsClassifier,
     FidelityResult,
@@ -213,7 +212,7 @@ def test_fidelity_result_json_roundtrip():
         sentence_predictions=(LidPrediction("hau_Latn", 0.8), LidPrediction("eng_Latn", 0.7)),
         code_switch_rate=0.5,
     )
-    assert from_json(FidelityResult, to_json(result)) == result
+    assert decoder(FidelityResult)(to_json(result)) == result
 
 
 def _write_predictions(path, rows):
@@ -259,9 +258,9 @@ def test_external_predictions_missing_output(tmp_path):
         ],
     )
     backend = ExternalPredictionsClassifier(load_external_predictions(path))
-    with pytest.raises(BackendError, match=r"\Ano external prediction \(output b\)\Z"):
+    with pytest.raises(DataError, match=r"\Ano external prediction \(output b\)\Z"):
         backend.assess("t", "x", output_id="b")
-    with pytest.raises(BackendError, match=r"\Ano external prediction \(output None\)\Z"):
+    with pytest.raises(DataError, match=r"\Ano external prediction \(output None\)\Z"):
         backend.assess("t", "x")
 
 

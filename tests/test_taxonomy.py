@@ -56,7 +56,7 @@ def test_load_taxonomy_bare_array(tmp_path):
         )
     )
     templates = load_taxonomy(path)
-    assert templates[0].required_placeholders == frozenset({"language"})
+    assert placeholders_in(templates[0].template_text) == ["language"]
 
 
 def test_load_taxonomy_wrapped_bad_version(tmp_path):

@@ -5,18 +5,21 @@ hold dataclasses as JSON objects with one key per field: the field's name,
 or the key a field declares with ``field(metadata={JSON_KEY: ...})``.  The
 inputs are read the same way: the entries of ``taxonomy.json``,
 ``languages.json`` and ``models.json``, the mock fixtures and the rows of an
-external LID predictions file.  Field types may be ``str``, ``int``,
+external LID predictions file.  ``decoder(cls)`` reads every one of these
+inputs and records (``parse_record`` and ``load_list`` go through it too),
+and ``to_json`` writes a record.  Field types may be ``str``, ``int``,
 ``float``, ``bool``, a dataclass, ``tuple[X, ...]`` (a JSON list),
 ``dict[str, X]`` or ``Mapping[str, X]`` (a JSON object) or ``X | None``
 (an absent key reads as None).  A field with a default (or a
 ``default_factory``) takes it when its key is absent; any other absent key
 is an error.  Reading converts a number or a numeric string with
 ``int``/``float`` and takes nothing else on trust: a number field refuses
-``true`` and ``false``, an ``int`` field a fraction, a ``str`` field holds
-only a string, a ``bool`` only ``true`` or ``false``, a tuple only a list,
-and a dataclass or mapping only an object.  The error names the key, but for a dataclass, which names only
-the type it got.  Every file is written through ``atomic_writer``, so a
-reader never sees a partial one.
+``true`` and ``false``, an ``int`` field a fraction, a ``float`` field NaN
+and the infinities (``"nan"`` and ``1e400`` among them), a ``str`` field
+holds only a string, a ``bool`` only ``true`` or ``false``, a tuple only a
+list, and a dataclass or mapping only an object.  The error names the key,
+but for a dataclass, which names only the type it got.  Every file is
+written through ``atomic_writer``, so a reader never sees a partial one.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import os
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, NoReturn
 
@@ -141,19 +145,22 @@ def _refuse(name: str, kind: type, value: Any) -> NoReturn:
 
 def _number(kind: type, name: str) -> Callable[[Any], Any]:
     """Decoder of an ``int`` or ``float`` field: a number or a numeric string,
-    but not true or false, and for an ``int`` not a fraction."""
+    but not true or false, for an ``int`` not a fraction and for a ``float``
+    not NaN or an infinity."""
 
-    def decode(value: Any) -> Any:
-        if type(value) is kind:
-            return value
+    def convert(value: Any) -> Any:
         if type(value) is bool:
             raise TypeError(f"{name} must be a number, not bool")
         number = kind(value)
+        if kind is float and not isfinite(number):
+            raise ValueError(f"{name} must be a finite number, not {value!r}")
         if type(value) is float and number != value:
             raise ValueError(f"{name} must be a whole number, not {value!r}")
         return number
 
-    return decode
+    if kind is int:
+        return lambda value: value if type(value) is int else convert(value)
+    return lambda value: value if type(value) is float and isfinite(value) else convert(value)
 
 
 def _is_optional(hint: Any) -> bool:

@@ -22,7 +22,12 @@ evaluate.  The file holds:
 
 ``read`` is the one check of a results directory: it raises DataError
 unless the directory has a fingerprints file and every file of ``RESULTS``
-is the one it names.  ``evaluations.jsonl`` holds one line per listed
+is the one it names.  It refuses a ``cells`` that is not a list, and a cell
+that does not own its records: one whose ``model_id``, ``language`` or
+``task_type`` is not a string, whose ``records`` are not string digests
+keyed by output ids that start with ``<model_id>/<language>/<task_type>/``,
+or whose ``reference`` is neither a string nor null.  So ``walk`` files an
+unchanged record only under the cell its output id names.  ``evaluations.jsonl`` holds one line per listed
 output id, in sorted output-id order, so a later evaluate can tell each
 line's output id and cell without parsing it.  The file names no paths and
 no times, so the same inputs give the same bytes.
@@ -126,9 +131,10 @@ def read(results_dir: Path) -> Fingerprints:
     """The fingerprints of a results directory, checked against its ``RESULTS`` files.
 
     A missing file, one that is not JSON, or not an object with the fields
-    of ``Fingerprints`` whose cells are objects with the fields of ``Cell``
-    whose ``records`` is an object, raises DataError naming it; so does a
-    ``RESULTS`` file whose digest is not the one it names.
+    of ``Fingerprints`` whose ``cells`` is a list of objects with the fields
+    of ``Cell`` that own their records (see the module docstring), raises
+    DataError naming it; so does a ``RESULTS`` file whose digest is not the
+    one it names.
     """
     path = results_dir / FILENAME
     try:
@@ -142,7 +148,7 @@ def read(results_dir: Path) -> Fingerprints:
         cells = [Cell(**cell) for cell in fingerprints.cells]
     except TypeError as exc:  # not an object, or a missing or unknown field
         raise DataError(f"{path}: not a fingerprints file: {exc} (run 'evaluate' again)") from exc
-    if any(not isinstance(cell.records, dict) for cell in cells):
+    if type(fingerprints.cells) is not list or not all(map(_owns_its_records, cells)):
         raise DataError(f"{path}: not a fingerprints file (run 'evaluate' again)")
     for field, name in RESULTS.items():
         if getattr(fingerprints, field) != file_digest(results_dir / name):
@@ -150,6 +156,17 @@ def read(results_dir: Path) -> Fingerprints:
                 f"{results_dir / name} is not the file {FILENAME} describes (run 'evaluate' again)"
             )
     return fingerprints._replace(cells=cells)
+
+
+def _owns_its_records(cell: Cell) -> bool:
+    """Whether ``cell`` has string key fields, a string or null reference,
+    and string record digests keyed by output ids under its key."""
+    if any(type(field) is not str for field in cell[:3]) or type(cell.records) is not dict:
+        return False
+    prefix = "/".join(cell[:3]) + "/"
+    return type(cell.reference) in (str, type(None)) and all(
+        type(digest) is str and output_id.startswith(prefix) for output_id, digest in cell.records.items()
+    )
 
 
 def reusable(results_dir: Path, inputs: dict):

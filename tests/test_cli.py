@@ -456,10 +456,15 @@ _PREDICTION_ROW = (
             _PREDICTION_ROW.replace('"sentence_labels": []', '"sentence_labels": "ab"').replace("[]", "[1.0, 1.0]"),
             "{path}:1: malformed prediction row: 'sentence_labels' must be a list, not str",
         ),
+        (
+            "evaluate",
+            _PREDICTION_ROW + _PREDICTION_ROW.replace('"elsewhere"', '"x"').replace("1.0", '"nan"'),
+            "{path}:2: malformed prediction row: 'doc_conf' must be a finite number, not 'nan'",
+        ),
     ],
     ids=[
         "prediction_missing", "malformed_prediction_row", "fixture_not_object", "malformed_fixtures",
-        "bad_status_schedule", "status_schedule_not_list", "sentence_labels_not_list",
+        "bad_status_schedule", "status_schedule_not_list", "sentence_labels_not_list", "doc_conf_nan",
     ],
 )
 def test_bad_lid_or_fixture_input_is_a_data_error(small_run, tmp_path, command, content, detail):
@@ -472,6 +477,7 @@ def test_bad_lid_or_fixture_input_is_a_data_error(small_run, tmp_path, command, 
     code, _, err = run_cli(argv)
     assert code == 1
     assert f"error: {detail.format(path=path)}" in err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "o").exists()
 
 
 def test_filter_requires_evaluate(small_run, tmp_path):
@@ -973,11 +979,27 @@ _HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["langu
             {"max_output_tokens": 1024.7},
             "{path}: model entry 0: 'max_output_tokens' must be a whole number, not 1024.7",
         ),
+        (
+            "models.json",
+            {"temperature": float("nan")},
+            "{path}: model entry 0: 'temperature' must be a finite number, not nan",
+        ),
+        (
+            "models.json",
+            {"temperature": "Infinity"},
+            "{path}: model entry 0: 'temperature' must be a finite number, not 'Infinity'",
+        ),
+        (
+            "models.json",
+            {"min_request_interval": "NaN"},
+            "{path}: model entry 0: 'min_request_interval' must be a finite number, not 'NaN'",
+        ),
     ],
     ids=[
         "model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept",
         "word_lists_not_object", "model_id_not_string", "word_list_a_string", "flag_a_string",
         "word_not_a_string", "max_output_tokens_infinite", "retries_a_flag", "max_output_tokens_fraction",
+        "temperature_nan", "temperature_infinite", "min_request_interval_nan",
     ],
 )
 def test_bad_config_entry_is_a_usage_error_naming_file_and_entry(tmp_path, filename, entry, message):

@@ -84,6 +84,27 @@ def test_numbers_are_coerced_booleans_are_not():
         decoder(SamplingParams)({**to_json(sampling), "max_output_tokens": float("inf")})
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), "nan", "NaN", "Infinity", "-inf"], ids=repr
+)
+def test_a_float_field_refuses_nan_and_the_infinities(value):
+    message = rf"\A'confidence' must be a finite number, not {re.escape(repr(value))}\Z"
+    with pytest.raises(ValueError, match=message):
+        decoder(LidPrediction)({"label": "x", "confidence": value})
+    assert decoder(LidPrediction)({"label": "x", "confidence": "1e308"}).confidence == 1e308
+
+
+# A JSON number too large for a float reads as an infinity.
+@pytest.mark.parametrize(
+    "literal, value", [("1e400", "inf"), ("-1e400", "-inf"), ("NaN", "nan"), ("Infinity", "inf")]
+)
+def test_a_non_finite_json_number_is_a_bad_value(literal, value):
+    raw = f'{{"label": "x", "confidence": {literal}}}'.encode()
+    message = rf"\Ap\.json: bad value: 'confidence' must be a finite number, not {value}\Z"
+    with pytest.raises(DataError, match=message):
+        parse_record(LidPrediction, raw, "p.json")
+
+
 def test_decode_errors():
     with pytest.raises(KeyError, match="label"):
         decoder(LidPrediction)({"confidence": 0.5})

@@ -392,6 +392,38 @@ def test_fingerprints_of_the_earlier_layout(outputs, tmp_path, layout):
     assert_equals_cold(outputs, results, *REFERENCES[:2])
 
 
+def _first_cell(**fields):
+    return lambda content: content["cells"][0].update(fields)
+
+
+def _first_digest(content):
+    records = content["cells"][0]["records"]
+    records[min(records)] = 1
+
+
+# A cell must own its records: every field of the type it is written with,
+# and every output id under the cell's key.
+@pytest.mark.parametrize(
+    "corrupt",
+    [_first_cell(language="fon"), _first_cell(model_id=7), lambda content: content.update(cells={}),
+     _first_digest, _first_cell(reference=5)],
+    ids=["language_not_its_records", "model_id_not_a_string", "cells_not_a_list", "digest_not_a_string",
+         "reference_not_a_string"],
+)
+def test_a_cell_that_does_not_own_its_records_is_refused(outputs, tmp_path, corrupt):
+    results = tmp_path / "results"
+    evaluate(outputs, results, *REFERENCES[:2])
+    content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
+    corrupt(content)
+    (results / FILENAME).write_text(json.dumps(content), encoding="utf-8")
+    assert _filter(results, outputs, tmp_path) == (
+        1, "", f"error: {results / FILENAME}: not a fingerprints file (run 'evaluate' again)\n"
+    )
+    assert not (tmp_path / "corpus").exists()
+    assert evaluate(outputs, results, *REFERENCES[:2]) == 0
+    assert_equals_cold(outputs, results, *REFERENCES[:2])
+
+
 def test_evaluate_cut_short_leaves_no_fingerprints(outputs, tmp_path, monkeypatch):
     results = tmp_path / "results"
     evaluate(outputs, results, *REFERENCES[:2])

@@ -27,10 +27,11 @@ that does not own its records: one whose ``model_id``, ``language`` or
 ``task_type`` is not a string, whose ``records`` are not string digests
 keyed by output ids that start with ``<model_id>/<language>/<task_type>/``,
 or whose ``reference`` is neither a string nor null.  So ``walk`` files an
-unchanged record only under the cell its output id names.  ``evaluations.jsonl`` holds one line per listed
-output id, in sorted output-id order, so a later evaluate can tell each
-line's output id and cell without parsing it.  The file names no paths and
-no times, so the same inputs give the same bytes.
+unchanged record only under the cell its output id names.
+``evaluations.jsonl`` holds one line per listed output id, in sorted
+output-id order, so a later evaluate can tell each line's output id and
+cell without parsing it.  The file names no paths and no times, so the same
+inputs give the same bytes.
 
 ``evaluate`` and ``filter`` read a run directory through this module.
 ``walk`` reads every record file once, in output-id order, so each

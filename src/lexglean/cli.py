@@ -72,7 +72,7 @@ from .langid import (
     load_seed_corpora,
     train_profiles,
 )
-from .reporting import FORMATS, TABLE_KINDS, ReportSpec, format_condition_table, render_report
+from .reporting import FORMATS, TABLE_KINDS, format_condition_table, render_report
 from .taxonomy import (
     ConfigError,
     LanguageConfig,
@@ -339,7 +339,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         with atomic_writer(results_dir / "evaluations.jsonl") as handle:
             shutil.copyfileobj(spool, handle)
     write_summaries(summaries, results_dir / "summary.json")
-    write_atomic(results_dir / "summary.csv", render_report(ReportSpec("full_summary", "csv"), summaries))
+    write_atomic(results_dir / "summary.csv", render_report("full_summary", "csv", summaries))
     if overlaps:
         overlap_text = json_file_text({"overlaps": [to_json(overlap) for _, overlap in overlaps]})
         write_atomic(results_dir / "overlap.json", overlap_text)
@@ -428,18 +428,17 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
-    spec = ReportSpec(args.kind, args.format)
     if args.kind == "overlap":
         overlap_path = results_dir / "overlap.json"
         if not overlap_path.exists():
             raise DataError(f"no overlap results at {overlap_path} (run 'evaluate' with --reference)")
         overlaps = load_list(OverlapResult, overlap_path, "overlaps")
-        content = render_report(spec, overlaps=overlaps)
+        content = render_report(args.kind, args.format, overlaps=overlaps)
     else:
         summary_path = results_dir / "summary.json"
         if not summary_path.exists():
             raise DataError(f"no summary at {summary_path} (run 'evaluate' first)")
-        content = render_report(spec, summaries=read_summaries(summary_path))
+        content = render_report(args.kind, args.format, read_summaries(summary_path))
     if args.out:
         write_atomic(Path(args.out), content)
     else:

@@ -17,9 +17,11 @@ is an error.  Reading converts a number or a numeric string with
 ``true`` and ``false``, an ``int`` field a fraction, a ``float`` field NaN
 and the infinities (``"nan"`` and ``1e400`` among them), a ``str`` field
 holds only a string, a ``bool`` only ``true`` or ``false``, a tuple only a
-list, and a dataclass or mapping only an object.  The error names the key,
-but for a dataclass, which names only the type it got.  Every file is
-written through ``atomic_writer``, so a reader never sees a partial one.
+list, and a dataclass or mapping only an object.  The error names the key
+(a number field's too, as in ``'temperature' must be a finite number, not
+'warm'``), but for a dataclass, which names only the type it got.  Every
+file is written through ``atomic_writer``, so a reader never sees a partial
+one.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ JSON_KEY = "json_key"
 _Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
 
 # What a decoder or json.loads raise on data that is not a record.
-_BAD_DATA = (KeyError, TypeError, ValueError, OverflowError)
+_BAD_DATA = (KeyError, TypeError, ValueError)
 
 
 class DataError(ValueError):
@@ -100,9 +102,8 @@ def to_json(obj: Any) -> dict:
 def decoder(cls: type) -> Callable[[Any], Any]:
     """The function that rebuilds a ``cls`` instance from its JSON object.
 
-    It raises KeyError on a missing field, TypeError or ValueError on a
-    value of the wrong type, OverflowError on an infinite number in an
-    ``int`` field.
+    It raises KeyError on a missing field and TypeError or ValueError on a
+    value of the wrong type.
     """
     return _codec(cls)[1]
 
@@ -147,15 +148,17 @@ def _number(kind: type, name: str) -> Callable[[Any], Any]:
     """Decoder of an ``int`` or ``float`` field: a number or a numeric string,
     but not true or false, for an ``int`` not a fraction and for a ``float``
     not NaN or an infinity."""
+    number_kind = "a finite number" if kind is float else "a whole number"
 
     def convert(value: Any) -> Any:
         if type(value) is bool:
             raise TypeError(f"{name} must be a number, not bool")
-        number = kind(value)
-        if kind is float and not isfinite(number):
-            raise ValueError(f"{name} must be a finite number, not {value!r}")
-        if type(value) is float and number != value:
-            raise ValueError(f"{name} must be a whole number, not {value!r}")
+        try:  # float("warm"), int(inf) and int("nan") raise as well
+            number = kind(value)
+            if (kind is float and not isfinite(number)) or (type(value) is float and number != value):
+                raise ValueError
+        except (ValueError, OverflowError):
+            raise ValueError(f"{name} must be {number_kind}, not {value!r}") from None
         return number
 
     if kind is int:

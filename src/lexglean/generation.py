@@ -12,12 +12,13 @@ with ``os.path.exists`` only where the listing cannot answer.
 
 A backend has one method, ``complete(request) -> BackendResponse``, and
 stamps each response with its request time and latency.  ``HttpBackend``
-posts OpenAI-style chat-completion requests; it reads the API key from the
-environment variable the request names at request time, so the key is never
-held on a request or written to disk.  ``MockBackend`` serves canned
-responses keyed by output id from a fixtures file, stamped with
-``MOCK_TIMESTAMP`` and a latency of 0.0 so its records are byte-stable; it
-is the workhorse for offline runs and tests.
+posts OpenAI-style chat-completion requests.  A request carries its
+``ModelConfig``, which names the API key variable; ``HttpBackend`` reads the
+key from that variable at request time, so the key is never held on a
+request or written to disk.  ``MockBackend`` serves canned responses keyed
+by output id from a fixtures file, stamped with ``MOCK_TIMESTAMP`` and a
+latency of 0.0 so its records are byte-stable; it is the workhorse for
+offline runs and tests.
 
 A call that fails for good (a non-retryable HTTP status, or retryable
 failures past the model's ``max_retries``) raises ``CallError``;
@@ -90,31 +91,31 @@ class SamplingParams:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One fully rendered chat-completion request plus identifying metadata."""
+    """One fully rendered chat-completion request plus identifying metadata.
+
+    ``model`` supplies the endpoint, the model id, the API key variable, the
+    sampling values and the retry budget (``model.max_retries``).
+    """
 
     output_id: str
-    endpoint_url: str
-    model_id: str
-    api_key_env_var: str
+    model: ModelConfig
     system_prompt: str
     user_prompt: str
-    sampling: SamplingParams
     prompt_id: str
     language: str
     task_type: str
-    max_retries: int
 
     def body(self) -> dict:
         """OpenAI-style chat-completions request body."""
         return {
-            "model": self.model_id,
+            "model": self.model.model_id,
             "messages": [
                 {"role": "system", "content": self.system_prompt},
                 {"role": "user", "content": self.user_prompt},
             ],
-            "temperature": self.sampling.temperature,
-            "top_p": self.sampling.top_p,
-            "max_tokens": self.sampling.max_output_tokens,
+            "temperature": self.model.temperature,
+            "top_p": self.model.top_p,
+            "max_tokens": self.model.max_output_tokens,
         }
 
 
@@ -161,8 +162,8 @@ class RetryPolicy:
 
     Retry n sleeps a uniform draw from [0, min(MAX_BACKOFF, base_delay *
     BACKOFF_FACTOR ** (n - 1))] seconds.  How many retries a call gets is
-    its request's ``max_retries``; with the default of 5 and a base delay
-    of 1s a call sleeps at most 31s in all.
+    its model's ``max_retries``; with the default of 5 and a base delay of
+    1s a call sleeps at most 31s in all.
     """
 
     base_delay: float = 1.0
@@ -219,16 +220,12 @@ def build_request(
     )
     return ChatRequest(
         output_id=output_id_for(model.model_id, lang.iso_code, template.task_type, template.id),
-        endpoint_url=model.endpoint_url,
-        model_id=model.model_id,
-        api_key_env_var=model.api_key_env_var,
+        model=model,
         system_prompt=system_prompt,
         user_prompt=user_prompt,
-        sampling=SamplingParams(model.temperature, model.top_p, model.max_output_tokens),
         prompt_id=template.id,
         language=lang.iso_code,
         task_type=template.task_type,
-        max_retries=model.max_retries,
     )
 
 
@@ -242,9 +239,10 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
     A retry sleeps the policy's backoff, or the reply's ``retry_after``
     capped at ``MAX_BACKOFF`` when it has one.  Returns a GenerationRecord
     on success.  Raises CallError for a non-retryable HTTP status and once
-    ``request.max_retries`` retries are spent; neither leaves any partial
-    state behind.
+    the model's ``max_retries`` retries are spent; neither leaves any
+    partial state behind.
     """
+    model = request.model
     attempt = 0
     while True:
         attempt += 1
@@ -259,12 +257,12 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
                 return GenerationRecord(
                     output_id=request.output_id,
                     prompt_id=request.prompt_id,
-                    model_id=request.model_id,
+                    model_id=model.model_id,
                     language=request.language,
                     task_type=request.task_type,
                     rendered_prompt=request.user_prompt,
                     system_prompt=request.system_prompt,
-                    sampling=request.sampling,
+                    sampling=SamplingParams(model.temperature, model.top_p, model.max_output_tokens),
                     response_text=response.text,
                     finish_reason=response.finish_reason,
                     request_timestamp=response.timestamp,
@@ -275,7 +273,7 @@ def execute(request: ChatRequest, policy: RetryPolicy, backend: Backend) -> Gene
                 raise CallError(request.output_id, f"permanent failure, HTTP {response.status}")
             failure = f"HTTP {response.status}"
             retry_after = response.retry_after
-        if attempt > request.max_retries:
+        if attempt > model.max_retries:
             raise CallError(
                 request.output_id, f"retries exhausted after {attempt} attempts ({failure})"
             )
@@ -311,11 +309,12 @@ class HttpBackend:
 
     def complete(self, request: ChatRequest) -> BackendResponse:
         """Post ``request``; an unset key variable is a ConfigError before anything is sent."""
-        api_key = os.environ.get(request.api_key_env_var)
+        model = request.model
+        api_key = os.environ.get(model.api_key_env_var)
         if not api_key:
             raise ConfigError(
-                f"environment variable '{request.api_key_env_var}' is not set "
-                f"(required for model '{request.model_id}')"
+                f"environment variable '{model.api_key_env_var}' is not set "
+                f"(required for model '{model.model_id}')"
             )
         session = getattr(self._local, "session", None)
         if session is None:
@@ -324,7 +323,7 @@ class HttpBackend:
         started = time.perf_counter()
         try:
             response = session.post(
-                request.endpoint_url,
+                model.endpoint_url,
                 json=request.body(),
                 headers={"Authorization": f"Bearer {api_key}"},
                 timeout=HTTP_TIMEOUT,
@@ -387,7 +386,7 @@ def load_mock_fixtures(path: str | Path) -> dict[str, MockFixture]:
             raise DataError(f"{path}: fixture '{output_id}' is not a JSON object")
         try:
             fixtures[output_id] = decode(entry)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: fixture '{output_id}': bad value: {exc}") from exc
     return fixtures
 

@@ -224,6 +224,10 @@ class _PredictionRow:
     def __post_init__(self) -> None:
         if len(self.sentence_labels) != len(self.sentence_confs):
             raise ValueError("sentence_labels and sentence_confs differ in length")
+        confs = [("'doc_conf'", self.doc_conf)] + [("an item of 'sentence_confs'", c) for c in self.sentence_confs]
+        for name, conf in confs:
+            if not 0.0 <= conf <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], not {conf!r}")
 
 
 def load_external_predictions(
@@ -233,9 +237,9 @@ def load_external_predictions(
 
     Each row, decoded by ``lexglean.codec``, needs ``output_id``,
     ``doc_label``, ``doc_conf`` and parallel ``sentence_labels`` /
-    ``sentence_confs`` lists; it maps the output id to the (document,
-    sentences) predictions.  A malformed row or a repeated output id raises
-    DataError naming ``path:line``.
+    ``sentence_confs`` lists, every confidence in [0, 1]; it maps the output
+    id to the (document, sentences) predictions.  A malformed row or a
+    repeated output id raises DataError naming ``path:line``.
     """
     path = Path(path)
     decode, bundles = decoder(_PredictionRow), {}
@@ -245,7 +249,7 @@ def load_external_predictions(
                 continue
             try:
                 row = decode(json.loads(line))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed prediction row: {exc}") from exc
             if row.output_id in bundles:
                 raise DataError(f"{path}:{lineno}: duplicate output_id '{row.output_id}'")

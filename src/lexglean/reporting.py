@@ -1,10 +1,12 @@
 """Report tables over condition summaries and overlap results.
 
 Six table kinds (validity, fidelity, diversity, efficiency, full_summary,
-overlap) can each be rendered as CSV, LaTeX or JSON.  Rows are always
-sorted by (model, language, task_type) and every number is formatted with a
-fixed precision, so rendering the same inputs twice produces byte-identical
-output.
+overlap) can each be rendered as CSV, LaTeX or JSON by
+``render_report(kind, format, summaries, overlaps)``, which takes one of
+``TABLE_KINDS`` and one of ``FORMATS`` (the ``report`` command's flags
+check both).  Rows are always sorted by (model, language, task_type) and
+every number is formatted with a fixed precision, so rendering the same
+inputs twice produces byte-identical output.
 """
 from __future__ import annotations
 
@@ -19,18 +21,6 @@ from .evaluation import ConditionSummary, OverlapResult
 
 TABLE_KINDS = ("validity", "fidelity", "diversity", "efficiency", "full_summary", "overlap")
 FORMATS = ("csv", "latex", "json")
-
-
-@dataclass(frozen=True)
-class ReportSpec:
-    table_kind: str
-    format: str
-
-    def __post_init__(self) -> None:
-        if self.table_kind not in TABLE_KINDS:
-            raise ValueError(f"unknown table kind '{self.table_kind}'")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format '{self.format}'")
 
 
 @dataclass(frozen=True)
@@ -151,23 +141,25 @@ def _overlap_rows(overlaps: Sequence[OverlapResult]) -> list[dict]:
 
 
 def render_report(
-    spec: ReportSpec,
+    kind: str,
+    format: str,
     summaries: Sequence[ConditionSummary] = (),
     overlaps: Sequence[OverlapResult] = (),
 ) -> str:
-    """Render one report table to a string (including trailing newline)."""
-    if spec.table_kind == "overlap":
+    """Render one report table, ``kind`` of TABLE_KINDS in ``format`` of
+    FORMATS, to a string (including trailing newline)."""
+    if kind == "overlap":
         columns: Sequence[_Column] = _OVERLAP_COLUMNS
         rows = _overlap_rows(overlaps)
     else:
-        wanted = _KIND_COLUMNS[spec.table_kind]
+        wanted = _KIND_COLUMNS[kind]
         columns = tuple(c for c in _SUMMARY_COLUMNS if c.key in wanted)
         rows = _summary_rows(summaries)
-    if spec.format == "csv":
+    if format == "csv":
         return _render_csv(columns, rows)
-    if spec.format == "latex":
+    if format == "latex":
         return _render_latex(columns, rows)
-    return _render_json(spec.table_kind, columns, rows)
+    return _render_json(kind, columns, rows)
 
 
 def format_condition_table(summaries: Sequence[ConditionSummary]) -> str:

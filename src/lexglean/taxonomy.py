@@ -242,7 +242,7 @@ def _load_configs(path: str | Path, key: str, cls: type, ident: Callable) -> lis
             raise ConfigError(f"{path}: {what} entry {index} is missing field {exc}") from exc
         except ConfigError:
             raise
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {what} entry {index}: {exc}") from exc
     seen: dict[str, int] = {}
     for index, config in enumerate(configs):

@@ -39,7 +39,7 @@ from lexglean.generation import (
     run_batch,
 )
 from lexglean.langid import BuiltinClassifier, FidelityResult, LidPrediction, load_seed_corpora, train_profiles
-from lexglean.reporting import FORMATS, TABLE_KINDS, ReportSpec, render_report
+from lexglean.reporting import FORMATS, TABLE_KINDS, render_report
 from lexglean.taxonomy import (
     LanguageConfig,
     load_language_configs,
@@ -368,7 +368,7 @@ def test_report_rendering_matches_goldens(mock_run):
 
     for kind in TABLE_KINDS:
         for format in FORMATS:
-            rendered = render_report(ReportSpec(kind, format), summaries, overlaps)
+            rendered = render_report(kind, format, summaries, overlaps)
             golden = GOLDEN_DIR / f"{kind}.{EXTENSIONS[format]}"
             assert golden.exists(), f"missing golden {golden}; run scripts/regenerate_goldens.py"
             assert rendered.encode("utf-8") == golden.read_bytes(), golden.name

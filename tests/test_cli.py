@@ -40,10 +40,23 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("lexglean ")
 
 
-def test_missing_subcommand_is_usage_error(capsys):
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        ([], "the following arguments are required: command"),
+        (["--kind", "velocity", "--format", "csv"], "argument --kind: invalid choice: 'velocity'"),
+        (["--kind", "validity", "--format", "pdf"], "argument --format: invalid choice: 'pdf'"),
+    ],
+    ids=["no_subcommand", "unknown_kind", "unknown_format"],
+)
+def test_missing_subcommand_is_usage_error(capsys, tmp_path, argv, detail):
+    if argv:  # a report flag outside its choices
+        argv = ["report", "--results", str(tmp_path), *argv, "--out", str(tmp_path / "table")]
     with pytest.raises(SystemExit) as exc_info:
-        cli_main([])
+        cli_main(argv)
     assert exc_info.value.code == 2
+    assert detail in capsys.readouterr().err
+    assert not (tmp_path / "table").exists()
 
 
 def test_unknown_language_lists_known(tmp_path):
@@ -461,10 +474,21 @@ _PREDICTION_ROW = (
             _PREDICTION_ROW + _PREDICTION_ROW.replace('"elsewhere"', '"x"').replace("1.0", '"nan"'),
             "{path}:2: malformed prediction row: 'doc_conf' must be a finite number, not 'nan'",
         ),
+        (
+            "evaluate",
+            _PREDICTION_ROW.replace("1.0", "5.0"),
+            "{path}:1: malformed prediction row: 'doc_conf' must be in [0, 1], not 5.0",
+        ),
+        (
+            "evaluate",
+            _PREDICTION_ROW.replace("[]", '["hau_Latn", "hau_Latn"]', 1).replace("[]", "[1, -0.1]"),
+            "{path}:1: malformed prediction row: an item of 'sentence_confs' must be in [0, 1], not -0.1",
+        ),
     ],
     ids=[
         "prediction_missing", "malformed_prediction_row", "fixture_not_object", "malformed_fixtures",
         "bad_status_schedule", "status_schedule_not_list", "sentence_labels_not_list", "doc_conf_nan",
+        "doc_conf_above_one", "sentence_conf_below_zero",
     ],
 )
 def test_bad_lid_or_fixture_input_is_a_data_error(small_run, tmp_path, command, content, detail):
@@ -944,7 +968,7 @@ _HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["langu
         (
             "models.json",
             {"temperature": "warm"},
-            "{path}: model entry 0: could not convert string to float: 'warm'",
+            "{path}: model entry 0: 'temperature' must be a finite number, not 'warm'",
         ),
         ("models.json", {"top_p": 2}, "model 'gpt-4o-mini': top_p must be in (0, 1]"),
         (
@@ -971,7 +995,7 @@ _HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["langu
         (
             "models.json",
             {"max_output_tokens": float("inf")},
-            "{path}: model entry 0: cannot convert float infinity to integer",
+            "{path}: model entry 0: 'max_output_tokens' must be a whole number, not inf",
         ),
         ("models.json", {"max_retries": True}, "{path}: model entry 0: 'max_retries' must be a number, not bool"),
         (
@@ -994,12 +1018,13 @@ _HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["langu
             {"min_request_interval": "NaN"},
             "{path}: model entry 0: 'min_request_interval' must be a finite number, not 'NaN'",
         ),
+        ("models.json", {"max_retries": "nan"}, "{path}: model entry 0: 'max_retries' must be a whole number, not 'nan'"),
     ],
     ids=[
         "model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept",
         "word_lists_not_object", "model_id_not_string", "word_list_a_string", "flag_a_string",
         "word_not_a_string", "max_output_tokens_infinite", "retries_a_flag", "max_output_tokens_fraction",
-        "temperature_nan", "temperature_infinite", "min_request_interval_nan",
+        "temperature_nan", "temperature_infinite", "min_request_interval_nan", "max_retries_nan",
     ],
 )
 def test_bad_config_entry_is_a_usage_error_naming_file_and_entry(tmp_path, filename, entry, message):

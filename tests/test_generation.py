@@ -72,16 +72,12 @@ TEMPLATES = [
 def _request(output_id="test-model/hau/creative/cw_01", max_retries=5):
     return ChatRequest(
         output_id=output_id,
-        endpoint_url=MODEL.endpoint_url,
-        model_id=MODEL.model_id,
-        api_key_env_var=MODEL.api_key_env_var,
+        model=dataclasses.replace(MODEL, max_retries=max_retries),
         system_prompt="sys",
         user_prompt="user",
-        sampling=SamplingParams(0.7, 0.95, 256),
         prompt_id="cw_01",
         language="hau",
         task_type="creative",
-        max_retries=max_retries,
     )
 
 
@@ -116,11 +112,11 @@ def test_build_request_names_key_variable(monkeypatch):
     monkeypatch.setenv("TEST_MODEL_KEY", "sekrit")
     user_prompt = render_prompt(TEMPLATES[0], LANG)
     request = build_request(TEMPLATES[0], user_prompt, MODEL, LANG)
-    assert request.api_key_env_var == "TEST_MODEL_KEY"
+    assert request.model.api_key_env_var == "TEST_MODEL_KEY"
     assert "sekrit" not in repr(request)  # the HTTP backend reads the key at request time
     assert request.output_id == "test-model/hau/creative/cw_01"
     assert (request.prompt_id, request.language, request.task_type) == ("cw_01", "hau", "creative")
-    assert request.max_retries == 2
+    assert request.model.max_retries == 2
     assert request.system_prompt == "Answer only in Hausa."
     body = request.body()
     assert body["model"] == "test-model"
@@ -135,7 +131,7 @@ def test_build_request_missing_key(monkeypatch):
     user_prompt = render_prompt(TEMPLATES[0], LANG)
     # building needs no key, so mock runs skip it entirely
     request = build_request(TEMPLATES[0], user_prompt, MODEL, LANG)
-    assert request.api_key_env_var == "TEST_MODEL_KEY"
+    assert request.model.api_key_env_var == "TEST_MODEL_KEY"
     # the HTTP backend refuses it before anything is sent
     with pytest.raises(ConfigError, match="TEST_MODEL_KEY"):
         HttpBackend().complete(request)

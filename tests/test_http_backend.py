@@ -15,10 +15,9 @@ from lexglean.generation import (
     ChatRequest,
     HttpBackend,
     RetryPolicy,
-    SamplingParams,
     execute,
 )
-from lexglean.taxonomy import ConfigError
+from lexglean.taxonomy import ConfigError, ModelConfig
 
 KEY_VAR = "LEXGLEAN_TEST_KEY"
 
@@ -37,18 +36,24 @@ def loopback_env(monkeypatch):
 
 
 def _request(url):
+    model = ModelConfig(
+        model_id="m",
+        endpoint_url=url,
+        api_key_env_var=KEY_VAR,
+        temperature=0.7,
+        top_p=0.95,
+        max_output_tokens=256,
+        system_prompt_template="Answer only in {language}.",
+        max_retries=2,
+    )
     return ChatRequest(
         output_id="m/hau/creative/cw_01",
-        endpoint_url=url,
-        model_id="m",
-        api_key_env_var=KEY_VAR,
+        model=model,
         system_prompt="Answer only in Hausa.",
         user_prompt="Write a poem in Hausa.",
-        sampling=SamplingParams(0.7, 0.95, 256),
         prompt_id="cw_01",
         language="hau",
         task_type="creative",
-        max_retries=2,
     )
 
 

@@ -3,7 +3,6 @@ import pytest
 from lexglean.evaluation import ConditionSummary, OverlapResult
 from lexglean.reporting import (
     FORMATS,
-    ReportSpec,
     TABLE_KINDS,
     format_condition_table,
     render_report,
@@ -44,16 +43,8 @@ OVERLAPS = [
 ]
 
 
-def test_report_spec_validation():
-    ReportSpec("validity", "csv")
-    with pytest.raises(ValueError, match="unknown table kind"):
-        ReportSpec("velocity", "csv")
-    with pytest.raises(ValueError, match="unknown format"):
-        ReportSpec("validity", "pdf")
-
-
 def test_validity_csv_frozen():
-    text = render_report(ReportSpec("validity", "csv"), SUMMARIES)
+    text = render_report("validity", "csv", SUMMARIES)
     assert text == (
         "model,language,task_type,n_outputs,valid_pct,avg_words\n"
         "modelA,fon,topic_switch,25,48.0,55.5\n"
@@ -62,7 +53,7 @@ def test_validity_csv_frozen():
 
 
 def test_validity_latex_frozen():
-    text = render_report(ReportSpec("validity", "latex"), SUMMARIES)
+    text = render_report("validity", "latex", SUMMARIES)
     assert text == (
         "\\begin{tabular}{lllrrr}\n"
         "\\toprule\n"
@@ -77,7 +68,7 @@ def test_validity_latex_frozen():
 
 def test_diversity_json_frozen():
     summary = make_summary("m1", "hau", "creative", avg_ttr=0.5554, avg_hapax=0.425)
-    text = render_report(ReportSpec("diversity", "json"), [summary])
+    text = render_report("diversity", "json", [summary])
     assert text == (
         "{\n"
         '  "kind": "diversity",\n'
@@ -96,26 +87,26 @@ def test_diversity_json_frozen():
 
 
 def test_efficiency_columns():
-    text = render_report(ReportSpec("efficiency", "csv"), SUMMARIES)
+    text = render_report("efficiency", "csv", SUMMARIES)
     assert text.splitlines()[0] == "model,language,task_type,usable_words_per_call"
     assert text.splitlines()[1] == "modelA,fon,topic_switch,88.8"
 
 
 def test_full_summary_none_renders_empty():
-    text = render_report(ReportSpec("full_summary", "csv"), [SUMMARIES[0]])
+    text = render_report("full_summary", "csv", [SUMMARIES[0]])
     assert text.splitlines()[1].endswith(",,")
 
-    latex = render_report(ReportSpec("full_summary", "latex"), [SUMMARIES[0]])
+    latex = render_report("full_summary", "latex", [SUMMARIES[0]])
     assert " &  &  \\\\" in latex
 
     import json
 
-    payload = json.loads(render_report(ReportSpec("full_summary", "json"), [SUMMARIES[0]]))
+    payload = json.loads(render_report("full_summary", "json", [SUMMARIES[0]]))
     assert payload["rows"][0]["diacritic_presence_pct"] is None
 
 
 def test_overlap_csv_frozen():
-    text = render_report(ReportSpec("overlap", "csv"), overlaps=OVERLAPS)
+    text = render_report("overlap", "csv", overlaps=OVERLAPS)
     assert text == (
         "key,cosine,memorization_suspect\n"
         "m/fon/dialogue,0.0500,false\n"
@@ -124,7 +115,7 @@ def test_overlap_csv_frozen():
 
 
 def test_overlap_latex_booleans_and_rules():
-    text = render_report(ReportSpec("overlap", "latex"), overlaps=OVERLAPS)
+    text = render_report("overlap", "latex", overlaps=OVERLAPS)
     assert "\\toprule" in text and "\\midrule" in text and "\\bottomrule" in text
     assert "m/fon/dialogue & 0.0500 & false \\\\" in text
     assert "m/hau/creative & 0.8421 & true \\\\" in text
@@ -133,7 +124,7 @@ def test_overlap_latex_booleans_and_rules():
 def test_overlap_json_keeps_booleans():
     import json
 
-    payload = json.loads(render_report(ReportSpec("overlap", "json"), overlaps=OVERLAPS))
+    payload = json.loads(render_report("overlap", "json", overlaps=OVERLAPS))
     assert payload["kind"] == "overlap"
     assert payload["rows"][0] == {
         "key": "m/fon/dialogue",
@@ -145,7 +136,7 @@ def test_overlap_json_keeps_booleans():
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 @pytest.mark.parametrize("format", FORMATS)
 def test_every_combination_renders(kind, format):
-    text = render_report(ReportSpec(kind, format), SUMMARIES, OVERLAPS)
+    text = render_report(kind, format, SUMMARIES, OVERLAPS)
     assert text.endswith("\n")
     assert "\r" not in text
 
@@ -153,10 +144,9 @@ def test_every_combination_renders(kind, format):
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 @pytest.mark.parametrize("format", FORMATS)
 def test_rendering_is_deterministic_and_order_free(kind, format):
-    spec = ReportSpec(kind, format)
-    first = render_report(spec, SUMMARIES, OVERLAPS)
-    assert render_report(spec, SUMMARIES, OVERLAPS) == first
-    assert render_report(spec, list(reversed(SUMMARIES)), list(reversed(OVERLAPS))) == first
+    first = render_report(kind, format, SUMMARIES, OVERLAPS)
+    assert render_report(kind, format, SUMMARIES, OVERLAPS) == first
+    assert render_report(kind, format, list(reversed(SUMMARIES)), list(reversed(OVERLAPS))) == first
 
 
 def test_format_condition_table():

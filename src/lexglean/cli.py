@@ -64,14 +64,7 @@ from .generation import (
     load_mock_fixtures,
     run_batch,
 )
-from .langid import (
-    BuiltinClassifier,
-    ExternalPredictionsClassifier,
-    FidelityBackend,
-    load_external_predictions,
-    load_seed_corpora,
-    train_profiles,
-)
+from .langid import FidelityBackend, load_external_predictions, load_seed_corpora, train_profiles
 from .reporting import FORMATS, TABLE_KINDS, format_condition_table, render_report
 from .taxonomy import (
     ConfigError,
@@ -82,8 +75,6 @@ from .taxonomy import (
     validate_taxonomy,
 )
 from .textstats import analyze
-
-log = logging.getLogger("lexglean")
 
 EXIT_OK = 0
 EXIT_DATA = 1  # missing or corrupt input data
@@ -163,16 +154,11 @@ def _make_lid_backend(spec: str):
         seeds_dirname = argument or str(data_dir() / "seeds")
         corpora = load_seed_corpora(seeds_dirname)
         seed_files = sorted(Path(seeds_dirname).glob("*.txt"))
-        return (
-            BuiltinClassifier(train_profiles(corpora)),
-            f"builtin:{seeds_dirname}",
-            fingerprints.files_digest(seed_files),
-        )
+        return train_profiles(corpora), f"builtin:{seeds_dirname}", fingerprints.files_digest(seed_files)
     if kind == "external":
         if not argument:
             raise ConfigError("--lid external needs a predictions file: external:<path>")
-        backend = ExternalPredictionsClassifier(load_external_predictions(argument))
-        return backend, spec, fingerprints.files_digest([Path(argument)])
+        return load_external_predictions(argument), spec, fingerprints.files_digest([Path(argument)])
     raise ConfigError(f"unknown --lid backend '{spec}' (use builtin:<seeds-dir> or external:<file>)")
 
 

@@ -14,14 +14,14 @@ and ``to_json`` writes a record.  Field types may be ``str``, ``int``,
 ``default_factory``) takes it when its key is absent; any other absent key
 is an error.  Reading converts a number or a numeric string with
 ``int``/``float`` and takes nothing else on trust: a number field refuses
-``true`` and ``false``, an ``int`` field a fraction, a ``float`` field NaN
-and the infinities (``"nan"`` and ``1e400`` among them), a ``str`` field
-holds only a string, a ``bool`` only ``true`` or ``false``, a tuple only a
-list, and a dataclass or mapping only an object.  The error names the key
-(a number field's too, as in ``'temperature' must be a finite number, not
-'warm'``), but for a dataclass, which names only the type it got.  Every
-file is written through ``atomic_writer``, so a reader never sees a partial
-one.
+``true``, ``false``, ``null``, a list and an object, an ``int`` field a
+fraction, a ``float`` field NaN and the infinities (``"nan"`` and
+``1e400`` among them), a ``str`` field holds only a string, a ``bool``
+only ``true`` or ``false``, a tuple only a list, and a dataclass or
+mapping only an object.  The error names the key (a number field's too,
+as in ``'temperature' must be a finite number, not 'warm'``), but for a
+dataclass, which names only the type it got.  Every file is written
+through ``atomic_writer``, so a reader never sees a partial one.
 """
 from __future__ import annotations
 
@@ -153,11 +153,11 @@ def _number(kind: type, name: str) -> Callable[[Any], Any]:
     def convert(value: Any) -> Any:
         if type(value) is bool:
             raise TypeError(f"{name} must be a number, not bool")
-        try:  # float("warm"), int(inf) and int("nan") raise as well
+        try:  # float("warm"), float(None), int(inf) and int("nan") raise as well
             number = kind(value)
             if (kind is float and not isfinite(number)) or (type(value) is float and number != value):
                 raise ValueError
-        except (ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{name} must be {number_kind}, not {value!r}") from None
         return number
 

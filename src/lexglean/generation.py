@@ -543,7 +543,7 @@ def run_batch(
                     try:
                         manifest.completed.add(future.result())
                     except CallError as exc:
-                        log.warning("call failed: %s", exc)
+                        log.debug("call failed: %s", exc)
                         manifest.failures.append((output_id, str(exc)))
         except BaseException:
             # Let running calls finish persisting, drop the queued ones,

@@ -6,8 +6,10 @@ Two interchangeable classifier backends are provided:
   trigram profiles trained from small seed corpora (one ``<label>.txt``
   file per label, one sentence per line).  It is a deterministic,
   dependency-free stand-in, not a state-of-the-art identifier.
+  ``train_profiles`` returns it, holding its trained profiles.
 * ``ExternalPredictionsClassifier`` -- pass-through adapter for label and
   confidence columns produced by an external tool, keyed by output id.
+  ``load_external_predictions`` returns it, holding the rows it read.
 
 Both expose ``assess(analysis, target, output_id=...)``, taking the
 ``textstats.analyze`` result of the output, and return a ``FidelityResult``
@@ -17,7 +19,7 @@ rule; one builder derives the rest from the predictions.  The builtin
 backend scores from the grams it is handed; the external one ignores them.
 
 A score is the cosine ``dot / (norm * ref_norm)`` of integer trigram counts.
-``LanguageProfileSet.dot`` gets every label's dot from one sum: a table
+``BuiltinClassifier.dot`` gets every label's dot from one sum: a table
 built on first use maps each gram to all labels' reference counts, each
 shifted into its own bit field of one Python int.  The fields are wide enough
 that no sum carries from one into the next, and integer sums do not depend on
@@ -81,8 +83,9 @@ def _fidelity_result(
     return FidelityResult(document, document.label == target, confidence, tuple(sentences), rate)
 
 
-class LanguageProfileSet:
-    """Trained trigram profiles (trigram -> count), one per language label.
+class BuiltinClassifier:
+    """Fidelity assessment by nearest trigram profile (trigram -> count),
+    one trained profile per language label.
 
     Labels are kept sorted so that score ties resolve to the
     lexicographically smallest label.
@@ -135,6 +138,41 @@ class LanguageProfileSet:
             out.append(dot / (norm * ref_norm) if dot else 0.0)
         return out
 
+    def _prediction(self, dots: int, grams: list[str]) -> tuple[LidPrediction, list[float]]:
+        """Best label for these grams, whose packed dot is ``dots``, with its
+        softmax confidence, plus the softmax over all labels.
+
+        No grams map to ('und', 0.0) and an empty softmax.
+        """
+        if not grams:
+            return LidPrediction(UNKNOWN_LABEL, 0.0), []
+        scores = self.cosines(dots, norm(Counter(grams)))
+        peak = max(scores)
+        best = scores.index(peak)  # first index wins ties -> smallest label
+        exps = [math.exp(s - peak) for s in scores]
+        denom = sum(exps)
+        return LidPrediction(self.labels[best], exps[best] / denom), [e / denom for e in exps]
+
+    def assess(
+        self, analysis: TextAnalysis, target: str, output_id: str | None = None
+    ) -> FidelityResult:
+        dot = self.dot
+        sentence_dots = [dot(grams) for grams in analysis.sentence_grams]
+        if analysis.cross_grams is None:
+            document_dot = dot(analysis.grams)
+        else:
+            document_dot = sum(sentence_dots, dot(analysis.cross_grams))
+        document, probs = self._prediction(document_dot, analysis.grams)
+        target_confidence = probs[self.labels.index(target)] if probs and target in self.labels else 0.0
+
+        # A sentence's gram count equals its normalised length, so short
+        # sentences are recognised from their grams.
+        sentence_predictions = [
+            document if len(grams) < MIN_SENTENCE_CHARS else self._prediction(dots, grams)[0]
+            for grams, dots in zip(analysis.sentence_grams, sentence_dots)
+        ]
+        return _fidelity_result(target, document, target_confidence, sentence_predictions)
+
 
 def load_seed_corpora(seeds_dir: str | Path) -> dict[str, list[str]]:
     """Read ``<label>.txt`` seed files (one sentence per line) from a directory."""
@@ -152,63 +190,15 @@ def load_seed_corpora(seeds_dir: str | Path) -> dict[str, list[str]]:
     return corpora
 
 
-def train_profiles(seed_corpora: Mapping[str, Sequence[str]]) -> LanguageProfileSet:
-    """Build one merged trigram profile per label from seed documents."""
+def train_profiles(seed_corpora: Mapping[str, Sequence[str]]) -> BuiltinClassifier:
+    """The builtin classifier over one merged trigram profile per label of the seed documents."""
     profiles: dict[str, Counter[str]] = {}
     for label in sorted(seed_corpora):
         documents = [doc for doc in seed_corpora[label] if doc.strip()]
         if not documents:
             raise ValueError(f"seed corpus for '{label}' has no nonempty documents")
         profiles[label] = merged_trigram_profile(documents)
-    return LanguageProfileSet(profiles)
-
-
-def _prediction(
-    profile_set: LanguageProfileSet, dots: int, grams: list[str]
-) -> tuple[LidPrediction, list[float]]:
-    """Best label for these grams, whose packed dot is ``dots``, with its
-    softmax confidence, plus the softmax over all labels.
-
-    No grams map to ('und', 0.0) and an empty softmax.
-    """
-    if not grams:
-        return LidPrediction(UNKNOWN_LABEL, 0.0), []
-    scores = profile_set.cosines(dots, norm(Counter(grams)))
-    peak = max(scores)
-    best = scores.index(peak)  # first index wins ties -> smallest label
-    exps = [math.exp(s - peak) for s in scores]
-    denom = sum(exps)
-    return LidPrediction(profile_set.labels[best], exps[best] / denom), [e / denom for e in exps]
-
-
-class BuiltinClassifier:
-    """Fidelity assessment backed by the trigram nearest-profile classifier."""
-
-    def __init__(self, profile_set: LanguageProfileSet):
-        self.profile_set = profile_set
-
-    def assess(
-        self, analysis: TextAnalysis, target: str, output_id: str | None = None
-    ) -> FidelityResult:
-        dot = self.profile_set.dot
-        sentence_dots = [dot(grams) for grams in analysis.sentence_grams]
-        if analysis.cross_grams is None:
-            document_dot = dot(analysis.grams)
-        else:
-            document_dot = sum(sentence_dots, dot(analysis.cross_grams))
-        document, probs = _prediction(self.profile_set, document_dot, analysis.grams)
-        labels = self.profile_set.labels
-        target_confidence = probs[labels.index(target)] if probs and target in labels else 0.0
-
-        # A sentence's gram count equals its normalised length, so short
-        # sentences are recognised from their grams.
-        sentence_predictions = [
-            document
-            if len(grams) < MIN_SENTENCE_CHARS
-            else _prediction(self.profile_set, dots, grams)[0]
-            for grams, dots in zip(analysis.sentence_grams, sentence_dots)
-        ]
-        return _fidelity_result(target, document, target_confidence, sentence_predictions)
+    return BuiltinClassifier(profiles)
 
 
 @dataclass(frozen=True)
@@ -230,16 +220,15 @@ class _PredictionRow:
                 raise ValueError(f"{name} must be in [0, 1], not {conf!r}")
 
 
-def load_external_predictions(
-    path: str | Path,
-) -> dict[str, tuple[LidPrediction, tuple[LidPrediction, ...]]]:
-    """Load externally produced predictions from a JSONL file.
+def load_external_predictions(path: str | Path) -> ExternalPredictionsClassifier:
+    """The external backend over the predictions of a JSONL file.
 
     Each row, decoded by ``lexglean.codec``, needs ``output_id``,
     ``doc_label``, ``doc_conf`` and parallel ``sentence_labels`` /
     ``sentence_confs`` lists, every confidence in [0, 1]; it maps the output
-    id to the (document, sentences) predictions.  A malformed row or a
-    repeated output id raises DataError naming ``path:line``.
+    id to the (document, sentences) predictions.  A malformed row (one that
+    lacks a field reads ``missing field 'doc_conf'``) or a repeated output
+    id raises DataError naming ``path:line``.
     """
     path = Path(path)
     decode, bundles = decoder(_PredictionRow), {}
@@ -249,13 +238,15 @@ def load_external_predictions(
                 continue
             try:
                 row = decode(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
+            except KeyError as exc:
+                raise DataError(f"{path}:{lineno}: malformed prediction row: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed prediction row: {exc}") from exc
             if row.output_id in bundles:
                 raise DataError(f"{path}:{lineno}: duplicate output_id '{row.output_id}'")
             sentences = tuple(map(LidPrediction, row.sentence_labels, row.sentence_confs))
             bundles[row.output_id] = (LidPrediction(row.doc_label, row.doc_conf), sentences)
-    return bundles
+    return ExternalPredictionsClassifier(bundles)
 
 
 class ExternalPredictionsClassifier:
@@ -267,10 +258,8 @@ class ExternalPredictionsClassifier:
     is the target, else 0.0 (per-label mass is not available in the file).
     """
 
-    def __init__(
-        self, predictions: Mapping[str, tuple[LidPrediction, tuple[LidPrediction, ...]]]
-    ):
-        self.predictions = dict(predictions)
+    def __init__(self, predictions: Mapping[str, tuple[LidPrediction, tuple[LidPrediction, ...]]]):
+        self.predictions = predictions
 
     def assess(
         self, analysis: TextAnalysis, target: str, output_id: str | None = None

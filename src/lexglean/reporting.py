@@ -4,9 +4,13 @@ Six table kinds (validity, fidelity, diversity, efficiency, full_summary,
 overlap) can each be rendered as CSV, LaTeX or JSON by
 ``render_report(kind, format, summaries, overlaps)``, which takes one of
 ``TABLE_KINDS`` and one of ``FORMATS`` (the ``report`` command's flags
-check both).  Rows are always sorted by (model, language, task_type) and
-every number is formatted with a fixed precision, so rendering the same
-inputs twice produces byte-identical output.
+check both).  Each summary column is listed once, with the one table
+besides ``full_summary`` that shows it (the model, language and task
+columns are in every table), and each cell is read from the summary or
+overlap result by the column's field name.  Rows are always sorted by
+(model, language, task_type) and every number is formatted with a fixed
+precision, so rendering the same inputs twice produces byte-identical
+output.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .codec import to_json
 from .evaluation import ConditionSummary, OverlapResult
 
 TABLE_KINDS = ("validity", "fidelity", "diversity", "efficiency", "full_summary", "overlap")
@@ -25,46 +28,32 @@ FORMATS = ("csv", "latex", "json")
 
 @dataclass(frozen=True)
 class _Column:
-    key: str
+    key: str  # a field of ConditionSummary or OverlapResult
     header: str
     latex_header: str
     align: str
     decimals: int | None  # None -> not numeric (string/int/bool passthrough)
+    kind: str = ""  # the one summary table, besides full_summary, that shows it; "" -> every table
 
 
 _SUMMARY_COLUMNS = (
     _Column("model_id", "model", "Model", "l", None),
     _Column("language", "language", "Language", "l", None),
     _Column("task_type", "task_type", "Task", "l", None),
-    _Column("n_outputs", "n_outputs", "N", "r", None),
-    _Column("valid_pct", "valid_pct", "Valid\\%", "r", 1),
-    _Column("avg_words", "avg_words", "Words", "r", 1),
-    _Column("doc_fidelity_pct", "doc_fidelity_pct", "Fidelity\\%", "r", 1),
-    _Column("avg_ttr", "avg_ttr", "TTR", "r", 3),
-    _Column("avg_hapax", "avg_hapax", "Hapax", "r", 3),
-    _Column("avg_vocab", "avg_vocab", "Vocab", "r", 1),
-    _Column("avg_code_switch", "avg_code_switch", "CS", "r", 3),
-    _Column("avg_lang_conf", "avg_lang_conf", "LangConf", "r", 3),
-    _Column("avg_quality", "avg_quality", "Quality", "r", 3),
-    _Column("usable_words_per_call", "usable_words_per_call", "Words/Call", "r", 1),
-    _Column("diacritic_presence_pct", "diacritic_presence_pct", "Diacritics\\%", "r", 1),
-    _Column("avg_diacritic_ratio", "avg_diacritic_ratio", "DiaRatio", "r", 3),
+    _Column("n_outputs", "n_outputs", "N", "r", None, "validity"),
+    _Column("valid_pct", "valid_pct", "Valid\\%", "r", 1, "validity"),
+    _Column("avg_words", "avg_words", "Words", "r", 1, "validity"),
+    _Column("doc_fidelity_pct", "doc_fidelity_pct", "Fidelity\\%", "r", 1, "fidelity"),
+    _Column("avg_ttr", "avg_ttr", "TTR", "r", 3, "diversity"),
+    _Column("avg_hapax", "avg_hapax", "Hapax", "r", 3, "diversity"),
+    _Column("avg_vocab", "avg_vocab", "Vocab", "r", 1, "diversity"),
+    _Column("avg_code_switch", "avg_code_switch", "CS", "r", 3, "fidelity"),
+    _Column("avg_lang_conf", "avg_lang_conf", "LangConf", "r", 3, "fidelity"),
+    _Column("avg_quality", "avg_quality", "Quality", "r", 3, "full_summary"),
+    _Column("usable_words_per_call", "usable_words_per_call", "Words/Call", "r", 1, "efficiency"),
+    _Column("diacritic_presence_pct", "diacritic_presence_pct", "Diacritics\\%", "r", 1, "full_summary"),
+    _Column("avg_diacritic_ratio", "avg_diacritic_ratio", "DiaRatio", "r", 3, "full_summary"),
 )
-
-_KIND_COLUMNS = {
-    "validity": ("model_id", "language", "task_type", "n_outputs", "valid_pct", "avg_words"),
-    "fidelity": (
-        "model_id",
-        "language",
-        "task_type",
-        "doc_fidelity_pct",
-        "avg_code_switch",
-        "avg_lang_conf",
-    ),
-    "diversity": ("model_id", "language", "task_type", "avg_ttr", "avg_hapax", "avg_vocab"),
-    "efficiency": ("model_id", "language", "task_type", "usable_words_per_call"),
-    "full_summary": tuple(column.key for column in _SUMMARY_COLUMNS),
-}
 
 _OVERLAP_COLUMNS = (
     _Column("key", "key", "Group", "l", None),
@@ -97,16 +86,16 @@ def _latex_escape(text: str) -> str:
     return text.replace("_", "\\_").replace("%", "\\%").replace("&", "\\&")
 
 
-def _render_csv(columns: Sequence[_Column], rows: Sequence[dict]) -> str:
+def _render_csv(columns: Sequence[_Column], rows: Sequence) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([column.header for column in columns])
     for row in rows:
-        writer.writerow([_cell_text(row[column.key], column) for column in columns])
+        writer.writerow([_cell_text(getattr(row, column.key), column) for column in columns])
     return buffer.getvalue()
 
 
-def _render_latex(columns: Sequence[_Column], rows: Sequence[dict]) -> str:
+def _render_latex(columns: Sequence[_Column], rows: Sequence) -> str:
     lines = [
         "\\begin{tabular}{" + "".join(column.align for column in columns) + "}",
         "\\toprule",
@@ -114,30 +103,25 @@ def _render_latex(columns: Sequence[_Column], rows: Sequence[dict]) -> str:
         "\\midrule",
     ]
     for row in rows:  # a number's text holds none of the escaped characters
-        lines.append(" & ".join(_latex_escape(_cell_text(row[c.key], c)) for c in columns) + " \\\\")
+        lines.append(" & ".join(_latex_escape(_cell_text(getattr(row, c.key), c)) for c in columns) + " \\\\")
     lines.append("\\bottomrule")
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
 
 
-def _render_json(kind: str, columns: Sequence[_Column], rows: Sequence[dict]) -> str:
+def _render_json(kind: str, columns: Sequence[_Column], rows: Sequence) -> str:
     payload = {
         "kind": kind,
         "rows": [
-            {column.header: _cell_value(row[column.key], column) for column in columns}
+            {column.header: _cell_value(getattr(row, column.key), column) for column in columns}
             for row in rows
         ],
     }
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
-def _summary_rows(summaries: Sequence[ConditionSummary]) -> list[dict]:
-    ordered = sorted(summaries, key=lambda s: (s.model_id, s.language, s.task_type))
-    return [to_json(s) for s in ordered]
-
-
-def _overlap_rows(overlaps: Sequence[OverlapResult]) -> list[dict]:
-    return [to_json(o) for o in sorted(overlaps, key=lambda o: o.key)]
+def _sorted_summaries(summaries: Sequence[ConditionSummary]) -> list[ConditionSummary]:
+    return sorted(summaries, key=lambda s: (s.model_id, s.language, s.task_type))
 
 
 def render_report(
@@ -150,11 +134,10 @@ def render_report(
     FORMATS, to a string (including trailing newline)."""
     if kind == "overlap":
         columns: Sequence[_Column] = _OVERLAP_COLUMNS
-        rows = _overlap_rows(overlaps)
+        rows: Sequence = sorted(overlaps, key=lambda o: o.key)
     else:
-        wanted = _KIND_COLUMNS[kind]
-        columns = tuple(c for c in _SUMMARY_COLUMNS if c.key in wanted)
-        rows = _summary_rows(summaries)
+        columns = [c for c in _SUMMARY_COLUMNS if c.kind in ("", kind) or kind == "full_summary"]
+        rows = _sorted_summaries(summaries)
     if format == "csv":
         return _render_csv(columns, rows)
     if format == "latex":
@@ -166,8 +149,8 @@ def format_condition_table(summaries: Sequence[ConditionSummary]) -> str:
     """Fixed-width text table for terminal output."""
     headers = [column.header for column in _SUMMARY_COLUMNS]
     table = [headers] + [
-        [_cell_text(row[column.key], column) for column in _SUMMARY_COLUMNS]
-        for row in _summary_rows(summaries)
+        [_cell_text(getattr(row, column.key), column) for column in _SUMMARY_COLUMNS]
+        for row in _sorted_summaries(summaries)
     ]
     widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() for line in table]

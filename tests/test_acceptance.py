@@ -38,7 +38,7 @@ from lexglean.generation import (
     load_mock_fixtures,
     run_batch,
 )
-from lexglean.langid import BuiltinClassifier, FidelityResult, LidPrediction, load_seed_corpora, train_profiles
+from lexglean.langid import FidelityResult, LidPrediction, load_seed_corpora, train_profiles
 from lexglean.reporting import FORMATS, TABLE_KINDS, render_report
 from lexglean.taxonomy import (
     LanguageConfig,
@@ -173,7 +173,7 @@ def test_builtin_lid_holdout_accuracy():
     assert len(heldout) >= 30
     assert len({label for label, _ in heldout}) == 5
 
-    backend = BuiltinClassifier(profiles)
+    backend = profiles
 
     def predict(label, line):
         return backend.assess(textstats.analyze(line), label).document_prediction

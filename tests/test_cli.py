@@ -455,7 +455,11 @@ _PREDICTION_ROW = (
     "command, content, detail",
     [
         ("evaluate", _PREDICTION_ROW, "no external prediction (output gpt-4o-mini/hau/constrained/cg_01)"),
-        ("evaluate", '{"output_id": "x", "doc_label": "hau_Latn"}\n', "{path}:1: malformed prediction row"),
+        (
+            "evaluate",
+            '{"output_id": "x", "doc_label": "hau_Latn"}\n',
+            "{path}:1: malformed prediction row: missing field 'doc_conf'\n",
+        ),
         ("generate", '{"m/hau/creative/cw_01": "amsa"}', "{path}: fixture 'm/hau/creative/cw_01' is not"),
         ("generate", '{"m/hau/creative/cw_01": {', "{path}: invalid JSON"),
         ("generate", '{"m/hau/creative/cw_01": {"status_schedule": [null]}}', "{path}: fixture 'm/hau/creative/cw_01': bad"),
@@ -484,11 +488,16 @@ _PREDICTION_ROW = (
             _PREDICTION_ROW.replace("[]", '["hau_Latn", "hau_Latn"]', 1).replace("[]", "[1, -0.1]"),
             "{path}:1: malformed prediction row: an item of 'sentence_confs' must be in [0, 1], not -0.1",
         ),
+        (
+            "evaluate",
+            _PREDICTION_ROW.replace("1.0", "null"),
+            "{path}:1: malformed prediction row: 'doc_conf' must be a finite number, not None",
+        ),
     ],
     ids=[
         "prediction_missing", "malformed_prediction_row", "fixture_not_object", "malformed_fixtures",
         "bad_status_schedule", "status_schedule_not_list", "sentence_labels_not_list", "doc_conf_nan",
-        "doc_conf_above_one", "sentence_conf_below_zero",
+        "doc_conf_above_one", "sentence_conf_below_zero", "doc_conf_null",
     ],
 )
 def test_bad_lid_or_fixture_input_is_a_data_error(small_run, tmp_path, command, content, detail):
@@ -1019,12 +1028,15 @@ _HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["langu
             "{path}: model entry 0: 'min_request_interval' must be a finite number, not 'NaN'",
         ),
         ("models.json", {"max_retries": "nan"}, "{path}: model entry 0: 'max_retries' must be a whole number, not 'nan'"),
+        ("models.json", {"top_p": None}, "{path}: model entry 0: 'top_p' must be a finite number, not None"),
+        ("models.json", {"max_retries": [1]}, "{path}: model entry 0: 'max_retries' must be a whole number, not [1]"),
     ],
     ids=[
         "model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept",
         "word_lists_not_object", "model_id_not_string", "word_list_a_string", "flag_a_string",
         "word_not_a_string", "max_output_tokens_infinite", "retries_a_flag", "max_output_tokens_fraction",
         "temperature_nan", "temperature_infinite", "min_request_interval_nan", "max_retries_nan",
+        "top_p_null", "max_retries_list",
     ],
 )
 def test_bad_config_entry_is_a_usage_error_naming_file_and_entry(tmp_path, filename, entry, message):

@@ -74,6 +74,9 @@ def test_numbers_are_coerced_booleans_are_not():
         ({"max_output_tokens": True}, TypeError, "'max_output_tokens' must be a number, not bool"),
         ({"temperature": False}, TypeError, "'temperature' must be a number, not bool"),
         ({"max_output_tokens": 1024.7}, ValueError, "'max_output_tokens' must be a whole number, not 1024.7"),
+        ({"top_p": None}, ValueError, "'top_p' must be a finite number, not None"),
+        ({"max_output_tokens": []}, ValueError, "'max_output_tokens' must be a whole number, not []"),
+        ({"temperature": {}}, ValueError, "'temperature' must be a finite number, not {}"),
     ]
     for override, error, message in cases:
         with pytest.raises(error, match=rf"\A{re.escape(message)}\Z"):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import random
 import shutil
@@ -273,6 +274,17 @@ def test_run_batch_records_failures(tmp_path):
     assert manifest.failures[0][0] == bad_id
     assert not record_path(tmp_path, bad_id).exists()
     assert record_path(tmp_path, "test-model/hau/creative/cw_01").exists()
+
+
+def test_run_batch_logs_a_failed_call_below_warning(tmp_path, caplog):
+    # ``generate`` prints each failure once from the manifest; a warning
+    # from the batch would print it a second time.
+    fixtures = _fixtures_for(TEMPLATES[:1])
+    fixtures["test-model/hau/creative/cw_01"] = MockFixture("", status_schedule=(400,))
+    caplog.set_level(logging.WARNING)
+    manifest = run_batch(TEMPLATES[:1], [LANG], [MODEL], tmp_path, MockBackend(fixtures))
+    assert [f[0] for f in manifest.failures] == ["test-model/hau/creative/cw_01"]
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_run_batch_respects_model_retry_budget(tmp_path):

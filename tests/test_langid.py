@@ -10,9 +10,7 @@ from lexglean import data_dir
 from lexglean.codec import DataError, decoder, to_json
 from lexglean.langid import (
     BuiltinClassifier,
-    ExternalPredictionsClassifier,
     FidelityResult,
-    LanguageProfileSet,
     LidPrediction,
     MIN_SENTENCE_CHARS,
     UNKNOWN_LABEL,
@@ -52,12 +50,12 @@ def test_train_profiles_rejects_empty_corpus():
 
 def test_profile_set_rejects_empty_profile():
     with pytest.raises(ValueError, match="empty"):
-        LanguageProfileSet({"xx": {}})
+        BuiltinClassifier({"xx": {}})
 
 
 def predict(text, profile_set):
     """The document prediction for ``text``; it does not depend on the target."""
-    return BuiltinClassifier(profile_set).assess(analyze(text), UNKNOWN_LABEL).document_prediction
+    return profile_set.assess(analyze(text), UNKNOWN_LABEL).document_prediction
 
 
 def test_classify_shipped_sentences(shipped_profiles):
@@ -73,7 +71,7 @@ def test_classify_empty(shipped_profiles):
 
 def test_tie_breaks_to_smallest_label():
     profile = {" aa": 1, "aa ": 1}
-    profiles = LanguageProfileSet({"bbb": profile, "aaa": profile})
+    profiles = BuiltinClassifier({"bbb": profile, "aaa": profile})
     assert predict("aa", profiles).label == "aaa"
 
 
@@ -88,7 +86,7 @@ def test_confidence_is_softmax_at_winner():
 
 
 def test_assess_document_and_sentences(shipped_profiles):
-    backend = BuiltinClassifier(shipped_profiles)
+    backend = shipped_profiles
     text = (
         "Manoma suna shuka gero da dawa a gonakinsu lokacin damina. "
         "The farmers plant maize and beans in their fields. "
@@ -106,7 +104,7 @@ def test_assess_document_and_sentences(shipped_profiles):
 
 
 def test_assess_all_target(shipped_profiles):
-    backend = BuiltinClassifier(shipped_profiles)
+    backend = shipped_profiles
     result = backend.assess(
         analyze(
             "Yara suna wasa a filin makaranta da safe. Malami yana koyar da darasin lissafi a aji."
@@ -117,7 +115,7 @@ def test_assess_all_target(shipped_profiles):
 
 
 def test_assess_empty_text(shipped_profiles):
-    backend = BuiltinClassifier(shipped_profiles)
+    backend = shipped_profiles
     result = backend.assess(analyze(""), "hau_Latn")
     assert result.document_prediction == LidPrediction(UNKNOWN_LABEL, 0.0)
     assert not result.is_target
@@ -127,7 +125,7 @@ def test_assess_empty_text(shipped_profiles):
 
 
 def test_short_sentence_inherits_document_prediction(shipped_profiles):
-    backend = BuiltinClassifier(shipped_profiles)
+    backend = shipped_profiles
     text = "Manoma suna shuka gero da dawa a gonakinsu lokacin damina. A."
     assert len("a.") < MIN_SENTENCE_CHARS
     result = backend.assess(analyze(text), "hau_Latn")
@@ -154,7 +152,7 @@ def test_scores_equal_cosine_exactly(shipped_profiles, text):
 
 def test_scores_exact_with_huge_counts():
     # Reference counts this large need wide fields in the packed dot table.
-    profiles = LanguageProfileSet(
+    profiles = BuiltinClassifier(
         {
             "aaa": {" ab": 2**40, "ab ": 3},
             "bbb": {" ab": 1, "xyz": 2**40 - 1},
@@ -169,7 +167,7 @@ def test_scores_exact_with_huge_counts():
 
 @given(lid_texts)
 def test_assess_sentences_follow_document_or_classify(shipped_profiles, text):
-    backend = BuiltinClassifier(shipped_profiles)
+    backend = shipped_profiles
     result = backend.assess(analyze(text), "hau_Latn")
     sentences = segment_sentences(text)
     assert len(result.sentence_predictions) == len(sentences)
@@ -192,13 +190,13 @@ def test_assess_sentences_follow_document_or_classify(shipped_profiles, text):
 @example(" \n ")
 def test_assess_equals_two_pass_oracle(shipped_profiles, text):
     profiles = shipped_profiles.profiles
-    backend = BuiltinClassifier(shipped_profiles)
+    backend = shipped_profiles
     for target in ("hau_Latn", "eng_Latn"):
         assert backend.assess(analyze(text), target) == oracles.assess(text, target, profiles)
 
 
 def test_unknown_target_label(shipped_profiles):
-    backend = BuiltinClassifier(shipped_profiles)
+    backend = shipped_profiles
     result = backend.assess(analyze("Manoma suna shuka gero da dawa a gonakinsu."), "zzz_Latn")
     assert not result.is_target
     assert result.target_confidence == 0.0
@@ -233,7 +231,7 @@ def test_external_predictions_roundtrip(tmp_path):
             }
         ],
     )
-    backend = ExternalPredictionsClassifier(load_external_predictions(path))
+    backend = load_external_predictions(path)
     result = backend.assess("ignored", "hau_Latn", output_id="m/hau/creative/cw_01")
     assert result.document_prediction == LidPrediction("hau_Latn", 0.97)
     assert result.target_confidence == 0.97
@@ -257,7 +255,7 @@ def test_external_predictions_missing_output(tmp_path):
             }
         ],
     )
-    backend = ExternalPredictionsClassifier(load_external_predictions(path))
+    backend = load_external_predictions(path)
     with pytest.raises(DataError, match=r"\Ano external prediction \(output b\)\Z"):
         backend.assess("t", "x", output_id="b")
     with pytest.raises(DataError, match=r"\Ano external prediction \(output None\)\Z"):
@@ -308,5 +306,5 @@ def test_external_predictions_empty_sentences_rate(tmp_path):
             }
         ],
     )
-    backend = ExternalPredictionsClassifier(load_external_predictions(path))
+    backend = load_external_predictions(path)
     assert backend.assess("t", "hau_Latn", output_id="a").code_switch_rate == 0.0

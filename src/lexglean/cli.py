@@ -200,7 +200,8 @@ def score_cell(
     are equal the old summary is kept; otherwise the kept lines are decoded
     and the cell aggregated again.  With a ``reference``, the old overlap is
     kept when the reference digests are equal too; otherwise every record is
-    parsed and the cell's trigrams counted again.
+    parsed and the cell's trigrams counted again.  The LID backend scores each
+    distinct sentence of the cell once (one memo per cell).
     """
     same = old is not None and old.records == cell.records
     old_summary = old_summary if same else None
@@ -209,6 +210,7 @@ def score_cell(
     counts: Counter[str] = Counter()
     lines: list[bytes] = []
     evaluations = []
+    seen: dict = {}
     for output_id in sorted(records):
         record = records[output_id]
         kept = isinstance(record, tuple)
@@ -221,7 +223,7 @@ def score_cell(
                 counts.update(analysis.grams)
         if line is None:
             evaluation = evaluate_output(
-                record, language, backend, analysis=analysis, threshold=threshold, w_conf=w_conf,
+                record, language, backend, analysis=analysis, threshold=threshold, w_conf=w_conf, seen=seen,
             )
             line = evaluation_line(evaluation)
             evaluations.append(evaluation)

@@ -20,8 +20,10 @@ fraction, a ``float`` field NaN and the infinities (``"nan"`` and
 only ``true`` or ``false``, a tuple only a list, and a dataclass or
 mapping only an object.  The error names the key (a number field's too,
 as in ``'temperature' must be a finite number, not 'warm'``), but for a
-dataclass, which names only the type it got.  Every file is written
-through ``atomic_writer``, so a reader never sees a partial one.
+dataclass, which names only the type it got.  Every JSON document the
+package reads is parsed by ``loads``, so one nested too deeply for the
+parser is invalid JSON like any other.  Every file is written through
+``atomic_writer``, so a reader never sees a partial one.
 """
 from __future__ import annotations
 
@@ -42,12 +44,21 @@ JSON_KEY = "json_key"
 
 _Codec = tuple[Callable[[Any], Any], Callable[[Any], Any]]
 
-# What a decoder or json.loads raise on data that is not a record.
+# What a decoder or loads raise on data that is not a record.
 _BAD_DATA = (KeyError, TypeError, ValueError)
 
 
 class DataError(ValueError):
     """Persisted run data that cannot be read: bad JSON, a missing field or a wrong type."""
+
+
+def loads(data: str | bytes) -> Any:
+    """``json.loads``, but a document nested too deeply for the parser raises
+    JSONDecodeError, as other invalid JSON does, not RecursionError."""
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None
 
 
 def json_file_text(data: Any) -> str:
@@ -115,7 +126,7 @@ def parse_record(cls: type, raw: bytes, path: object, line: int | None = None) -
     and line.
     """
     try:
-        return decoder(cls)(json.loads(raw))
+        return decoder(cls)(loads(raw))
     except _BAD_DATA as exc:
         raise _data_error(exc, path if line is None else f"{path}:{line}") from exc
 
@@ -123,7 +134,7 @@ def parse_record(cls: type, raw: bytes, path: object, line: int | None = None) -
 def load_list(cls: type, path: Path, key: str) -> list:
     """The ``cls`` instances listed under ``key`` in the JSON file at ``path``; DataError names a bad file."""
     try:
-        return list(map(decoder(cls), json.loads(path.read_bytes())[key]))
+        return list(map(decoder(cls), loads(path.read_bytes())[key]))
     except _BAD_DATA as exc:
         raise _data_error(exc, path) from exc
 

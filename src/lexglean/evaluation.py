@@ -13,13 +13,14 @@ on-target outputs by the total number of outputs in the cell.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .codec import DataError, json_file_text, load_list, parse_record, to_json, write_atomic
+from .codec import DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic
 from .generation import GenerationRecord
 from .langid import FidelityBackend, FidelityResult
 from .taxonomy import LanguageConfig
@@ -81,14 +82,16 @@ def evaluate_output(
     analysis: TextAnalysis,
     threshold: int = DEFAULT_VALIDITY_THRESHOLD,
     w_conf: float = DEFAULT_W_CONF,
+    seen: dict | None = None,
 ) -> EvaluationRecord:
     """Score one generation record against its target language.
 
-    ``analysis`` is ``textstats.analyze(record.response_text)``.
+    ``analysis`` is ``textstats.analyze(record.response_text)``; ``seen`` is
+    the backend's memo of the sentences it has scored (see ``langid``).
     """
     tokens = analysis.tokens
     word_count = len(tokens)
-    fidelity = backend.assess(analysis, lang.target_lid_label, output_id=record.output_id)
+    fidelity = backend.assess(analysis, lang.target_lid_label, output_id=record.output_id, seen=seen)
     return EvaluationRecord(
         output_id=record.output_id,
         model_id=record.model_id,
@@ -214,33 +217,42 @@ def export_usable_corpus(
 
     ``usable`` is in output-id order, which the files keep.  Documents are
     separated by a blank line.  A language with no usable outputs still gets
-    an (empty) corpus file.  Returns (documents, words) per language.
+    an (empty) corpus file.  Every file is written before any is renamed into
+    place, so a failed write leaves ``out_dir`` as it was.  Returns
+    (documents, words) per language.
     """
     out_dir = Path(out_dir)
     by_language: dict[str, list[UsableOutput]] = {}
     for output in usable:
         by_language.setdefault(output.language, []).append(output)
     totals: dict[str, tuple[int, int]] = {}
-    for language in sorted(set(languages) | set(by_language)):
-        group = by_language.get(language, [])
-        body = "\n\n".join(output.response_text for output in group)
-        write_atomic(out_dir / f"{language}.txt", body + "\n" if body else "")
-        write_atomic(out_dir / f"{language}.provenance.jsonl", "".join(
-            json.dumps(
-                {
-                    "output_id": output.output_id,
-                    "model_id": output.model_id,
-                    "task_type": output.task_type,
-                    "word_count": output.word_count,
-                    "quality": output.quality,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-            + "\n"
-            for output in group
-        ))
-        totals[language] = (len(group), sum(output.word_count for output in group))
+    with contextlib.ExitStack() as writers:
+
+        def write(path: Path, text: str) -> None:
+            handle = writers.enter_context(atomic_writer(path))
+            handle.write(text.encode("utf-8"))
+            handle.flush()  # a full disk fails here, before any file is renamed
+
+        for language in sorted(set(languages) | set(by_language)):
+            group = by_language.get(language, [])
+            body = "\n\n".join(output.response_text for output in group)
+            write(out_dir / f"{language}.txt", body + "\n" if body else "")
+            write(out_dir / f"{language}.provenance.jsonl", "".join(
+                json.dumps(
+                    {
+                        "output_id": output.output_id,
+                        "model_id": output.model_id,
+                        "task_type": output.task_type,
+                        "word_count": output.word_count,
+                        "quality": output.quality,
+                    },
+                    ensure_ascii=False,
+                    sort_keys=True,
+                )
+                + "\n"
+                for output in group
+            ))
+            totals[language] = (len(group), sum(output.word_count for output in group))
     return totals
 
 

@@ -58,11 +58,10 @@ lacks the line of an output the fingerprints list.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .codec import DataError, load_list, write_json
+from .codec import DataError, load_list, loads, write_json
 from .evaluation import OverlapResult, read_summaries
 from .generation import GenerationRecord, load_record, record_files
 
@@ -139,7 +138,7 @@ def read(results_dir: Path) -> Fingerprints:
     """
     path = results_dir / FILENAME
     try:
-        data = json.loads(path.read_bytes())
+        data = loads(path.read_bytes())
     except FileNotFoundError as exc:
         raise DataError(f"no {FILENAME} in {results_dir} (run 'evaluate' again)") from exc
     except ValueError as exc:

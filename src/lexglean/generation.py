@@ -27,7 +27,6 @@ with the other triples.
 """
 from __future__ import annotations
 
-import json
 import logging
 import os
 import random
@@ -43,7 +42,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 
 import requests
 
-from .codec import DataError, decoder, json_file_text, parse_record, to_json, write_atomic, write_json
+from .codec import DataError, decoder, json_file_text, loads, parse_record, to_json, write_atomic, write_json
 from .taxonomy import (
     ConfigError,
     LanguageConfig,
@@ -346,7 +345,7 @@ class HttpBackend:
                     "content and finish_reason must be strings or null, got "
                     f"{type(text).__name__} and {type(finish_reason).__name__}"
                 )
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:  # RecursionError: too deep
             raise BackendUnavailable(f"unparseable completion payload: {exc}") from exc
         return BackendResponse(response.status_code, timestamp, latency, text or "", finish_reason or "")
 
@@ -375,7 +374,7 @@ def load_mock_fixtures(path: str | Path) -> dict[str, MockFixture]:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

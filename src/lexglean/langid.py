@@ -11,12 +11,13 @@ Two interchangeable classifier backends are provided:
   confidence columns produced by an external tool, keyed by output id.
   ``load_external_predictions`` returns it, holding the rows it read.
 
-Both expose ``assess(analysis, target, output_id=...)``, taking the
-``textstats.analyze`` result of the output, and return a ``FidelityResult``
-with a document-level prediction, per-sentence predictions and a
-sentence-level code-switch rate.  Each backend has its own target-confidence
-rule; one builder derives the rest from the predictions.  The builtin
-backend scores from the grams it is handed; the external one ignores them.
+Both expose ``assess(analysis, target, output_id=..., seen=...)``, taking
+the ``textstats.analyze`` result of the output, and return a
+``FidelityResult`` with a document-level prediction, per-sentence
+predictions and a sentence-level code-switch rate.  Each backend has its own
+target-confidence rule; one builder derives the rest from the predictions.
+The builtin backend scores from the grams it is handed and memoises its
+sentences in ``seen``; the external one ignores both.
 
 A score is the cosine ``dot / (norm * ref_norm)`` of integer trigram counts.
 ``BuiltinClassifier.dot`` gets every label's dot from one sum: a table
@@ -31,10 +32,23 @@ The dot is linear in the counts, so when the sentences tile the document
 dots plus the dots of the cross grams between neighbours: the same multiset
 of grams, summed in another order.  ``BuiltinClassifier`` sums it that way
 and computes it directly only when the sentences do not tile.
+
+``BuiltinClassifier.assess(..., seen=)`` takes a memo of the sentences
+already scored: each sentence string of ``analysis.sentences`` maps to its
+packed dot and its prediction.  ``cli.score_cell`` passes one memo per
+model/language/task cell (without one, ``assess`` keeps one for the call),
+so a sentence the cell repeats is counted, dotted and softmaxed once.  It is
+exact: a sentence's grams are a function of its string alone (``textstats``
+proves this for sentences that tile the document, and the others get their
+own ``findall``), so its dot and its prediction are too.  A sentence of
+fewer than ``MIN_SENTENCE_CHARS`` grams takes the prediction of each
+document it is in, so the memo holds None for it, not a prediction.  The
+one sentence of a one-sentence document has the document's grams and dot,
+so it takes the document prediction with no second scoring, and goes into
+the memo with that prediction, not with None.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -43,7 +57,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .codec import JSON_KEY, DataError, decoder
+from .codec import JSON_KEY, DataError, decoder, loads
 from .textstats import TextAnalysis, merged_trigram_profile, norm
 
 UNKNOWN_LABEL = "und"
@@ -154,23 +168,34 @@ class BuiltinClassifier:
         return LidPrediction(self.labels[best], exps[best] / denom), [e / denom for e in exps]
 
     def assess(
-        self, analysis: TextAnalysis, target: str, output_id: str | None = None
+        self, analysis: TextAnalysis, target: str, output_id: str | None = None, seen: dict | None = None
     ) -> FidelityResult:
+        """The fidelity of the analysed output; ``seen`` maps each sentence
+        already scored to its packed dot and its prediction, or None for a
+        short sentence (see the module docstring)."""
+        seen = {} if seen is None else seen
         dot = self.dot
-        sentence_dots = [dot(grams) for grams in analysis.sentence_grams]
+        single = analysis.cross_grams == []  # one sentence, which has the document's grams
+        # A sentence's gram count equals its normalised length, so short
+        # sentences are recognised from their grams; they are memoised with
+        # None, for each document's own prediction.
+        entries = []
+        for sentence, grams in zip(analysis.sentences, analysis.sentence_grams):
+            entry = seen.get(sentence)
+            if entry is None:
+                dots = dot(grams)
+                own = None if single or len(grams) < MIN_SENTENCE_CHARS else self._prediction(dots, grams)[0]
+                entry = seen[sentence] = (dots, own)
+            entries.append(entry)
         if analysis.cross_grams is None:
             document_dot = dot(analysis.grams)
         else:
-            document_dot = sum(sentence_dots, dot(analysis.cross_grams))
+            document_dot = sum((dots for dots, _ in entries), dot(analysis.cross_grams))
         document, probs = self._prediction(document_dot, analysis.grams)
         target_confidence = probs[self.labels.index(target)] if probs and target in self.labels else 0.0
-
-        # A sentence's gram count equals its normalised length, so short
-        # sentences are recognised from their grams.
-        sentence_predictions = [
-            document if len(grams) < MIN_SENTENCE_CHARS else self._prediction(dots, grams)[0]
-            for grams, dots in zip(analysis.sentence_grams, sentence_dots)
-        ]
+        if single and len(analysis.grams) >= MIN_SENTENCE_CHARS:
+            seen[analysis.sentences[0]] = (document_dot, document)
+        sentence_predictions = [document if own is None else own for _, own in entries]
         return _fidelity_result(target, document, target_confidence, sentence_predictions)
 
 
@@ -237,7 +262,7 @@ def load_external_predictions(path: str | Path) -> ExternalPredictionsClassifier
             if line.isspace():
                 continue
             try:
-                row = decode(json.loads(line))
+                row = decode(loads(line))
             except KeyError as exc:
                 raise DataError(f"{path}:{lineno}: malformed prediction row: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
@@ -262,7 +287,7 @@ class ExternalPredictionsClassifier:
         self.predictions = predictions
 
     def assess(
-        self, analysis: TextAnalysis, target: str, output_id: str | None = None
+        self, analysis: TextAnalysis, target: str, output_id: str | None = None, seen: dict | None = None
     ) -> FidelityResult:
         if output_id not in self.predictions:
             raise DataError(f"no external prediction (output {output_id})")
@@ -273,7 +298,7 @@ class ExternalPredictionsClassifier:
 
 class FidelityBackend(Protocol):
     def assess(
-        self, analysis: TextAnalysis, target: str, output_id: str | None = None
+        self, analysis: TextAnalysis, target: str, output_id: str | None = None, seen: dict | None = None
     ) -> FidelityResult:
         ...
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
-from .codec import JSON_KEY, decoder
+from .codec import JSON_KEY, decoder, loads
 
 SCHEMA_VERSION = 1
 
@@ -216,7 +216,7 @@ def _load_configs(path: str | Path, key: str, cls: type, ident: Callable) -> lis
     path = Path(path)
     what = key[:-1]
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -11,6 +11,7 @@ import pytest
 from lexglean import data_dir
 from lexglean.cli import main as cli_main
 from lexglean.generation import load_record, record_files
+from lexglean.langid import BuiltinClassifier
 from lexglean.taxonomy import load_language_configs, load_model_configs, load_taxonomy
 
 FIXTURES_PATH = data_dir() / "mock_fixtures.json"
@@ -48,6 +49,20 @@ def run_cli(argv):
 def records_under(out_dir):
     """Every record under a run directory, read as evaluate and filter read them."""
     return [load_record(out_dir, *entry) for entry in record_files(out_dir)]
+
+
+@pytest.fixture
+def prediction_calls(monkeypatch):
+    """The grams of every ``BuiltinClassifier._prediction`` call the test makes."""
+    calls = []
+    real = BuiltinClassifier._prediction
+
+    def counted(self, dots, grams):
+        calls.append(grams)
+        return real(self, dots, grams)
+
+    monkeypatch.setattr(BuiltinClassifier, "_prediction", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

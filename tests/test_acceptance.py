@@ -123,7 +123,7 @@ def test_metrics_match_independent_oracles():
 
 
 class _FixedFidelity:
-    def assess(self, text, target, output_id=None):
+    def assess(self, text, target, output_id=None, seen=None):
         return FidelityResult(LidPrediction("hau_Latn", 0.9), True, 0.9, (), 0.0)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import shutil
 import tracemalloc
@@ -1103,3 +1104,167 @@ def test_evaluate_reads_only_the_language_config(small_run, tmp_path):
     )
     assert code == 0, err
     assert "evaluated 150 records into 6 conditions" in stdout
+
+
+# 100,000 nested arrays: json.loads raises RecursionError on it, where other
+# invalid JSON raises JSONDecodeError.
+_DEEP = "[" * 100_000
+
+
+def _deep_record_file(tmp_path, small_run):
+    outputs = tmp_path / "outputs"
+    shutil.copytree(small_run, outputs)
+    record = outputs / "gpt-4o-mini" / "hau" / "creative" / "cw_01.json"
+    record.write_text(_DEEP)
+    argv = ["evaluate", "--outputs", outputs, "--results", tmp_path / "r"]
+    return argv, 1, f"error: {record}: invalid JSON: nested too deeply"
+
+
+def _deep_models_json(tmp_path, small_run):
+    config = tmp_path / "config"
+    _write_config_subset(config, {"hau"}, {"gpt-4o-mini"})
+    (config / "models.json").write_text(_DEEP)
+    argv = ["--config", config, "generate", "--mock", FIXTURES_PATH, "--out", tmp_path / "o"]
+    return argv, 2, f"error: {config / 'models.json'}: invalid JSON at line 1 column 1: nested too deeply"
+
+
+def _deep_mock_fixtures(tmp_path, small_run):
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text(_DEEP)
+    argv = ["generate", "--mock", fixtures, "--out", tmp_path / "o"]
+    return argv, 1, f"error: {fixtures}: invalid JSON: nested too deeply"
+
+
+def _deep_prediction_row(tmp_path, small_run):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(_PREDICTION_ROW + _DEEP + "\n")
+    argv = ["evaluate", "--outputs", small_run, "--results", tmp_path / "r", "--lid", f"external:{predictions}"]
+    return argv, 1, f"error: {predictions}:2: malformed prediction row: nested too deeply"
+
+
+def _evaluated(tmp_path, small_run):
+    results = tmp_path / "results"
+    code, _, err = run_cli(["evaluate", "--outputs", small_run, "--results", results])
+    assert code == 0, err
+    return results
+
+
+def _deep_fingerprints(tmp_path, small_run):
+    path = _evaluated(tmp_path, small_run) / FILENAME
+    path.write_text(_DEEP)
+    argv = ["filter", "--results", path.parent, "--outputs", small_run, "--out", tmp_path / "c"]
+    return argv, 1, f"error: {path}: invalid JSON: nested too deeply"
+
+
+def _deep_summary(tmp_path, small_run):
+    path = _evaluated(tmp_path, small_run) / "summary.json"
+    path.write_text(_DEEP)
+    argv = ["report", "--results", path.parent, "--kind", "validity", "--format", "csv"]
+    return argv, 1, f"error: {path}: invalid JSON: nested too deeply"
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [
+        _deep_record_file, _deep_models_json, _deep_mock_fixtures, _deep_prediction_row, _deep_fingerprints,
+        _deep_summary,
+    ],
+    ids=["record_file", "models_json", "mock_fixtures", "prediction_row", "fingerprints", "summary"],
+)
+def test_deeply_nested_json_ends_with_one_error_line(small_run, tmp_path, make_input):
+    argv, expected_code, expected_line = make_input(tmp_path, small_run)
+    before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+    code, stdout, err = run_cli(argv)
+    assert code == expected_code
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(expected_line), err
+    assert stdout == ""
+    assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
+
+
+def test_deeply_nested_fingerprints_leave_nothing_to_reuse(small_run, tmp_path):
+    results = _evaluated(tmp_path, small_run)
+    cold = {path.name: path.read_bytes() for path in results.iterdir()}
+    (results / FILENAME).write_text(_DEEP)
+    code, stdout, err = run_cli(["evaluate", "--outputs", small_run, "--results", results])
+    assert code == 0, err
+    assert "reused 0 of 150 evaluations" in stdout
+    assert {path.name: path.read_bytes() for path in results.iterdir()} == cold
+
+
+def test_deeply_nested_completion_is_a_failed_call(tmp_path, endpoint, monkeypatch):
+    monkeypatch.delenv("NO_NETWORK", raising=False)
+    monkeypatch.setenv("OPENAI_API_KEY", "sekrit")
+    config = tmp_path / "config"
+    _write_config_subset(config, {"hau"}, {"gpt-4o-mini"})
+    models = json.loads((config / "models.json").read_text())
+    models["models"][0].update(endpoint_url=endpoint.url, max_retries=0)
+    (config / "models.json").write_text(json.dumps(models))
+    taxonomy = json.loads((data_dir() / "taxonomy.json").read_text())
+    taxonomy["templates"] = taxonomy["templates"][:1]
+    (tmp_path / "taxonomy.json").write_text(json.dumps(taxonomy))
+    endpoint.replies = [(200, _DEEP.encode())]
+    out = tmp_path / "o"
+    code, _, err = run_cli(
+        ["--config", config, "generate", "--taxonomy", tmp_path / "taxonomy.json", "--out", out]
+    )
+    assert code == 3
+    assert "Traceback" not in err
+    output_id = f"gpt-4o-mini/hau/{taxonomy['templates'][0]['task_type']}/{taxonomy['templates'][0]['id']}"
+    expected = f"failed: {output_id}: retries exhausted after 1 attempts (unparseable completion payload: "
+    assert len(err.splitlines()) == 1 and err.startswith(expected), err
+    assert records_under(out) == []
+
+
+class _FlushFails(DiskFull):
+    """A file handle that buffers every write and fails when it flushes, on
+    ``flush()`` or on close, as a full disk does."""
+
+    def write(self, data):
+        return len(data)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __exit__(self, *exc_info):
+        super().__exit__(*exc_info)
+        self.flush()
+
+
+@pytest.mark.parametrize("failing", [DiskFull, _FlushFails], ids=["write", "flush"])
+def test_filter_failing_a_write_leaves_the_previous_corpus(mock_run, tmp_path, monkeypatch, failing):
+    corpus = tmp_path / "corpus"
+    argv = ["filter", "--results", mock_run / "results", "--outputs", mock_run / "outputs", "--out", corpus]
+    code, _, err = run_cli(argv)
+    assert code == 0, err
+    before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+    second = sorted(path.name for path in corpus.glob("*.txt"))[1]
+    real_open = Path.open
+
+    def fail_on_the_second_language(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return failing(handle) if self.name == second + ".tmp" else handle
+
+    monkeypatch.setattr(Path, "open", fail_on_the_second_language)
+    # A quality threshold changes every language's files, the first one's too.
+    code, stdout, err = run_cli(argv + ["--min-quality", "0.6"])
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.rstrip().endswith("No space left on device")
+    assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
+
+
+def test_evaluate_scores_each_distinct_sentence_once_per_cell(small_run, tmp_path, prediction_calls):
+    outputs = tmp_path / "outputs"
+    shutil.copytree(small_run, outputs)
+    records = records_under(outputs)
+    text = "Manoma suna shuka gero. Yara suna wasa a filin makaranta. Ruwan sama ya fara sauka."
+    for record in records:
+        record_path(outputs, record.output_id).write_text(
+            dumps_record(dataclasses.replace(record, response_text=text)), encoding="utf-8"
+        )
+    code, _, err = run_cli(["evaluate", "--outputs", outputs, "--results", tmp_path / "r"])
+    assert code == 0, err
+    cells = {(r.model_id, r.language, r.task_type) for r in records}
+    assert len(cells) > 1
+    # One document prediction per record, and the three sentences once in each cell.
+    assert len(prediction_calls) == len(records) + 3 * len(cells)

@@ -69,7 +69,7 @@ class StaticBackend:
     def __init__(self, result):
         self.result = result
 
-    def assess(self, text, target, output_id=None):
+    def assess(self, text, target, output_id=None, seen=None):
         return self.result
 
 

@@ -195,6 +195,41 @@ def test_assess_equals_two_pass_oracle(shipped_profiles, text):
         assert backend.assess(analyze(text), target) == oracles.assess(text, target, profiles)
 
 
+# Sentences for texts that repeat them: shipped seed sentences, a sentence
+# of fewer than MIN_SENTENCE_CHARS grams, sentences that abut without a space
+# (they do not tile their text), and whitespace and case variants.
+_FIRST_SEED = {label: lines[0] for label, lines in load_seed_corpora(SEEDS).items()}
+_HAU = _FIRST_SEED["hau_Latn"]
+_SENTENCE_POOL = list(_FIRST_SEED.values()) + ["A.", "Da.gero", "gero.Da", _HAU.upper(), _HAU.replace(" ", "  \t", 2)]
+memo_texts = st.lists(st.sampled_from(_SENTENCE_POOL), min_size=1, max_size=6).flatmap(
+    lambda sentences: st.sampled_from([" ", "\n", "", "  "]).map(lambda separator: separator.join(sentences))
+)
+
+
+@given(st.lists(memo_texts, min_size=1, max_size=6))
+@example([_HAU, _HAU + " A.", "A. " + _FIRST_SEED["eng_Latn"], "A."])
+@example(["A.", _HAU + " A."])  # a short sentence seen first as a whole document
+@example([_HAU, _FIRST_SEED["eng_Latn"] + " " + _HAU])  # a one-sentence document first
+def test_assess_with_a_shared_memo_equals_the_oracle(shipped_profiles, texts):
+    seen = {}
+    for text in texts:
+        result = shipped_profiles.assess(analyze(text), "hau_Latn", seen=seen)
+        assert result == oracles.assess(text, "hau_Latn", shipped_profiles.profiles)
+        assert result == shipped_profiles.assess(analyze(text), "hau_Latn")
+
+
+def test_a_repetition_loop_scores_its_sentence_once(shipped_profiles, prediction_calls):
+    result = shipped_profiles.assess(analyze(" ".join([_HAU] * 40)), "hau_Latn")
+    assert len(prediction_calls) == 2  # the document and its one distinct sentence
+    assert result.sentence_predictions == (result.sentence_predictions[0],) * 40
+
+
+def test_a_one_sentence_document_is_scored_once(shipped_profiles, prediction_calls):
+    result = shipped_profiles.assess(analyze(_HAU), "hau_Latn")
+    assert len(prediction_calls) == 1
+    assert result.sentence_predictions == (result.document_prediction,)
+
+
 def test_unknown_target_label(shipped_profiles):
     backend = shipped_profiles
     result = backend.assess(analyze("Manoma suna shuka gero da dawa a gonakinsu."), "zzz_Latn")

@@ -10,7 +10,7 @@ import pytest
 
 from lexglean import data_dir
 from lexglean.cli import main as cli_main
-from lexglean.generation import load_record, record_files
+from lexglean.generation import MockBackend, load_record, record_files
 from lexglean.langid import BuiltinClassifier
 from lexglean.taxonomy import load_language_configs, load_model_configs, load_taxonomy
 
@@ -36,6 +36,27 @@ class DiskFull:
 
     def writelines(self, lines):
         self.write(b"".join(lines))
+
+
+class MockAborted(RuntimeError):
+    """Raised by DyingMockBackend to simulate the process dying mid-batch."""
+
+
+class DyingMockBackend(MockBackend):
+    """A MockBackend that raises MockAborted instead of serving call
+    ``fail_after + 1`` (counting every call in ``call_log``), simulating a
+    kill at record granularity; ``fail_after = None`` serves every call."""
+
+    def __init__(self, fixtures, *, fail_after=None):
+        super().__init__(fixtures)
+        self.fail_after = fail_after
+        self._gate = threading.Lock()
+
+    def complete(self, request):
+        with self._gate:  # held through the call, so no call slips past the count
+            if self.fail_after is not None and len(self.call_log) >= self.fail_after:
+                raise MockAborted(f"simulated death after {self.fail_after} calls")
+            return super().complete(request)
 
 
 def run_cli(argv):

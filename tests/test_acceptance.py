@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import FIXTURES_PATH, SEEDS_DIR, records_under, run_cli
+from conftest import FIXTURES_PATH, SEEDS_DIR, DyingMockBackend, MockAborted, records_under, run_cli
 from lexglean import data_dir, textstats
 from lexglean.evaluation import (
     EvaluationRecord,
@@ -31,8 +31,6 @@ from lexglean.evaluation import (
 )
 from lexglean.generation import (
     GenerationRecord,
-    MockAborted,
-    MockBackend,
     RetryPolicy,
     SamplingParams,
     load_mock_fixtures,
@@ -227,7 +225,7 @@ def test_run_is_resumable_after_kill(mock_run, tmp_path):
 
     for fail_after in (1, 100, 599):
         out = tmp_path / f"kill_{fail_after}" / "outputs"
-        backend = MockBackend(fixtures, fail_after=fail_after)
+        backend = DyingMockBackend(fixtures, fail_after=fail_after)
         with pytest.raises(MockAborted):
             run_batch(
                 templates, languages, models, out, backend,

@@ -1182,6 +1182,26 @@ def test_deeply_nested_json_ends_with_one_error_line(small_run, tmp_path, make_i
     assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize("command", ["evaluate", "filter"])
+def test_an_unreadable_record_file_ends_with_one_error_line(small_run, tmp_path, command):
+    outputs, results = tmp_path / "outputs", tmp_path / "results"
+    shutil.copytree(small_run, outputs)
+    if command == "filter":
+        _evaluated(tmp_path, outputs)
+    dangling = outputs / "gpt-4o-mini" / "hau" / "creative" / "zz.json"
+    dangling.symlink_to(tmp_path / "missing.json")
+    argv = {
+        "evaluate": ["evaluate", "--outputs", outputs, "--results", results],
+        "filter": ["filter", "--results", results, "--outputs", outputs, "--out", tmp_path / "corpus"],
+    }[command]
+    before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+    code, stdout, err = run_cli(argv)
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{dangling}'\n"
+    assert stdout == ""
+    assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
+
+
 def test_deeply_nested_fingerprints_leave_nothing_to_reuse(small_run, tmp_path):
     results = _evaluated(tmp_path, small_run)
     cold = {path.name: path.read_bytes() for path in results.iterdir()}

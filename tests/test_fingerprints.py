@@ -8,6 +8,7 @@ import builtins
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
 import tempfile
@@ -164,17 +165,19 @@ def test_reused_evaluations_are_copied_not_encoded(outputs, tmp_path, monkeypatc
 def test_each_record_file_is_read_once(outputs, tmp_path, monkeypatch):
     # Changing one record of a cell with a reference makes evaluate parse
     # the cell's unchanged records too, for its overlap: from the bytes it
-    # hashed, not from a second read.
+    # hashed, not from a second read.  Both ways to open a file are counted.
     results = tmp_path / "results"
     reads = Counter()
-    real_open = builtins.open
 
-    def counting_open(file, *args, **kwargs):
-        if str(file).startswith(str(outputs)):
-            reads[str(file)] += 1
-        return real_open(file, *args, **kwargs)
+    def counting(real):
+        def counting_open(file, *args, **kwargs):
+            if str(file).startswith(str(outputs)):
+                reads[str(file)] += 1
+            return real(file, *args, **kwargs)
+        return counting_open
 
-    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    monkeypatch.setattr(os, "open", counting(os.open))
     for rewritten in (None, "gpt-4o-mini/hau/creative/cw_01"):
         if rewritten:
             rewrite(outputs, rewritten, "Sannu da zuwa.")

@@ -10,11 +10,13 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES_PATH, records_under
+from conftest import FIXTURES_PATH, DyingMockBackend, MockAborted, records_under
+from lexglean import generation
 from lexglean.codec import DataError, decoder, json_file_text, parse_record
 from lexglean.generation import (
     BackendResponse,
@@ -26,7 +28,6 @@ from lexglean.generation import (
     IN_FLIGHT_PER_WORKER,
     MANIFEST_FILENAME,
     MOCK_TIMESTAMP,
-    MockAborted,
     MockBackend,
     MockFixture,
     RetryPolicy,
@@ -199,7 +200,7 @@ def test_mock_backend_unknown_id_is_permanent():
 
 
 def test_mock_backend_fail_after_raises_before_logging():
-    backend = MockBackend({"id": MockFixture("x")}, fail_after=0)
+    backend = DyingMockBackend({"id": MockFixture("x")}, fail_after=0)
     with pytest.raises(MockAborted):
         backend.complete(_request("id"))
     assert backend.call_log == []
@@ -300,7 +301,7 @@ def test_run_batch_respects_model_retry_budget(tmp_path):
 
 
 def test_run_batch_abort_leaves_resumable_dir(tmp_path):
-    backend = MockBackend(_fixtures_for(TEMPLATES), fail_after=1)
+    backend = DyingMockBackend(_fixtures_for(TEMPLATES), fail_after=1)
     with pytest.raises(MockAborted):
         run_batch(TEMPLATES, [LANG], [MODEL], tmp_path, backend, parallelism=1)
     written = [p for p in tmp_path.rglob("*.json") if p.name != MANIFEST_FILENAME]
@@ -366,7 +367,7 @@ def test_run_batch_keeps_only_a_few_calls_in_flight(
 
     # Cut short: the calls running when the backend dies finish, no queued
     # one is sent, and a resume asks only for the triples without a record.
-    class Counting(MockBackend):
+    class Counting(DyingMockBackend):
         def complete(self, request):
             attempts.append(request.output_id)
             return super().complete(request)
@@ -746,3 +747,48 @@ def test_record_files_walk_in_output_id_order(triples):
     assert walked == ids
     cells = [output_id.rsplit("/", 1)[0] for output_id in walked]
     assert len([cell for cell, _ in groupby(cells)]) == len(set(cells))
+
+
+@pytest.mark.parametrize("size", [0, 1 << 20])
+def test_record_files_yield_the_bytes_on_disk(tmp_path, size):
+    path = tmp_path / "m/hau/creative/cw_01.json"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert list(record_files(tmp_path)) == [(str(path), "m/hau/creative/cw_01", path.read_bytes())]
+
+
+@pytest.mark.parametrize("reported", [0, 10])
+def test_record_files_read_past_the_size_fstat_reports(tmp_path, monkeypatch, reported):
+    # A file that grew after the fstat is read to its end, as read() reads it.
+    path = tmp_path / "m/hau/creative/cw_01.json"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(random.Random(0).randbytes(100_000))
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_mode=real_fstat(fd).st_mode, st_size=reported))
+    assert [data for _, _, data in record_files(tmp_path)] == [path.read_bytes()]
+
+
+def test_record_files_name_a_directory_as_open_does(tmp_path, monkeypatch):
+    # The walk never yields a directory, but one can replace a file after
+    # the listing; the error is open()'s, naming the path.
+    odd = tmp_path / "m/hau/creative/odd.json"
+    odd.mkdir(parents=True)
+    monkeypatch.setattr(generation, "_json_files", lambda prefix, top: iter([str(odd)]))
+    with pytest.raises(IsADirectoryError) as raised:
+        list(record_files(tmp_path))
+    with pytest.raises(IsADirectoryError) as opened:
+        open(odd, "rb")
+    assert str(raised.value) == str(opened.value)
+
+
+def test_a_closed_walk_leaves_no_file_descriptor_open(tmp_path):
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    for output_id in ("m/hau/creative/cw_01", "m/hau/creative/cw_02"):
+        _write_record(tmp_path, output_id)
+    before = len(os.listdir(fds))
+    walk = record_files(tmp_path)
+    next(walk)
+    walk.close()
+    assert len(os.listdir(fds)) == before

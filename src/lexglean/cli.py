@@ -8,9 +8,13 @@ Typical offline session::
     lexglean report --results results/ --kind efficiency --format csv
 
 ``generate`` keeps a few calls per worker thread in flight (``run_batch``).
-``evaluate`` and ``filter`` read the run directory through
+``evaluate`` and ``filter`` read the run and results directories through
 ``lexglean.fingerprints``, which walks the record files, compares each with
-its fingerprint and says what an earlier evaluate left that still holds;
+its fingerprint, checks the results files against theirs and says what an
+earlier evaluate left that still holds.  Both pair the lines of
+``evaluations.jsonl`` with the listed output ids by its one rule
+(``fingerprints.lines``): ``evaluate`` copies a kept line unparsed, and
+``filter`` parses each line and refuses one that names another output.
 ``evaluate`` scores one model/language/task cell at a time (``score_cell``).
 
 An error ends a command with an ``error:`` line and an exit code set by its
@@ -49,7 +53,6 @@ from .evaluation import (
     evaluate_output,
     evaluation_line,
     export_usable_corpus,
-    read_evaluations,
     read_summaries,
     reference_overlap,
     reference_profile,
@@ -369,29 +372,36 @@ def cmd_filter(args: argparse.Namespace) -> int:
                 "(filter into a new --out directory)"
             )
 
-    # The evaluations and the record files are both in output-id order, so
-    # one merge meets each evaluation with its record.  A record the walk
-    # kept as path and bytes is the one its evaluation was computed from;
-    # one it parsed has changed since, or the fingerprints do not list it.
-    # Only a usable output's record is parsed, for its text.
+    # Line k of evaluations.jsonl is the evaluation of the k-th listed output
+    # id, as evaluate reads it (``fingerprints.lines``; ``read`` has counted
+    # the lines).  The listed ids and the record files are both in output-id
+    # order, so one merge meets each line with its record.  A record the walk
+    # kept as path and bytes is the one its evaluation was computed from; one
+    # it parsed has changed since, or the fingerprints do not list it.  Only
+    # a usable output's record is parsed, for its text.
+    path = results_dir / fingerprints.RESULTS["evaluations"]
     walk = ((i, key, record) for key, _, records in fingerprints.walk(args.outputs, cells)
             for i, record in records.items())
     usable: list[UsableOutput] = []
-    matched = 0
-    for evaluation in read_evaluations(results_dir / "evaluations.jsonl"):
+    for lineno, (listed_id, line) in enumerate(fingerprints.lines(results_dir, cells), start=1):
         for output_id, key, record in walk:
-            if output_id >= evaluation.output_id:
+            if output_id >= listed_id:
                 break
         else:
             output_id = None
-        if output_id != evaluation.output_id:
-            raise DataError(f"evaluation {evaluation.output_id} has no record under {args.outputs}")
+        if output_id != listed_id:
+            raise DataError(f"evaluation {listed_id} has no record under {args.outputs}")
         if not isinstance(record, tuple):
             raise DataError(
                 f"evaluation {output_id} is stale: its record under {args.outputs} is not "
                 "the one it was computed from (run 'evaluate' again)"
             )
-        matched += 1
+        evaluation = parse_record(EvaluationRecord, line, path, lineno)
+        if evaluation.output_id != output_id:
+            raise DataError(
+                f"{path}:{lineno}: holds output_id '{evaluation.output_id}', but {fingerprints.FILENAME} "
+                f"lists '{output_id}' for that line (run 'evaluate' again)"
+            )
         if evaluation.is_valid and evaluation.fidelity.is_target and not (
             args.min_quality is not None and evaluation.quality < args.min_quality
         ):
@@ -399,14 +409,6 @@ def cmd_filter(args: argparse.Namespace) -> int:
             usable.append(UsableOutput(output_id, *key, text, evaluation.word_count, evaluation.quality))
     for _ in walk:  # a record file past the last evaluation is still checked
         pass
-    # The merge skips a listed record whose line is missing, so the lines it
-    # matched are counted against the outputs the fingerprints list.
-    listed = sum(len(cell.records) for cell in cells)
-    if matched < listed:
-        raise DataError(
-            f"{results_dir / 'evaluations.jsonl'} holds {matched} evaluations, but {fingerprints.FILENAME} "
-            f"lists {listed} outputs (run 'evaluate' again)"
-        )
     totals = export_usable_corpus(usable, args.out, languages)
     for language, (documents, words) in sorted(totals.items()):
         print(f"{language}: {documents} documents, {words} words")

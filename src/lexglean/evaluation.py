@@ -18,9 +18,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .codec import DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic
+from .codec import atomic_writer, json_file_text, load_list, to_json, write_atomic
 from .generation import GenerationRecord
 from .langid import FidelityBackend, FidelityResult
 from .taxonomy import LanguageConfig
@@ -218,41 +218,49 @@ def export_usable_corpus(
     ``usable`` is in output-id order, which the files keep.  Documents are
     separated by a blank line.  A language with no usable outputs still gets
     an (empty) corpus file.  Every file is written before any is renamed into
-    place, so a failed write leaves ``out_dir`` as it was.  Returns
-    (documents, words) per language.
+    place, so a failed write leaves ``out_dir`` as it was: the directories
+    the export created for it are removed again.  Returns (documents, words)
+    per language.
     """
     out_dir = Path(out_dir)
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # innermost first
     by_language: dict[str, list[UsableOutput]] = {}
     for output in usable:
         by_language.setdefault(output.language, []).append(output)
     totals: dict[str, tuple[int, int]] = {}
-    with contextlib.ExitStack() as writers:
+    try:
+        with contextlib.ExitStack() as writers:
 
-        def write(path: Path, text: str) -> None:
-            handle = writers.enter_context(atomic_writer(path))
-            handle.write(text.encode("utf-8"))
-            handle.flush()  # a full disk fails here, before any file is renamed
+            def write(path: Path, text: str) -> None:
+                handle = writers.enter_context(atomic_writer(path))
+                handle.write(text.encode("utf-8"))
+                handle.flush()  # a full disk fails here, before any file is renamed
 
-        for language in sorted(set(languages) | set(by_language)):
-            group = by_language.get(language, [])
-            body = "\n\n".join(output.response_text for output in group)
-            write(out_dir / f"{language}.txt", body + "\n" if body else "")
-            write(out_dir / f"{language}.provenance.jsonl", "".join(
-                json.dumps(
-                    {
-                        "output_id": output.output_id,
-                        "model_id": output.model_id,
-                        "task_type": output.task_type,
-                        "word_count": output.word_count,
-                        "quality": output.quality,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-                for output in group
-            ))
-            totals[language] = (len(group), sum(output.word_count for output in group))
+            for language in sorted(set(languages) | set(by_language)):
+                group = by_language.get(language, [])
+                body = "\n\n".join(output.response_text for output in group)
+                write(out_dir / f"{language}.txt", body + "\n" if body else "")
+                write(out_dir / f"{language}.provenance.jsonl", "".join(
+                    json.dumps(
+                        {
+                            "output_id": output.output_id,
+                            "model_id": output.model_id,
+                            "task_type": output.task_type,
+                            "word_count": output.word_count,
+                            "quality": output.quality,
+                        },
+                        ensure_ascii=False,
+                        sort_keys=True,
+                    )
+                    + "\n"
+                    for output in group
+                ))
+                totals[language] = (len(group), sum(output.word_count for output in group))
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     return totals
 
 
@@ -261,30 +269,6 @@ def evaluation_line(record: EvaluationRecord) -> bytes:
     return json.dumps(
         to_json(record), ensure_ascii=False, sort_keys=True, separators=(",", ":")
     ).encode("utf-8") + b"\n"
-
-
-def read_evaluations(path: str | Path) -> Iterator[EvaluationRecord]:
-    """The records of ``evaluations.jsonl`` in file order, parsed one line at a time.
-
-    The file is in output-id order.  A bad line, and one whose output id
-    repeats the last one or is below it, raises DataError naming it when it
-    is reached.
-    """
-    path = Path(path)
-    last: str | None = None
-    with path.open("rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.isspace():
-                continue
-            record = parse_record(EvaluationRecord, line, path, lineno)
-            if last is not None and record.output_id <= last:
-                problem = (
-                    f"duplicate output_id '{last}'" if record.output_id == last
-                    else f"holds output_id '{record.output_id}', out of output-id order after '{last}'"
-                )
-                raise DataError(f"{path}:{lineno}: {problem} (corrupted run directory)")
-            last = record.output_id
-            yield record
 
 
 def write_summaries(summaries: Sequence[ConditionSummary], path: str | Path) -> None:

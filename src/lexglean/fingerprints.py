@@ -21,39 +21,44 @@ evaluate.  The file holds:
   file).
 
 ``read`` is the one check of a results directory: it raises DataError
-unless the directory has a fingerprints file and every file of ``RESULTS``
-is the one it names.  It refuses a ``cells`` that is not a list, and a cell
-that does not own its records: one whose ``model_id``, ``language`` or
-``task_type`` is not a string, whose ``records`` are not string digests
-keyed by output ids that start with ``<model_id>/<language>/<task_type>/``,
-or whose ``reference`` is neither a string nor null.  So ``walk`` files an
-unchanged record only under the cell its output id names.
-``evaluations.jsonl`` holds one line per listed output id, in sorted
-output-id order, so a later evaluate can tell each line's output id and
-cell without parsing it.  The file names no paths and no times, so the same
-inputs give the same bytes.
+unless the directory has a fingerprints file, every file of ``RESULTS`` is
+the one it names and ``evaluations.jsonl`` holds one line per output id the
+cells list (counted in the pass that digests it).  It refuses a ``cells``
+that is not a list, and a cell that does not own its records: one whose
+``model_id``, ``language`` or ``task_type`` is not a string, whose
+``records`` are not string digests keyed by output ids that start with
+``<model_id>/<language>/<task_type>/``, or whose ``reference`` is neither a
+string nor null.  So ``walk`` files an unchanged record only under the cell
+its output id names.  ``evaluations.jsonl`` holds its lines in sorted
+output-id order, and one rule, ``lines``, pairs them with output ids for
+both commands: line k is the evaluation of the k-th listed output id.  So
+a later evaluate can tell each line's output id and cell without parsing
+it.  The file names no paths and no times, so the same inputs give the
+same bytes.
 
 ``evaluate`` and ``filter`` read a run directory through this module.
 ``walk`` reads every record file once, in output-id order, so each
 model/language/task cell is one run of it; it is the one place a record
 file is compared with its fingerprint.  ``reusable`` is what an earlier
-evaluate into the same results directory left that still holds, and
-``lines`` pairs the lines of its ``evaluations.jsonl`` with their output
-ids.  ``evaluate`` scores one cell at a time as its run of the walk ends
+evaluate into the same results directory left that still holds.
+``evaluate`` scores one cell at a time as its run of the walk ends
 (``lexglean.cli.score_cell``), given the cell's fingerprint and the one the
 earlier evaluate left for it: only new and changed records are parsed, and
 every evaluation, cell summary and overlap whose inputs are unchanged is
-reused.  A cell's lines are spooled to a temporary file, the kept ones read
-from the old ``evaluations.jsonl`` alongside, which is in the same order.
-So it holds one cell's records at a time, besides one fingerprint entry per
-record and one summary and overlap per cell.  Once every record is read and
-every check has passed, it removes the fingerprints and every results file
-but ``evaluations.jsonl`` before its first write, so a run cut short leaves
-no old tables to report.  ``filter`` merges ``evaluations.jsonl`` with the
-walk, both in output-id order, and parses a record only when its output is
-usable.  It refuses results that ``read`` refuses, an evaluation whose
-record changed after it was computed and an ``evaluations.jsonl`` that
-lacks the line of an output the fingerprints list.
+reused.  A cell's lines are spooled to a temporary file, the kept ones
+copied unparsed from the old ``evaluations.jsonl`` alongside, which is in
+the same order.  So it holds one cell's records at a time, besides one
+fingerprint entry per record and one summary and overlap per cell.  Once
+every record is read and every check has passed, it removes the
+fingerprints and every results file but ``evaluations.jsonl`` before its
+first write, so a run cut short leaves no old tables to report.
+``filter`` merges the pairs of ``lines`` with the walk, both in output-id
+order, parses each line and parses a record only when its output is
+usable.  It refuses results that ``read`` refuses, a listed output with no
+record file, an evaluation whose record changed after it was computed and
+a line whose ``output_id`` is not the one it is paired with, naming
+``evaluations.jsonl:<line>``.  ``evaluations.jsonl`` is read only here,
+once by ``read`` and once by ``lines``.
 """
 from __future__ import annotations
 
@@ -74,14 +79,22 @@ Key = tuple[str, str, str]  # (model_id, language, task_type): one cell
 
 def file_digest(path: Path) -> str | None:
     """Digest of a file's bytes, read in blocks; None when there is no such file."""
-    digest = hashlib.sha256()
+    return _digest_and_lines(path)[0]
+
+
+def _digest_and_lines(path: Path) -> tuple[str | None, int]:
+    """Digest of a file's bytes and the number of lines iterating over it
+    yields (a last line need not end in a newline), in one pass of blocks;
+    (None, 0) when there is no such file."""
+    digest, lines, block = hashlib.sha256(), 0, b"\n"
     try:
         with path.open("rb") as handle:
             for block in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(block)
+                lines += block.count(b"\n")
     except FileNotFoundError:
-        return None
-    return digest.hexdigest()
+        return None, 0
+    return digest.hexdigest(), lines + (not block.endswith(b"\n"))
 
 
 def files_digest(paths: Iterable[Path]) -> str:
@@ -134,7 +147,8 @@ def read(results_dir: Path) -> Fingerprints:
     of ``Fingerprints`` whose ``cells`` is a list of objects with the fields
     of ``Cell`` that own their records (see the module docstring), raises
     DataError naming it; so does a ``RESULTS`` file whose digest is not the
-    one it names.
+    one it names, and an ``evaluations.jsonl`` whose line count is not the
+    number of output ids the cells list.
     """
     path = results_dir / FILENAME
     try:
@@ -150,11 +164,19 @@ def read(results_dir: Path) -> Fingerprints:
         raise DataError(f"{path}: not a fingerprints file: {exc} (run 'evaluate' again)") from exc
     if type(fingerprints.cells) is not list or not all(map(_owns_its_records, cells)):
         raise DataError(f"{path}: not a fingerprints file (run 'evaluate' again)")
+    counts = {}
     for field, name in RESULTS.items():
-        if getattr(fingerprints, field) != file_digest(results_dir / name):
+        digest, counts[field] = _digest_and_lines(results_dir / name)
+        if getattr(fingerprints, field) != digest:
             raise DataError(
                 f"{results_dir / name} is not the file {FILENAME} describes (run 'evaluate' again)"
             )
+    listed = sum(len(cell.records) for cell in cells)
+    if counts["evaluations"] != listed:
+        raise DataError(
+            f"{results_dir / RESULTS['evaluations']} holds {counts['evaluations']} evaluations, but {FILENAME} "
+            f"lists {listed} outputs (run 'evaluate' again)"
+        )
     return fingerprints._replace(cells=cells)
 
 
@@ -174,25 +196,21 @@ def reusable(results_dir: Path, inputs: dict):
 
     Returns its fingerprint cells and summaries by cell key and its overlaps
     by cell key string.  All are empty unless ``read`` accepts the
-    directory, its fingerprints were written with the same ``inputs`` (the
-    package sources among them, so an old line is what the encoder would
-    write now) and ``evaluations.jsonl`` has one line per output id they
-    list; anything unreadable counts as nothing to reuse.
+    directory and its fingerprints were written with the same ``inputs``
+    (the package sources among them, so an old line is what the encoder
+    would write now); anything unreadable counts as nothing to reuse.
     """
     summary_path, overlap_path = results_dir / "summary.json", results_dir / "overlap.json"
     try:
         old = read(results_dir)
         if old.inputs == inputs:
-            with (results_dir / "evaluations.jsonl").open("rb") as handle:
-                count = sum(block.count(b"\n") for block in iter(lambda: handle.read(1 << 16), b""))
-            if count == sum(len(cell.records) for cell in old.cells):
-                return (
-                    {cell[:3]: cell for cell in old.cells},
-                    {(s.model_id, s.language, s.task_type): s for s in read_summaries(summary_path)},
-                    {} if old.overlap is None else {
-                        overlap.key: overlap for overlap in load_list(OverlapResult, overlap_path, "overlaps")
-                    },
-                )
+            return (
+                {cell[:3]: cell for cell in old.cells},
+                {(s.model_id, s.language, s.task_type): s for s in read_summaries(summary_path)},
+                {} if old.overlap is None else {
+                    overlap.key: overlap for overlap in load_list(OverlapResult, overlap_path, "overlaps")
+                },
+            )
     except (OSError, ValueError, TypeError):
         pass
     return {}, {}, {}
@@ -200,10 +218,11 @@ def reusable(results_dir: Path, inputs: dict):
 
 def lines(results_dir: Path, cells: Iterable[Cell]) -> Iterator[tuple[str, bytes]]:
     """The (output id, line) pairs of the ``evaluations.jsonl`` of
-    ``results_dir``, which holds one line per output id of ``cells``, in
-    sorted order, read one line at a time; the file is opened when the first
-    pair is taken."""
-    with (results_dir / "evaluations.jsonl").open("rb") as handle:
+    ``results_dir``: line k goes with the k-th output id of ``cells`` in
+    sorted order, unparsed (``read`` has checked there is one line per id).
+    The file is read one line at a time and opened when the first pair is
+    taken."""
+    with (results_dir / RESULTS["evaluations"]).open("rb") as handle:
         yield from zip(sorted(output_id for cell in cells for output_id in cell.records), handle)
 
 

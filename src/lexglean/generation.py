@@ -309,7 +309,12 @@ class HttpBackend:
         self._local = threading.local()
 
     def complete(self, request: ChatRequest) -> BackendResponse:
-        """Post ``request``; an unset key variable is a ConfigError before anything is sent."""
+        """Post ``request``; an unset key variable is a ConfigError before anything is sent.
+
+        A 2xx reply is parsed with ``codec.loads``: a body it refuses (one
+        holding a lone surrogate among them), or one without string or null
+        content and finish reason, raises BackendUnavailable.
+        """
         model = request.model
         api_key = os.environ.get(model.api_key_env_var)
         if not api_key:
@@ -339,7 +344,7 @@ class HttpBackend:
                 retry_after = parse_retry_after(response.headers.get("Retry-After"), now)
             return BackendResponse(response.status_code, timestamp, latency, retry_after=retry_after)
         try:
-            payload = response.json()
+            payload = loads(response.content)
             choice = payload["choices"][0]
             text, finish_reason = choice["message"]["content"], choice.get("finish_reason")
             if not all(isinstance(value, (str, type(None))) for value in (text, finish_reason)):
@@ -347,7 +352,7 @@ class HttpBackend:
                     "content and finish_reason must be strings or null, got "
                     f"{type(text).__name__} and {type(finish_reason).__name__}"
                 )
-        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:  # RecursionError: too deep
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(f"unparseable completion payload: {exc}") from exc
         return BackendResponse(response.status_code, timestamp, latency, text or "", finish_reason or "")
 

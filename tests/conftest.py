@@ -10,6 +10,8 @@ import pytest
 
 from lexglean import data_dir
 from lexglean.cli import main as cli_main
+from lexglean.codec import parse_record
+from lexglean.evaluation import EvaluationRecord
 from lexglean.generation import MockBackend, load_record, record_files
 from lexglean.langid import BuiltinClassifier
 from lexglean.taxonomy import load_language_configs, load_model_configs, load_taxonomy
@@ -65,6 +67,12 @@ def run_cli(argv):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli_main([str(a) for a in argv])
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def read_evaluations(path):
+    """Every record of an ``evaluations.jsonl``, in file order."""
+    with open(path, "rb") as handle:
+        return [parse_record(EvaluationRecord, line, path, i) for i, line in enumerate(handle, start=1)]
 
 
 def records_under(out_dir):

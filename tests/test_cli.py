@@ -887,19 +887,32 @@ def _infinite_word_count(lines):
     lines[4] = json.dumps(data).replace("Infinity", "1e400") + "\n"
 
 
+def _append_blank_line(lines):
+    lines.append("\n")
+
+
+def _append_unterminated_line(lines):
+    lines.append(lines[-1].rstrip("\n"))
+
+
+_ONE_LINE_TOO_MANY = f" holds 601 evaluations, but {FILENAME} lists 600 outputs (run 'evaluate' again)"
+
+
 @pytest.mark.parametrize(
     "corrupt, detail",
     [
-        (_truncate_line, "5: invalid JSON"),
-        (_repeat_line, "6: duplicate output_id"),
+        (_truncate_line, ":5: invalid JSON"),
+        (_repeat_line, _ONE_LINE_TOO_MANY),
         (
             _swap_lines,
-            "6: holds output_id 'gemini-2.5-flash/fon/constrained/cg_05', out of output-id order "
-            "after 'gemini-2.5-flash/fon/constrained/cg_06' (corrupted run directory)",
+            ":5: holds output_id 'gemini-2.5-flash/fon/constrained/cg_06', but fingerprints.json lists "
+            "'gemini-2.5-flash/fon/constrained/cg_05' for that line (run 'evaluate' again)",
         ),
-        (_infinite_word_count, "5: bad value"),
+        (_infinite_word_count, ":5: bad value"),
+        (_append_blank_line, _ONE_LINE_TOO_MANY),
+        (_append_unterminated_line, _ONE_LINE_TOO_MANY),
     ],
-    ids=["truncated", "repeated", "swapped", "infinite_int"],
+    ids=["truncated", "repeated", "swapped", "infinite_int", "blank", "unterminated"],
 )
 def test_corrupt_evaluations_line_is_a_data_error(mock_run, tmp_path, corrupt, detail):
     results = tmp_path / "results"
@@ -913,11 +926,28 @@ def test_corrupt_evaluations_line_is_a_data_error(mock_run, tmp_path, corrupt, d
     content = json.loads((results / FILENAME).read_text(encoding="utf-8"))
     content["evaluations"] = file_digest(path)
     (results / FILENAME).write_text(json.dumps(content), encoding="utf-8")
-    code, _, err = run_cli(
+    code, stdout, err = run_cli(
         ["filter", "--results", results, "--outputs", mock_run / "outputs", "--out", tmp_path / "c"]
     )
-    assert code == 1
-    assert f"error: {results / 'evaluations.jsonl'}:{detail}" in err
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: {path}{detail}")
+    assert not (tmp_path / "c").exists()
+    if len(lines) != 600:
+        # evaluate pairs lines with listed outputs by the same rule.
+        _assert_evaluate_reuses_nothing(mock_run, results)
+
+
+def _assert_evaluate_reuses_nothing(mock_run, results):
+    """An evaluate into ``results`` with ``mock_run``'s options reuses
+    nothing and leaves the files of ``mock_run``'s cold evaluate."""
+    references = [f"--reference={code}={SEEDS_DIR / f'{code}_Latn.txt'}" for code in ("hau", "fon")]
+    code, stdout, err = run_cli(
+        ["evaluate", "--outputs", mock_run / "outputs", "--results", results, *references]
+    )
+    assert (code, err) == (0, "")
+    assert "reused 0 of 600 evaluations" in stdout.splitlines()
+    cold = {path.name: path.read_bytes() for path in (mock_run / "results").iterdir()}
+    assert {path.name: path.read_bytes() for path in results.iterdir()} == cold
 
 
 def test_filter_refuses_evaluations_that_lack_a_listed_output(mock_run, tmp_path):
@@ -942,9 +972,7 @@ def test_filter_refuses_evaluations_that_lack_a_listed_output(mock_run, tmp_path
         f"error: {path} holds 599 evaluations, but {FILENAME} lists 600 outputs (run 'evaluate' again)\n"
     )
     assert not (tmp_path / "corpus").exists()
-    code, stdout, err = run_cli(["evaluate", "--outputs", mock_run / "outputs", "--results", results])
-    assert (code, err) == (0, "")
-    assert "reused 0 of 600 evaluations" in stdout.splitlines()
+    _assert_evaluate_reuses_nothing(mock_run, results)
 
 
 @pytest.mark.parametrize("name, kind", [("summary.json", "validity"), ("overlap.json", "overlap")])
@@ -1182,6 +1210,73 @@ def test_deeply_nested_json_ends_with_one_error_line(small_run, tmp_path, make_i
     assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
 
 
+# "\\ud800" is legal JSON, but no UTF-8 file can hold the lone surrogate it
+# stands for; json.dumps writes it as that escape.
+_SURROGATE = "Sannu \ud800"
+_REFUSED = "lone surrogate '\\ud800', which UTF-8 cannot encode"
+
+
+def _surrogate_record_file(tmp_path, small_run):
+    outputs = tmp_path / "outputs"
+    shutil.copytree(small_run, outputs)
+    record = outputs / "gpt-4o-mini" / "hau" / "creative" / "cw_01.json"
+    record.write_text(json.dumps({**json.loads(record.read_text()), "response_text": _SURROGATE}))
+    argv = ["evaluate", "--outputs", outputs, "--results", tmp_path / "r"]
+    return argv, 1, f"error: {record}: invalid JSON: {_REFUSED}"
+
+
+def _surrogate_languages_json(tmp_path, small_run):
+    config = tmp_path / "config"
+    _write_config_subset(config, {"hau"}, {"gpt-4o-mini"})
+    languages = json.loads((config / "languages.json").read_text())
+    languages["languages"][0]["name"] = _SURROGATE
+    (config / "languages.json").write_text(json.dumps(languages))
+    argv = ["--config", config, "generate", "--mock", FIXTURES_PATH, "--out", tmp_path / "o"]
+    return argv, 2, f"error: {config / 'languages.json'}: invalid JSON at line 1 column "
+
+
+def _surrogate_mock_fixtures(tmp_path, small_run):
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text(json.dumps({"gpt-4o-mini/hau/creative/cw_01": {"response_text": _SURROGATE}}))
+    argv = ["generate", "--mock", fixtures, "--languages", "hau", "--models", "gpt-4o-mini"]
+    argv += ["--out", tmp_path / "o"]
+    return argv, 1, f"error: {fixtures}: invalid JSON: {_REFUSED}"
+
+
+def _surrogate_prediction_row(tmp_path, small_run):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(_PREDICTION_ROW + _PREDICTION_ROW.replace('"elsewhere"', json.dumps(_SURROGATE)))
+    argv = ["evaluate", "--outputs", small_run, "--results", tmp_path / "r", "--lid", f"external:{predictions}"]
+    return argv, 1, f"error: {predictions}:2: malformed prediction row: {_REFUSED}"
+
+
+def _surrogate_summary(tmp_path, small_run):
+    path = _evaluated(tmp_path, small_run) / "summary.json"
+    summaries = json.loads(path.read_text())
+    summaries["summaries"][0]["model_id"] = _SURROGATE
+    path.write_text(json.dumps(summaries))
+    argv = ["report", "--results", path.parent, "--kind", "validity", "--format", "csv"]
+    return argv, 1, f"error: {path}: invalid JSON: {_REFUSED}"
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [
+        _surrogate_record_file, _surrogate_languages_json, _surrogate_mock_fixtures, _surrogate_prediction_row,
+        _surrogate_summary,
+    ],
+    ids=["record_file", "languages_json", "mock_fixtures", "prediction_row", "summary"],
+)
+def test_lone_surrogate_is_refused_where_it_is_read(small_run, tmp_path, make_input):
+    argv, expected_code, expected_line = make_input(tmp_path, small_run)
+    before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+    code, stdout, err = run_cli(argv)
+    assert code == expected_code
+    assert len(err.splitlines()) == 1 and err.startswith(expected_line) and _REFUSED in err, err
+    assert stdout == ""
+    assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
+
+
 @pytest.mark.parametrize("command", ["evaluate", "filter"])
 def test_an_unreadable_record_file_ends_with_one_error_line(small_run, tmp_path, command):
     outputs, results = tmp_path / "outputs", tmp_path / "results"
@@ -1212,7 +1307,9 @@ def test_deeply_nested_fingerprints_leave_nothing_to_reuse(small_run, tmp_path):
     assert {path.name: path.read_bytes() for path in results.iterdir()} == cold
 
 
-def test_deeply_nested_completion_is_a_failed_call(tmp_path, endpoint, monkeypatch):
+def _generate_against(endpoint, tmp_path, monkeypatch, reply):
+    """Generate one record from ``endpoint``, which sends ``reply``, with no
+    retries; the exit code, stderr, output id and --out directory."""
     monkeypatch.delenv("NO_NETWORK", raising=False)
     monkeypatch.setenv("OPENAI_API_KEY", "sekrit")
     config = tmp_path / "config"
@@ -1223,17 +1320,36 @@ def test_deeply_nested_completion_is_a_failed_call(tmp_path, endpoint, monkeypat
     taxonomy = json.loads((data_dir() / "taxonomy.json").read_text())
     taxonomy["templates"] = taxonomy["templates"][:1]
     (tmp_path / "taxonomy.json").write_text(json.dumps(taxonomy))
-    endpoint.replies = [(200, _DEEP.encode())]
+    endpoint.replies = [(200, reply)]
     out = tmp_path / "o"
     code, _, err = run_cli(
         ["--config", config, "generate", "--taxonomy", tmp_path / "taxonomy.json", "--out", out]
     )
+    output_id = f"gpt-4o-mini/hau/{taxonomy['templates'][0]['task_type']}/{taxonomy['templates'][0]['id']}"
+    return code, err, output_id, out
+
+
+def test_deeply_nested_completion_is_a_failed_call(tmp_path, endpoint, monkeypatch):
+    code, err, output_id, out = _generate_against(endpoint, tmp_path, monkeypatch, _DEEP.encode())
     assert code == 3
     assert "Traceback" not in err
-    output_id = f"gpt-4o-mini/hau/{taxonomy['templates'][0]['task_type']}/{taxonomy['templates'][0]['id']}"
     expected = f"failed: {output_id}: retries exhausted after 1 attempts (unparseable completion payload: "
     assert len(err.splitlines()) == 1 and err.startswith(expected), err
     assert records_under(out) == []
+
+
+def test_completion_holding_a_lone_surrogate_is_a_failed_call(tmp_path, endpoint, monkeypatch):
+    message = {"role": "assistant", "content": _SURROGATE}
+    reply = json.dumps({"choices": [{"message": message, "finish_reason": "stop"}]}).encode()
+    assert b"\\ud800" in reply
+    code, err, output_id, out = _generate_against(endpoint, tmp_path, monkeypatch, reply)
+    assert code == 3
+    expected = f"failed: {output_id}: retries exhausted after 1 attempts (unparseable completion payload: "
+    expected += _REFUSED
+    assert len(err.splitlines()) == 1 and err.startswith(expected), err
+    assert records_under(out) == []
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert [failed for failed, _ in manifest["failures"]] == [output_id]
 
 
 class _FlushFails(DiskFull):
@@ -1271,6 +1387,24 @@ def test_filter_failing_a_write_leaves_the_previous_corpus(mock_run, tmp_path, m
     assert (code, stdout) == (1, "")
     assert err.startswith("error: ") and err.rstrip().endswith("No space left on device")
     assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
+
+
+@pytest.mark.parametrize("failing", [DiskFull, _FlushFails], ids=["write", "flush"])
+def test_filter_failing_a_write_leaves_no_out_directory_it_created(mock_run, tmp_path, monkeypatch, failing):
+    real_open = Path.open
+
+    def fail_on_the_first_file(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return failing(handle) if self.suffix == ".tmp" else handle
+
+    monkeypatch.setattr(Path, "open", fail_on_the_first_file)
+    out = tmp_path / "a" / "b"
+    code, stdout, err = run_cli(
+        ["filter", "--results", mock_run / "results", "--outputs", mock_run / "outputs", "--out", out]
+    )
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.rstrip().endswith("No space left on device")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_scores_each_distinct_sentence_once_per_cell(small_run, tmp_path, prediction_calls):

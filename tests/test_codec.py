@@ -5,9 +5,11 @@ import typing
 from dataclasses import dataclass, fields, is_dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from lexglean.codec import DataError, atomic_writer, decoder, json_file_text, parse_record, to_json, write_json
+from lexglean.codec import (
+    DataError, atomic_writer, decoder, json_file_text, loads, parse_record, to_json, write_json,
+)
 from lexglean.evaluation import ConditionSummary, EvaluationRecord, OverlapResult
 from lexglean.generation import GenerationRecord, MockFixture, SamplingParams
 from lexglean.langid import FidelityResult, LidPrediction
@@ -200,6 +202,30 @@ def test_parse_record_reports_an_infinite_int_as_bad_value():
     raw = b'{"temperature": 0.7, "top_p": 0.95, "max_output_tokens": 1e400}'
     with pytest.raises(DataError, match=r"^run/m/hau/t/p\.json: bad value"):
         parse_record(SamplingParams, raw, "run/m/hau/t/p.json")
+
+
+@given(st.lists(st.text(st.characters(blacklist_categories=()), max_size=8), max_size=3))
+@example(["Sannu \ud800"])
+@example(["\\ud800", "\\uD800"])  # an escaped backslash, then "ud800": no surrogate
+@example(["\ud83d\ude00"])  # a valid pair, escaped as two \u escapes
+@example(["\ud83d", "\ude00"])
+@example(["한국어"])  # UTF-8 lead byte 0xED, no surrogate
+def test_loads_refuses_exactly_the_documents_that_hold_a_lone_surrogate(strings):
+    """Whether the strings are escaped ("\\ud800" or "\\uD800") or encoded
+    as lax UTF-8 bytes, loads agrees with json.loads unless the value holds
+    a string UTF-8 cannot encode, which it refuses."""
+    escaped = json.dumps(strings)
+    upper = re.sub(r"\\u([0-9a-f]{4})", lambda match: "\\u" + match[1].upper(), escaped)
+    raw = json.dumps(strings, ensure_ascii=False).encode("utf-8", "surrogatepass")
+    for document in (escaped, escaped.encode(), upper, upper.encode(), raw):
+        value = json.loads(document)
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(json.JSONDecodeError, match="^lone surrogate '"):
+                loads(document)
+        else:
+            assert loads(document) == value
 
 
 def test_atomic_writer_that_raises_leaves_the_target_and_no_temp_file(tmp_path):

@@ -19,7 +19,6 @@ from lexglean.evaluation import (
     evaluation_line,
     export_usable_corpus,
     is_memorization_suspect,
-    read_evaluations,
     read_summaries,
     reference_overlap,
     reference_profile,
@@ -30,7 +29,7 @@ from lexglean.langid import FidelityResult, LidPrediction
 from lexglean.taxonomy import LanguageConfig
 from lexglean.textstats import analyze
 
-from conftest import DiskFull
+from conftest import DiskFull, read_evaluations
 
 HAUSA = LanguageConfig("Hausa", "hau", "hau_Latn", "Hausa", "English", False)
 FONGBE = LanguageConfig("Fongbe", "fon", "fon_Latn", "Fon", "French", True)

@@ -20,11 +20,11 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from lexglean import cli, data_dir, evaluation, fingerprints
 from lexglean.codec import load_list, parse_record
-from lexglean.evaluation import EvaluationRecord, OverlapResult, read_evaluations, read_summaries
+from lexglean.evaluation import EvaluationRecord, OverlapResult, read_summaries
 from lexglean.fingerprints import FILENAME
 from lexglean.generation import GenerationRecord, dumps_record, record_path
 
-from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, records_under, run_cli
+from conftest import FIXTURES_PATH, SEEDS_DIR, DiskFull, read_evaluations, records_under, run_cli
 
 
 def references(*languages):
@@ -478,9 +478,13 @@ def test_filter_refuses_a_record_the_fingerprints_do_not_list(outputs, tmp_path)
     (cell,) = [cell for cell in fingerprints["cells"] if "gpt-4o-mini/hau/creative/cw_03" in cell["records"]]
     del cell["records"]["gpt-4o-mini/hau/creative/cw_03"]
     (results / FILENAME).write_text(json.dumps(fingerprints), encoding="utf-8")
-    code, _, err = _filter(results, outputs, tmp_path)
-    assert code == 1
-    assert "error: evaluation gpt-4o-mini/hau/creative/cw_03 is stale" in err
+    # Its line is still in evaluations.jsonl, which now has one line more
+    # than the fingerprints list outputs.
+    assert _filter(results, outputs, tmp_path) == (1, "", (
+        f"error: {results / 'evaluations.jsonl'} holds 150 evaluations, but {FILENAME} lists 149 outputs "
+        "(run 'evaluate' again)\n"
+    ))
+    assert not (tmp_path / "corpus").exists()
 
 
 @pytest.mark.parametrize("output_id", ["gpt-4o-mini/hau/creative/cw_00", "zz/hau/constrained/cg_02"])

@@ -13,9 +13,13 @@ Typical offline session::
 its fingerprint, checks the results files against theirs and says what an
 earlier evaluate left that still holds.  Both pair the lines of
 ``evaluations.jsonl`` with the listed output ids by its one rule
-(``fingerprints.lines``): ``evaluate`` copies a kept line unparsed, and
-``filter`` parses each line and refuses one that names another output.
-``evaluate`` scores one model/language/task cell at a time (``score_cell``).
+(``fingerprints.lines``): ``evaluate`` copies a kept line unparsed when it
+names its output id (``names_its_output``) and scores the record afresh
+when it does not, and ``filter`` parses each line and refuses one that
+names another output.  ``evaluate`` scores one model/language/task cell at
+a time (``score_cell``).  ``filter``'s merge (``usable_outputs``) is a
+generator that ``export_usable_corpus`` drains, writing each usable output
+as it comes.
 
 An error ends a command with an ``error:`` line and an exit code set by its
 class alone: 1 for unreadable or inconsistent data (``DataError`` or an
@@ -40,7 +44,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from . import __version__, data_dir, fingerprints
 from .codec import DataError, atomic_writer, json_file_text, load_list, parse_record, to_json, write_atomic
@@ -53,12 +57,12 @@ from .evaluation import (
     evaluate_output,
     evaluation_line,
     export_usable_corpus,
+    names_its_output,
     read_summaries,
     reference_overlap,
     reference_profile,
     write_summaries,
     OverlapResult,
-    UsableOutput,
 )
 from .generation import (
     GenerationRecord,
@@ -190,8 +194,9 @@ def score_cell(
     reference: Counter[str] | None,
     threshold: int,
     w_conf: float,
-) -> tuple[list[bytes], OverlapResult | None, ConditionSummary]:
-    """Evaluation lines in output-id order, overlap and summary of one cell.
+) -> tuple[list[bytes], OverlapResult | None, ConditionSummary, int]:
+    """Evaluation lines in output-id order, overlap, summary and the number
+    of old lines kept, of one cell.
 
     ``cell`` is the cell's new fingerprint and ``old`` the one the evaluate
     that wrote ``old_lines``, ``old_overlap`` and ``old_summary`` left for
@@ -199,7 +204,9 @@ def score_cell(
     or to the path and bytes of its record file when the file is unchanged
     since that evaluate; such a record keeps its old line, taken from
     ``old_lines`` (that file's (output id, line) pairs, read on from where
-    the last cell stopped).  When the record digests of ``cell`` and ``old``
+    the last cell stopped), when the line names its output id
+    (``names_its_output``); one that does not is scored afresh from the
+    record.  When the record digests of ``cell`` and ``old``
     are equal the old summary is kept; otherwise the kept lines are decoded
     and the cell aggregated again.  With a ``reference``, the old overlap is
     kept when the reference digests are equal too; otherwise every record is
@@ -213,11 +220,14 @@ def score_cell(
     counts: Counter[str] = Counter()
     lines: list[bytes] = []
     evaluations = []
+    reused = 0
     seen: dict = {}
     for output_id in sorted(records):
         record = records[output_id]
         kept = isinstance(record, tuple)
         line = next(line for old_id, line in old_lines if old_id == output_id) if kept else None
+        if line is not None and not names_its_output(line, output_id):
+            line = None
         if count_grams or line is None:
             if kept:
                 record = parse_record(GenerationRecord, record[1], record[0])
@@ -230,11 +240,13 @@ def score_cell(
             )
             line = evaluation_line(evaluation)
             evaluations.append(evaluation)
-        elif old_summary is None:
-            evaluations.append(parse_record(EvaluationRecord, line, output_id))
+        else:
+            reused += 1
+            if old_summary is None:
+                evaluations.append(parse_record(EvaluationRecord, line, output_id))
         lines.append(line)
     overlap = reference_overlap("/".join(cell[:3]), counts, reference) if count_grams else old_overlap
-    return lines, overlap, old_summary or aggregate(cell[:3], evaluations)
+    return lines, overlap, old_summary or aggregate(cell[:3], evaluations), reused
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -287,7 +299,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     raise ConfigError(f"record {min(records)}: unknown language '{key[1]}'")
                 reference_digest, reference = references.get(key[1], (None, None))
                 cell = fingerprints.Cell(*key, digests, reference_digest)
-                cell_lines, overlap, summary = score_cell(
+                cell_lines, overlap, summary, cell_reused = score_cell(
                     cell,
                     old_cells.get(key),
                     records,
@@ -305,7 +317,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 summaries.append(summary)
                 if overlap is not None:
                     overlaps.append(((key[1], overlap.key), overlap))
-                reused += sum(isinstance(record, tuple) for record in records.values())
+                reused += cell_reused
         if not fingerprint_cells:
             raise DataError(f"no records under {args.outputs}")
         # Every check that can fail runs before anything is written, so a
@@ -357,6 +369,50 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def usable_outputs(
+    results_dir: Path, outputs: str, cells: Sequence[fingerprints.Cell], min_quality: float | None
+) -> Iterator[tuple[fingerprints.Key, EvaluationRecord, str]]:
+    """Each usable output of the results in ``results_dir``, in output-id
+    order: its cell key, its evaluation and its record's text.
+
+    Line k of evaluations.jsonl is the evaluation of the k-th listed output
+    id, as evaluate reads it (``fingerprints.lines``; ``read`` has counted
+    the lines).  The listed ids and the record files under ``outputs`` are
+    both in output-id order, so one merge meets each line with its record.
+    A record the walk kept as path and bytes is the one its evaluation was
+    computed from; one it parsed has changed since, or the fingerprints do
+    not list it.  Only a usable output's record is parsed, for its text.
+    """
+    path = results_dir / fingerprints.RESULTS["evaluations"]
+    walk = ((i, key, record) for key, _, records in fingerprints.walk(outputs, cells)
+            for i, record in records.items())
+    for lineno, (listed_id, line) in enumerate(fingerprints.lines(results_dir, cells), start=1):
+        for output_id, key, record in walk:
+            if output_id >= listed_id:
+                break
+        else:
+            output_id = None
+        if output_id != listed_id:
+            raise DataError(f"evaluation {listed_id} has no record under {outputs}")
+        if not isinstance(record, tuple):
+            raise DataError(
+                f"evaluation {output_id} is stale: its record under {outputs} is not "
+                "the one it was computed from (run 'evaluate' again)"
+            )
+        evaluation = parse_record(EvaluationRecord, line, path, lineno)
+        if evaluation.output_id != output_id:
+            raise DataError(
+                f"{path}:{lineno}: holds output_id '{evaluation.output_id}', but {fingerprints.FILENAME} "
+                f"lists '{output_id}' for that line (run 'evaluate' again)"
+            )
+        if evaluation.is_valid and evaluation.fidelity.is_target and not (
+            min_quality is not None and evaluation.quality < min_quality
+        ):
+            yield key, evaluation, parse_record(GenerationRecord, record[1], record[0]).response_text
+    for _ in walk:  # a record file past the last evaluation is still checked
+        pass
+
+
 def cmd_filter(args: argparse.Namespace) -> int:
     if args.min_quality is not None and not 0.0 <= args.min_quality <= 1.0:
         raise ConfigError(f"--min-quality must be in [0, 1], got {args.min_quality}")
@@ -372,43 +428,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
                 "(filter into a new --out directory)"
             )
 
-    # Line k of evaluations.jsonl is the evaluation of the k-th listed output
-    # id, as evaluate reads it (``fingerprints.lines``; ``read`` has counted
-    # the lines).  The listed ids and the record files are both in output-id
-    # order, so one merge meets each line with its record.  A record the walk
-    # kept as path and bytes is the one its evaluation was computed from; one
-    # it parsed has changed since, or the fingerprints do not list it.  Only
-    # a usable output's record is parsed, for its text.
-    path = results_dir / fingerprints.RESULTS["evaluations"]
-    walk = ((i, key, record) for key, _, records in fingerprints.walk(args.outputs, cells)
-            for i, record in records.items())
-    usable: list[UsableOutput] = []
-    for lineno, (listed_id, line) in enumerate(fingerprints.lines(results_dir, cells), start=1):
-        for output_id, key, record in walk:
-            if output_id >= listed_id:
-                break
-        else:
-            output_id = None
-        if output_id != listed_id:
-            raise DataError(f"evaluation {listed_id} has no record under {args.outputs}")
-        if not isinstance(record, tuple):
-            raise DataError(
-                f"evaluation {output_id} is stale: its record under {args.outputs} is not "
-                "the one it was computed from (run 'evaluate' again)"
-            )
-        evaluation = parse_record(EvaluationRecord, line, path, lineno)
-        if evaluation.output_id != output_id:
-            raise DataError(
-                f"{path}:{lineno}: holds output_id '{evaluation.output_id}', but {fingerprints.FILENAME} "
-                f"lists '{output_id}' for that line (run 'evaluate' again)"
-            )
-        if evaluation.is_valid and evaluation.fidelity.is_target and not (
-            args.min_quality is not None and evaluation.quality < args.min_quality
-        ):
-            text = parse_record(GenerationRecord, record[1], record[0]).response_text
-            usable.append(UsableOutput(output_id, *key, text, evaluation.word_count, evaluation.quality))
-    for _ in walk:  # a record file past the last evaluation is still checked
-        pass
+    usable = usable_outputs(results_dir, args.outputs, cells, args.min_quality)
     totals = export_usable_corpus(usable, args.out, languages)
     for language, (documents, words) in sorted(totals.items()):
         print(f"{language}: {documents} documents, {words} words")

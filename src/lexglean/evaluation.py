@@ -17,8 +17,9 @@ import contextlib
 import json
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .codec import atomic_writer, json_file_text, load_list, to_json, write_atomic
 from .generation import GenerationRecord
@@ -196,72 +197,72 @@ def reference_overlap(
     return OverlapResult(key, value, is_memorization_suspect(value))
 
 
-class UsableOutput(NamedTuple):
-    """What the corpus files keep of one usable output: fields of its record, then of its evaluation."""
-
-    output_id: str
-    model_id: str
-    language: str
-    task_type: str
-    response_text: str
-    word_count: int
-    quality: float
-
-
 def export_usable_corpus(
-    usable: Sequence[UsableOutput],
+    usable: Iterable[tuple[tuple[str, str, str], EvaluationRecord, str]],
     out_dir: str | Path,
     languages: Sequence[str],
 ) -> dict[str, tuple[int, int]]:
     """Write one text file per language plus a provenance JSONL sidecar.
 
-    ``usable`` is in output-id order, which the files keep.  Documents are
-    separated by a blank line.  A language with no usable outputs still gets
-    an (empty) corpus file.  Every file is written before any is renamed into
-    place, so a failed write leaves ``out_dir`` as it was: the directories
-    the export created for it are removed again.  Returns (documents, words)
-    per language.
+    ``usable`` yields each usable output as its (model, language, task) cell
+    key, its evaluation and its record's text, in output-id order, which the
+    files keep; the key's language is one of ``languages`` and routes the
+    output, and its model and task go into the provenance line.  Every file
+    is opened before the first output is taken and each output is written as
+    it comes, so no text is held after it is written.  Documents are
+    separated by a blank line and a corpus file that is not empty ends in a
+    newline.  A language with no usable outputs still gets an (empty) corpus
+    file.  Every file is flushed before any is renamed into place, so a
+    failed write, or an error raised by ``usable``, leaves ``out_dir`` as it
+    was: the directories the export created for it are removed again.
+    Returns (documents, words) per language.
     """
     out_dir = Path(out_dir)
     created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # innermost first
-    by_language: dict[str, list[UsableOutput]] = {}
-    for output in usable:
-        by_language.setdefault(output.language, []).append(output)
-    totals: dict[str, tuple[int, int]] = {}
     try:
         with contextlib.ExitStack() as writers:
-
-            def write(path: Path, text: str) -> None:
-                handle = writers.enter_context(atomic_writer(path))
-                handle.write(text.encode("utf-8"))
-                handle.flush()  # a full disk fails here, before any file is renamed
-
-            for language in sorted(set(languages) | set(by_language)):
-                group = by_language.get(language, [])
-                body = "\n\n".join(output.response_text for output in group)
-                write(out_dir / f"{language}.txt", body + "\n" if body else "")
-                write(out_dir / f"{language}.provenance.jsonl", "".join(
-                    json.dumps(
-                        {
-                            "output_id": output.output_id,
-                            "model_id": output.model_id,
-                            "task_type": output.task_type,
-                            "word_count": output.word_count,
-                            "quality": output.quality,
-                        },
-                        ensure_ascii=False,
-                        sort_keys=True,
-                    )
-                    + "\n"
-                    for output in group
-                ))
-                totals[language] = (len(group), sum(output.word_count for output in group))
+            files = {
+                language: [
+                    writers.enter_context(atomic_writer(out_dir / f"{language}{suffix}"))
+                    for suffix in (".txt", ".provenance.jsonl")
+                ]
+                for language in sorted(languages)
+            }
+            totals = dict.fromkeys(files, (0, 0))
+            for (model_id, language, task_type), evaluation, text in usable:
+                corpus, provenance = files[language]
+                documents, words = totals[language]
+                corpus.write((b"\n\n" if documents else b"") + text.encode("utf-8"))
+                provenance.write(json.dumps(
+                    {
+                        "output_id": evaluation.output_id,
+                        "model_id": model_id,
+                        "task_type": task_type,
+                        "word_count": evaluation.word_count,
+                        "quality": evaluation.quality,
+                    },
+                    ensure_ascii=False,
+                    sort_keys=True,
+                ).encode("utf-8") + b"\n")
+                totals[language] = (documents + 1, words + evaluation.word_count)
+            for corpus, provenance in files.values():
+                if corpus.tell():
+                    corpus.write(b"\n")
+                corpus.flush()  # a full disk fails here, before any file is renamed
+                provenance.flush()
     except BaseException:
         for path in created:
             with contextlib.suppress(OSError):
                 path.rmdir()
         raise
     return totals
+
+
+def names_its_output(line: bytes, output_id: str) -> bool:
+    """Whether ``line`` is a whole ``evaluations.jsonl`` line (see
+    ``evaluation_line``) whose ``output_id`` field is ``output_id``."""
+    field = b'"output_id":' + encode_basestring(output_id).encode("utf-8")  # as json.dumps writes it
+    return line.endswith(b"}\n") and field in line
 
 
 def evaluation_line(record: EvaluationRecord) -> bytes:

@@ -47,18 +47,21 @@ earlier evaluate left for it: only new and changed records are parsed, and
 every evaluation, cell summary and overlap whose inputs are unchanged is
 reused.  A cell's lines are spooled to a temporary file, the kept ones
 copied unparsed from the old ``evaluations.jsonl`` alongside, which is in
-the same order.  So it holds one cell's records at a time, besides one
+the same order; a kept line that does not name its output id is scored
+afresh instead.  So it holds one cell's records at a time, besides one
 fingerprint entry per record and one summary and overlap per cell.  Once
 every record is read and every check has passed, it removes the
 fingerprints and every results file but ``evaluations.jsonl`` before its
 first write, so a run cut short leaves no old tables to report.
 ``filter`` merges the pairs of ``lines`` with the walk, both in output-id
 order, parses each line and parses a record only when its output is
-usable.  It refuses results that ``read`` refuses, a listed output with no
-record file, an evaluation whose record changed after it was computed and
-a line whose ``output_id`` is not the one it is paired with, naming
-``evaluations.jsonl:<line>``.  ``evaluations.jsonl`` is read only here,
-once by ``read`` and once by ``lines``.
+usable; each usable output goes to the corpus files, opened before the
+merge starts, as the merge reaches it.  It refuses results that ``read``
+refuses, a listed output with no record file, an evaluation whose record
+changed after it was computed and a line whose ``output_id`` is not the
+one it is paired with, naming ``evaluations.jsonl:<line>``.
+``evaluations.jsonl`` is read only here, once by ``read`` and once by
+``lines``.
 """
 from __future__ import annotations
 

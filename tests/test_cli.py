@@ -736,6 +736,35 @@ def test_filter_holds_less_than_its_inputs_in_memory(mock_run, tmp_path):
     assert peak < input_bytes
 
 
+def test_filter_memory_does_not_grow_with_the_usable_text(small_run, tmp_path):
+    # Each usable output is written as the merge reaches it: what filter
+    # holds beyond the run's fixed costs is one cell's record files (the
+    # walk's), not the corpus, so 20 times the text adds less than the
+    # corpus grows by.
+    long_run = tmp_path / "long"
+    shutil.copytree(small_run, long_run)
+    for record in records_under(long_run):
+        long_text = " ".join([record.response_text] * 20)
+        record_path(long_run, record.output_id).write_text(
+            dumps_record(dataclasses.replace(record, response_text=long_text)), encoding="utf-8"
+        )
+    peaks, corpus_bytes = [], []
+    for outputs in (small_run, long_run):
+        results, corpus = tmp_path / f"{outputs.name}_results", tmp_path / f"{outputs.name}_corpus"
+        code, _, err = run_cli(["evaluate", "--outputs", outputs, "--results", results])
+        assert code == 0, err
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(["filter", "--results", results, "--outputs", outputs, "--out", corpus])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        corpus_bytes.append((corpus / "hau.txt").stat().st_size)
+    assert corpus_bytes[1] > 15 * corpus_bytes[0]
+    assert peaks[1] - peaks[0] < corpus_bytes[1] - corpus_bytes[0]
+
+
 def test_filter_parses_only_the_records_it_exports(mock_run, tmp_path, monkeypatch):
     # An evaluation is checked against its record by the record file's
     # digest; the record is parsed only when its text goes into the corpus.
@@ -918,7 +947,8 @@ def test_corrupt_evaluations_line_is_a_data_error(mock_run, tmp_path, corrupt, d
     results = tmp_path / "results"
     shutil.copytree(mock_run / "results", results)
     path = results / "evaluations.jsonl"
-    lines = path.read_text(encoding="utf-8").splitlines(True)
+    original = path.read_text(encoding="utf-8").splitlines(True)
+    lines = list(original)
     corrupt(lines)
     path.write_text("".join(lines), encoding="utf-8")
     # The fingerprints are made to name the corrupt file, so that filter
@@ -932,20 +962,21 @@ def test_corrupt_evaluations_line_is_a_data_error(mock_run, tmp_path, corrupt, d
     assert (code, stdout) == (1, "")
     assert err.startswith(f"error: {path}{detail}")
     assert not (tmp_path / "c").exists()
-    if len(lines) != 600:
-        # evaluate pairs lines with listed outputs by the same rule.
-        _assert_evaluate_reuses_nothing(mock_run, results)
+    # evaluate pairs lines with listed outputs by the same rule, and of the
+    # same number of lines it keeps only those that name their output.
+    reused = sum(map(str.__eq__, original, lines)) if len(lines) == 600 else 0
+    _assert_evaluate_ends_cold(mock_run, results, reused)
 
 
-def _assert_evaluate_reuses_nothing(mock_run, results):
+def _assert_evaluate_ends_cold(mock_run, results, reused=0):
     """An evaluate into ``results`` with ``mock_run``'s options reuses
-    nothing and leaves the files of ``mock_run``'s cold evaluate."""
+    ``reused`` evaluations and leaves the files of ``mock_run``'s cold evaluate."""
     references = [f"--reference={code}={SEEDS_DIR / f'{code}_Latn.txt'}" for code in ("hau", "fon")]
     code, stdout, err = run_cli(
         ["evaluate", "--outputs", mock_run / "outputs", "--results", results, *references]
     )
     assert (code, err) == (0, "")
-    assert "reused 0 of 600 evaluations" in stdout.splitlines()
+    assert f"reused {reused} of 600 evaluations" in stdout.splitlines()
     cold = {path.name: path.read_bytes() for path in (mock_run / "results").iterdir()}
     assert {path.name: path.read_bytes() for path in results.iterdir()} == cold
 
@@ -972,7 +1003,7 @@ def test_filter_refuses_evaluations_that_lack_a_listed_output(mock_run, tmp_path
         f"error: {path} holds 599 evaluations, but {FILENAME} lists 600 outputs (run 'evaluate' again)\n"
     )
     assert not (tmp_path / "corpus").exists()
-    _assert_evaluate_reuses_nothing(mock_run, results)
+    _assert_evaluate_ends_cold(mock_run, results)
 
 
 @pytest.mark.parametrize("name, kind", [("summary.json", "validity"), ("overlap.json", "overlap")])

@@ -1,10 +1,11 @@
 import json
 import random
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lexglean.codec import decoder, to_json
 from lexglean.evaluation import (
@@ -12,7 +13,6 @@ from lexglean.evaluation import (
     DEFAULT_W_CONF,
     EvaluationRecord,
     MEMORIZATION_COSINE_THRESHOLD,
-    UsableOutput,
     aggregate,
     composite_quality,
     evaluate_output,
@@ -273,8 +273,9 @@ def test_reference_overlap_errors():
 # ------------------------------------------------------------- filter/export
 
 def usable_output(output_id, text, word_count=3, quality=0.9):
+    """What filter's merge yields for one usable output: cell key, evaluation, text."""
     model_id, language, task_type, _ = output_id.split("/")
-    return UsableOutput(output_id, model_id, language, task_type, text, word_count, quality)
+    return (model_id, language, task_type), make_eval(output_id, word_count=word_count, quality=quality), text
 
 
 def test_export_usable_corpus(tmp_path):
@@ -292,6 +293,41 @@ def test_export_usable_corpus(tmp_path):
         "m/hau/creative/cw_02",
     ]
     assert (tmp_path / "fon.provenance.jsonl").exists()
+
+
+_TEXTS = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8), max_size=4)
+
+
+@given(st.dictionaries(st.sampled_from(["fon", "hau", "yor"]), st.lists(_TEXTS, min_size=2, max_size=2), min_size=1))
+@example({"fon": [[], []], "hau": [[""], []], "yor": [["", ""], ["Ọ̀rọ̀."]]})
+def test_export_writes_each_language_as_its_joined_texts(texts):
+    # texts[language] = [texts of model "a", texts of model "b"], so the
+    # languages interleave in output-id order; a language may have none, a
+    # lone empty text or several empty ones.
+    usable = sorted(
+        (usable_output(f"{model}/{language}/creative/p{i}", text, word_count=len(text), quality=i / 8)
+         for language, by_model in texts.items()
+         for model, model_texts in zip("ab", by_model)
+         for i, text in enumerate(model_texts)),
+        key=lambda output: output[1].output_id,
+    )
+    with tempfile.TemporaryDirectory() as out_dir:
+        totals = export_usable_corpus(iter(usable), out_dir, sorted(texts))
+        for language in texts:
+            mine = [(key, evaluation, text) for key, evaluation, text in usable if key[1] == language]
+            body = "\n\n".join(text for _, _, text in mine)
+            corpus = (Path(out_dir) / f"{language}.txt").read_bytes()
+            assert corpus == (body + "\n" if body else "").encode("utf-8")
+            provenance = (Path(out_dir) / f"{language}.provenance.jsonl").read_text(encoding="utf-8")
+            assert [json.loads(line) for line in provenance.splitlines()] == [
+                {"output_id": evaluation.output_id, "model_id": key[0], "task_type": key[2],
+                 "word_count": evaluation.word_count, "quality": evaluation.quality}
+                for key, evaluation, _ in mine
+            ]
+            assert totals[language] == (len(mine), sum(evaluation.word_count for _, evaluation, _ in mine))
+        assert sorted(path.name for path in Path(out_dir).iterdir()) == sorted(
+            f"{language}{suffix}" for language in texts for suffix in (".txt", ".provenance.jsonl")
+        )
 
 
 def test_export_cut_short_leaves_no_truncated_corpus_file(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ results reuses what still holds; whatever it reuses, every results file
 """
 import builtins
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -469,6 +470,24 @@ def test_filter_refuses_an_evaluation_whose_record_was_deleted(outputs, tmp_path
         1, "", f"error: evaluation gpt-4o-mini/hau/dialogue/dl_03 has no record under {outputs}\n"
     )
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("fault", ["stale", "missing"])
+def test_filter_refuses_an_out_it_cannot_write_before_naming_a_record(outputs, tmp_path, fault):
+    # filter opens every corpus file before its merge meets a record, so an
+    # --out that is a regular file is refused with its OSError first.
+    results, corpus = tmp_path / "results", tmp_path / "corpus"
+    evaluate(outputs, results)
+    if fault == "stale":
+        rewrite(outputs, "gpt-4o-mini/hau/constrained/cg_02", "Sannu da zuwa.")
+    else:
+        record_path(outputs, "gpt-4o-mini/hau/dialogue/dl_03").unlink()
+    corpus.write_bytes(b"a file")
+    tmp = corpus / "hau.txt.tmp"
+    assert _filter(results, outputs, tmp_path) == (
+        1, "", f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{tmp}'\n"
+    )
+    assert corpus.read_bytes() == b"a file"
 
 
 def test_filter_refuses_a_record_the_fingerprints_do_not_list(outputs, tmp_path):

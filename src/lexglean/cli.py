@@ -79,6 +79,7 @@ from .taxonomy import (
     load_language_configs,
     load_model_configs,
     load_taxonomy,
+    render_prompt,
     validate_taxonomy,
 )
 from .textstats import analyze
@@ -118,7 +119,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.parallelism < 1:
         raise ConfigError(f"--parallelism must be at least 1, got {args.parallelism}")
     config_dir = _resolve_config_dir(args.config)
-    languages_all = load_language_configs(config_dir / "languages.json")
+    languages_path = config_dir / "languages.json"
+    languages_all = load_language_configs(languages_path)
     models_all = load_model_configs(config_dir / "models.json")
     languages = _select(languages_all, args.languages, lambda l: l.iso_code, "language")
     models = _select(models_all, args.models, lambda m: m.model_id, "model")
@@ -127,9 +129,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     templates = load_taxonomy(taxonomy_path)
     report = validate_taxonomy(templates)
     if not report.ok:
-        for issue in report.issues:
-            print(f"taxonomy: {issue}", file=sys.stderr)
-        raise ConfigError(f"taxonomy {taxonomy_path} failed validation")
+        raise ConfigError(f"{taxonomy_path}: " + "; ".join(report.issues))
+    try:  # a word list a language lacks stops generate before any call, not mid-batch
+        for lang in languages:
+            for template in templates:
+                render_prompt(template, lang)
+    except ConfigError as exc:
+        raise ConfigError(f"{languages_path}: {exc}") from exc
 
     if args.mock:
         backend = MockBackend(load_mock_fixtures(args.mock))

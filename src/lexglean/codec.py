@@ -21,8 +21,14 @@ only ``true`` or ``false``, a tuple only a list, and a dataclass or
 mapping only an object.  The error names the key (a number field's too,
 as in ``'temperature' must be a finite number, not 'warm'``), but for a
 dataclass, which names only the type it got.  Every JSON document the
-package reads is parsed by ``loads``, so one nested too deeply for the
-parser, or holding a lone surrogate, is invalid JSON like any other.
+package reads is parsed by ``loads`` from the file's bytes, so one nested
+too deeply for the parser, holding a lone surrogate or an integer past
+Python's digit limit, or not in a Unicode encoding, is invalid JSON like
+any other (a UTF-8 BOM is read past).  Every reader refuses an entry by one
+rule, ``decode`` (``parse_record`` and ``load_list`` share its formatter):
+the error names where the entry is read from, then says
+``missing field '<key>'``, ``invalid JSON: <parser message>`` or the
+decoder's or the dataclass validator's own message.
 Every file is written through ``atomic_writer``, so a reader never sees a
 partial one.
 """
@@ -55,26 +61,36 @@ class DataError(ValueError):
 
 
 def loads(data: str | bytes) -> Any:
-    """``json.loads``, but a document nested too deeply for the parser, or one
+    """``json.loads``, but a document nested too deeply for the parser, one
     holding a lone surrogate (``"\\ud800"`` is legal JSON, but no UTF-8 file
-    can hold it), raises JSONDecodeError, as other invalid JSON does.
+    can hold it), bytes in no Unicode encoding and an integer of more digits
+    than ``int`` converts (4,300 by default) raise JSONDecodeError, as other
+    invalid JSON does.
 
     Only a document holding a ``\\ud`` or ``\\uD`` escape, or bytes holding
     0xED (the lead byte of an encoded surrogate, which ``json.loads`` lets
-    through), pays for the exact check: encoding the parsed value as UTF-8.
+    through) or a NUL (UTF-16 and UTF-32 text holds one in each ASCII
+    character; UTF-8 JSON holds none), pays for the exact check: encoding
+    the parsed value as UTF-8.
     """
     try:
+        check = _may_hold_surrogate(data)
+        if type(data) is not str:  # decoded as json.loads would, so bytes no caller holds are freed before the parse
+            data = data.decode(json.detect_encoding(data), "surrogatepass")
         value = json.loads(data)
-        if _may_hold_surrogate(data):
+        if check:
             json.dumps(value, ensure_ascii=False).encode("utf-8")
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", "", 0) from None
     except UnicodeEncodeError as exc:
         char = exc.object[exc.start]
-        text = data if type(data) is str else data.decode(json.detect_encoding(data), "surrogatepass")
-        where = re.search(f"{char}|\\\\u{ord(char):x}", text, re.IGNORECASE)  # raw or escaped
+        where = re.search(f"{char}|\\\\u{ord(char):x}", data, re.IGNORECASE)  # raw or escaped
         message = f"lone surrogate {char!r}, which UTF-8 cannot encode"
-        raise json.JSONDecodeError(message, text, where.start()) from None
+        raise json.JSONDecodeError(message, data, where.start()) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # bytes in no Unicode encoding, or an int past the digit limit
+        raise json.JSONDecodeError(str(exc), "", 0) from None
     return value
 
 
@@ -83,7 +99,7 @@ def _may_hold_surrogate(data: str | bytes) -> bool:
         return "\\" in data and ("\\ud" in data or "\\uD" in data)
     # An int looked up in bytes is one memchr, several times faster than a
     # one-byte bytes needle; 0x5C is the backslash.
-    return 0xED in data or (0x5C in data and (b"\\ud" in data or b"\\uD" in data))
+    return 0xED in data or 0 in data or (0x5C in data and (b"\\ud" in data or b"\\uD" in data))
 
 
 def json_file_text(data: Any) -> str:
@@ -144,6 +160,15 @@ def decoder(cls: type) -> Callable[[Any], Any]:
     return _codec(cls)[1]
 
 
+def decode(cls: type, value: Any, where: object, error: type[ValueError] = DataError) -> Any:
+    """``decoder(cls)(value)``, but a missing field, a wrong value or a
+    failed validation raises ``error`` with a message that starts with ``where``."""
+    try:
+        return decoder(cls)(value)
+    except _BAD_DATA as exc:
+        raise _refusal(exc, where, error) from exc
+
+
 def parse_record(cls: type, raw: bytes, path: object, line: int | None = None) -> Any:
     """Parse the bytes of one JSON document, read from ``path`` (at ``line``), into a ``cls``.
 
@@ -153,7 +178,7 @@ def parse_record(cls: type, raw: bytes, path: object, line: int | None = None) -
     try:
         return decoder(cls)(loads(raw))
     except _BAD_DATA as exc:
-        raise _data_error(exc, path if line is None else f"{path}:{line}") from exc
+        raise _refusal(exc, path if line is None else f"{path}:{line}") from exc
 
 
 def load_list(cls: type, path: Path, key: str) -> list:
@@ -161,15 +186,16 @@ def load_list(cls: type, path: Path, key: str) -> list:
     try:
         return list(map(decoder(cls), loads(path.read_bytes())[key]))
     except _BAD_DATA as exc:
-        raise _data_error(exc, path) from exc
+        raise _refusal(exc, path) from exc
 
 
-def _data_error(exc: Exception, where: object) -> DataError:
+def _refusal(exc: Exception, where: object, error: type[ValueError] = DataError) -> ValueError:
+    """The ``error`` that refuses what raised ``exc`` (a KeyError, TypeError or ValueError) at ``where``."""
     if isinstance(exc, KeyError):
-        return DataError(f"{where}: missing field {exc}")
-    if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
-        return DataError(f"{where}: invalid JSON: {exc}")
-    return DataError(f"{where}: bad value: {exc}")
+        return error(f"{where}: missing field {exc}")
+    if isinstance(exc, json.JSONDecodeError):
+        return error(f"{where}: invalid JSON: {exc}")
+    return error(f"{where}: {exc}")
 
 
 # What a str, bool, list or dict value must be, as an error says it.

@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 
 import requests
 
-from .codec import DataError, decoder, json_file_text, loads, parse_record, to_json, write_atomic, write_json
+from .codec import DataError, decode, json_file_text, loads, parse_record, to_json, write_atomic, write_json
 from .taxonomy import (
     ConfigError,
     LanguageConfig,
@@ -371,26 +371,21 @@ class MockFixture:
 def load_mock_fixtures(path: str | Path) -> dict[str, MockFixture]:
     """Load a fixtures file: a JSON map of output_id -> canned response.
 
-    Each canned response is decoded by ``lexglean.codec`` as a MockFixture.
-    A file that is not such a map raises DataError naming it, and a bad
-    entry DataError naming the file and the output id.
+    Each canned response is decoded by ``lexglean.codec.decode`` as a
+    MockFixture.  A file that is not such a map raises DataError naming it,
+    and a bad entry DataError naming the file and ``fixture '<output id>'``.
     """
     path = Path(path)
     try:
-        data = loads(path.read_text(encoding="utf-8"))
+        data = loads(path.read_bytes())
     except ValueError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError(f"{path}: fixtures file must be a JSON object keyed by output_id")
-    decode, fixtures = decoder(MockFixture), {}
-    for output_id, entry in data.items():
-        if not isinstance(entry, dict):
-            raise DataError(f"{path}: fixture '{output_id}' is not a JSON object")
-        try:
-            fixtures[output_id] = decode(entry)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: fixture '{output_id}': bad value: {exc}") from exc
-    return fixtures
+    name = str(path)  # a Path formats through Python code, which shows over some 10,000 entries
+    return {
+        output_id: decode(MockFixture, entry, f"{name}: fixture '{output_id}'") for output_id, entry in data.items()
+    }
 
 
 class MockBackend:

@@ -9,7 +9,10 @@ Two interchangeable classifier backends are provided:
   ``train_profiles`` returns it, holding its trained profiles.
 * ``ExternalPredictionsClassifier`` -- pass-through adapter for label and
   confidence columns produced by an external tool, keyed by output id.
-  ``load_external_predictions`` returns it, holding the rows it read.
+  ``load_external_predictions`` returns it, holding the rows it read; each
+  row is read by ``codec.parse_record``, so a bad one is refused naming
+  ``<path>:<line>`` by the codec's one rule, and an output without a row
+  names the file and the output id.
 
 Both expose ``assess(analysis, target, output_id=..., seen=...)``, taking
 the ``textstats.analyze`` result of the output, and return a
@@ -57,7 +60,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .codec import JSON_KEY, DataError, decoder, loads
+from .codec import JSON_KEY, DataError, parse_record
 from .textstats import TextAnalysis, merged_trigram_profile, norm
 
 UNKNOWN_LABEL = "und"
@@ -200,7 +203,8 @@ class BuiltinClassifier:
 
 
 def load_seed_corpora(seeds_dir: str | Path) -> dict[str, list[str]]:
-    """Read ``<label>.txt`` seed files (one sentence per line) from a directory."""
+    """Read ``<label>.txt`` seed files (one sentence per line) from a directory;
+    a file without a nonempty line is refused naming it."""
     seeds_dir = Path(seeds_dir)
     files = sorted(seeds_dir.glob("*.txt"))
     if not files:
@@ -212,6 +216,8 @@ def load_seed_corpora(seeds_dir: str | Path) -> dict[str, list[str]]:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8: {exc}") from exc
         corpora[path.stem] = [line.strip() for line in text.splitlines() if line.strip()]
+        if not corpora[path.stem]:
+            raise ValueError(f"{path}: seed corpus has no nonempty documents")
     return corpora
 
 
@@ -251,27 +257,22 @@ def load_external_predictions(path: str | Path) -> ExternalPredictionsClassifier
     Each row, decoded by ``lexglean.codec``, needs ``output_id``,
     ``doc_label``, ``doc_conf`` and parallel ``sentence_labels`` /
     ``sentence_confs`` lists, every confidence in [0, 1]; it maps the output
-    id to the (document, sentences) predictions.  A malformed row (one that
-    lacks a field reads ``missing field 'doc_conf'``) or a repeated output
-    id raises DataError naming ``path:line``.
+    id to the (document, sentences) predictions.  A row is read by
+    ``codec.parse_record``, so a malformed one raises DataError naming
+    ``path:line`` (``<path>:<line>: missing field 'doc_conf'``), as does a
+    repeated output id.
     """
-    path = Path(path)
-    decode, bundles = decoder(_PredictionRow), {}
+    path, bundles = Path(path), {}
     with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
                 continue
-            try:
-                row = decode(loads(line))
-            except KeyError as exc:
-                raise DataError(f"{path}:{lineno}: malformed prediction row: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed prediction row: {exc}") from exc
+            row = parse_record(_PredictionRow, line, path, lineno)
             if row.output_id in bundles:
                 raise DataError(f"{path}:{lineno}: duplicate output_id '{row.output_id}'")
             sentences = tuple(map(LidPrediction, row.sentence_labels, row.sentence_confs))
             bundles[row.output_id] = (LidPrediction(row.doc_label, row.doc_conf), sentences)
-    return ExternalPredictionsClassifier(bundles)
+    return ExternalPredictionsClassifier(bundles, path)
 
 
 class ExternalPredictionsClassifier:
@@ -281,16 +282,17 @@ class ExternalPredictionsClassifier:
     ``is_target`` and the code-switch rate are derived from them.  The
     target confidence is the document confidence when the predicted label
     is the target, else 0.0 (per-label mass is not available in the file).
+    An output the file has no row for raises DataError naming the file.
     """
 
-    def __init__(self, predictions: Mapping[str, tuple[LidPrediction, tuple[LidPrediction, ...]]]):
-        self.predictions = predictions
+    def __init__(self, predictions: Mapping[str, tuple[LidPrediction, tuple[LidPrediction, ...]]], path: Path):
+        self.predictions, self.path = predictions, path
 
     def assess(
         self, analysis: TextAnalysis, target: str, output_id: str | None = None, seen: dict | None = None
     ) -> FidelityResult:
         if output_id not in self.predictions:
-            raise DataError(f"no external prediction (output {output_id})")
+            raise DataError(f"{self.path}: no external prediction (output {output_id})")
         document, sentences = self.predictions[output_id]
         target_confidence = document.confidence if document.label == target else 0.0
         return _fidelity_result(target, document, target_confidence, sentences)

@@ -10,9 +10,11 @@ target language.
 This module loads taxonomy, language and model JSON files (one loader for
 all three, so each rule about a config file is stated once), validates
 taxonomies and renders templates into concrete prompt texts.  Each entry is
-decoded by ``lexglean.codec`` from the fields of its dataclass, so a field's
-type and default are its rule: a word list must be a list of strings, a
-flag ``true`` or ``false``.
+decoded by ``lexglean.codec.decode`` from the fields of its dataclass, so a
+field's type and default are its rule: a word list must be a list of
+strings, a flag ``true`` or ``false``.  A bad entry is refused by the
+codec's one rule, naming the file and the entry: ``<path>: model entry 0:
+'top_p' must be in (0, 1]``.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from pathlib import Path
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
-from .codec import JSON_KEY, decoder, loads
+from .codec import JSON_KEY, decode, loads
 
 SCHEMA_VERSION = 1
 
@@ -88,13 +90,10 @@ class LanguageConfig:
             object.__setattr__(self, "culture_name", self.name)
         for fieldname in ("name", "iso_code", "target_lid_label", "colonial_language"):
             if not getattr(self, fieldname):
-                raise ConfigError(f"language config: '{fieldname}' must be nonempty")
+                raise ConfigError(f"'{fieldname}' must be nonempty")
         for key in self.word_lists:
             if not _WORD_LIST_NAME.match(key):
-                raise ConfigError(
-                    f"language '{self.iso_code}': bad word list name '{key}' "
-                    "(expected word_list_<n>)"
-                )
+                raise ConfigError(f"bad word list name '{key}' (expected word_list_<n>)")
 
 
 @dataclass(frozen=True)
@@ -113,17 +112,17 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if not self.model_id:
-            raise ConfigError("model config: 'model_id' must be nonempty")
+            raise ConfigError("'model_id' must be nonempty")
         if self.temperature < 0:
-            raise ConfigError(f"model '{self.model_id}': temperature must be >= 0")
+            raise ConfigError("'temperature' must be >= 0")
         if not 0 < self.top_p <= 1:
-            raise ConfigError(f"model '{self.model_id}': top_p must be in (0, 1]")
+            raise ConfigError("'top_p' must be in (0, 1]")
         if self.max_output_tokens <= 0:
-            raise ConfigError(f"model '{self.model_id}': max_output_tokens must be > 0")
+            raise ConfigError("'max_output_tokens' must be > 0")
         if self.max_retries < 0:
-            raise ConfigError(f"model '{self.model_id}': max_retries must be >= 0")
+            raise ConfigError("'max_retries' must be >= 0")
         if self.min_request_interval < 0:
-            raise ConfigError(f"model '{self.model_id}': min_request_interval must be >= 0")
+            raise ConfigError("'min_request_interval' must be >= 0")
 
 
 @dataclass
@@ -207,17 +206,17 @@ def _load_configs(path: str | Path, key: str, cls: type, ident: Callable) -> lis
 
     The file is either a bare array of entries or a versioned wrapper
     ``{"schema_version": 1, "<key>": [...]}`` (the shipped files).  A file
-    that cannot be read or parsed, a wrong version, an empty list, an entry
-    that is not an object, lacks a required field or holds a value of the
-    wrong type, and two entries with the same ``ident`` raise ConfigError
-    naming the file (and the entries).  A ConfigError from the config's own
-    validation keeps its message.
+    that cannot be read or parsed, a wrong version, an empty list and two
+    entries with the same ``ident`` raise ConfigError naming the file (and
+    the entries); an entry that ``codec.decode`` refuses (not an object, a
+    missing field, a wrong value or the config's own validation) raises it
+    naming the file and ``<kind> entry <n>``.
     """
     path = Path(path)
     what = key[:-1]
     try:
-        data = loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
+        data = loads(path.read_bytes())
+    except OSError as exc:
         raise ConfigError(f"{path}: cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
@@ -232,18 +231,7 @@ def _load_configs(path: str | Path, key: str, cls: type, ident: Callable) -> lis
         raise ConfigError(f"{path}: expected a JSON array or object, got {type(data).__name__}")
     if not data:
         raise ConfigError(f"{path}: no {key}")
-    decode, configs = decoder(cls), []
-    for index, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: {what} entry {index} is not an object")
-        try:
-            configs.append(decode(entry))
-        except KeyError as exc:
-            raise ConfigError(f"{path}: {what} entry {index} is missing field {exc}") from exc
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {what} entry {index}: {exc}") from exc
+    configs = [decode(cls, entry, f"{path}: {what} entry {index}", ConfigError) for index, entry in enumerate(data)]
     seen: dict[str, int] = {}
     for index, config in enumerate(configs):
         first = seen.setdefault(ident(config), index)

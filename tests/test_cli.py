@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import errno
 import json
@@ -102,8 +103,8 @@ def test_invalid_taxonomy_rejected(tmp_path):
     code, _, err = run_cli(
         ["generate", "--mock", FIXTURES_PATH, "--taxonomy", bad, "--out", tmp_path / "o"]
     )
-    assert code == 2
-    assert "taxonomy:" in err
+    assert (code, err) == (2, f"error: {bad}: cg_01: unknown placeholder '{{bogus}}'\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_generate_small_run_and_resume(small_run):
@@ -455,44 +456,52 @@ _PREDICTION_ROW = (
 @pytest.mark.parametrize(
     "command, content, detail",
     [
-        ("evaluate", _PREDICTION_ROW, "no external prediction (output gpt-4o-mini/hau/constrained/cg_01)"),
+        ("evaluate", _PREDICTION_ROW, "{path}: no external prediction (output gpt-4o-mini/hau/constrained/cg_01)\n"),
         (
             "evaluate",
             '{"output_id": "x", "doc_label": "hau_Latn"}\n',
-            "{path}:1: malformed prediction row: missing field 'doc_conf'\n",
+            "{path}:1: missing field 'doc_conf'\n",
         ),
-        ("generate", '{"m/hau/creative/cw_01": "amsa"}', "{path}: fixture 'm/hau/creative/cw_01' is not"),
+        (
+            "generate",
+            '{"m/hau/creative/cw_01": "amsa"}',
+            "{path}: fixture 'm/hau/creative/cw_01': expected an object, not str\n",
+        ),
         ("generate", '{"m/hau/creative/cw_01": {', "{path}: invalid JSON"),
-        ("generate", '{"m/hau/creative/cw_01": {"status_schedule": [null]}}', "{path}: fixture 'm/hau/creative/cw_01': bad"),
+        (
+            "generate",
+            '{"m/hau/creative/cw_01": {"status_schedule": [null]}}',
+            "{path}: fixture 'm/hau/creative/cw_01': an item of 'status_schedule' must be a whole number, not None\n",
+        ),
         (
             "generate",
             '{"m/hau/creative/cw_01": {"status_schedule": "503"}}',
-            "{path}: fixture 'm/hau/creative/cw_01': bad value: 'status_schedule' must be a list, not str",
+            "{path}: fixture 'm/hau/creative/cw_01': 'status_schedule' must be a list, not str",
         ),
         (
             "evaluate",
             _PREDICTION_ROW.replace('"sentence_labels": []', '"sentence_labels": "ab"').replace("[]", "[1.0, 1.0]"),
-            "{path}:1: malformed prediction row: 'sentence_labels' must be a list, not str",
+            "{path}:1: 'sentence_labels' must be a list, not str",
         ),
         (
             "evaluate",
             _PREDICTION_ROW + _PREDICTION_ROW.replace('"elsewhere"', '"x"').replace("1.0", '"nan"'),
-            "{path}:2: malformed prediction row: 'doc_conf' must be a finite number, not 'nan'",
+            "{path}:2: 'doc_conf' must be a finite number, not 'nan'",
         ),
         (
             "evaluate",
             _PREDICTION_ROW.replace("1.0", "5.0"),
-            "{path}:1: malformed prediction row: 'doc_conf' must be in [0, 1], not 5.0",
+            "{path}:1: 'doc_conf' must be in [0, 1], not 5.0",
         ),
         (
             "evaluate",
             _PREDICTION_ROW.replace("[]", '["hau_Latn", "hau_Latn"]', 1).replace("[]", "[1, -0.1]"),
-            "{path}:1: malformed prediction row: an item of 'sentence_confs' must be in [0, 1], not -0.1",
+            "{path}:1: an item of 'sentence_confs' must be in [0, 1], not -0.1",
         ),
         (
             "evaluate",
             _PREDICTION_ROW.replace("1.0", "null"),
-            "{path}:1: malformed prediction row: 'doc_conf' must be a finite number, not None",
+            "{path}:1: 'doc_conf' must be a finite number, not None",
         ),
     ],
     ids=[
@@ -937,7 +946,7 @@ _ONE_LINE_TOO_MANY = f" holds 601 evaluations, but {FILENAME} lists 600 outputs 
             ":5: holds output_id 'gemini-2.5-flash/fon/constrained/cg_06', but fingerprints.json lists "
             "'gemini-2.5-flash/fon/constrained/cg_05' for that line (run 'evaluate' again)",
         ),
-        (_infinite_word_count, ":5: bad value"),
+        (_infinite_word_count, ":5: 'word_count' must be a whole number, not inf\n"),
         (_append_blank_line, _ONE_LINE_TOO_MANY),
         (_append_unterminated_line, _ONE_LINE_TOO_MANY),
     ],
@@ -1032,14 +1041,14 @@ _HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["langu
 @pytest.mark.parametrize(
     "filename,entry,message",
     [
-        ("models.json", [1], "{path}: model entry 0 is not an object"),
-        ("languages.json", "hau", "{path}: language entry 0 is not an object"),
+        ("models.json", [1], "{path}: model entry 0: expected an object, not list"),
+        ("languages.json", "hau", "{path}: language entry 0: expected an object, not str"),
         (
             "models.json",
             {"temperature": "warm"},
             "{path}: model entry 0: 'temperature' must be a finite number, not 'warm'",
         ),
-        ("models.json", {"top_p": 2}, "model 'gpt-4o-mini': top_p must be in (0, 1]"),
+        ("models.json", {"top_p": 2}, "{path}: model entry 0: 'top_p' must be in (0, 1]"),
         (
             "languages.json",
             {"word_lists": ["a"]},
@@ -1090,13 +1099,18 @@ _HAU_WORD_LISTS = json.loads((data_dir() / "languages.json").read_text())["langu
         ("models.json", {"max_retries": "nan"}, "{path}: model entry 0: 'max_retries' must be a whole number, not 'nan'"),
         ("models.json", {"top_p": None}, "{path}: model entry 0: 'top_p' must be a finite number, not None"),
         ("models.json", {"max_retries": [1]}, "{path}: model entry 0: 'max_retries' must be a whole number, not [1]"),
+        (
+            "languages.json",
+            {"word_lists": {}},
+            "{path}: template 'cg_01': word list 'word_list_1' is not defined for language 'hau'",
+        ),
     ],
     ids=[
         "model_not_object", "language_not_object", "temperature_not_number", "validator_message_kept",
         "word_lists_not_object", "model_id_not_string", "word_list_a_string", "flag_a_string",
         "word_not_a_string", "max_output_tokens_infinite", "retries_a_flag", "max_output_tokens_fraction",
         "temperature_nan", "temperature_infinite", "min_request_interval_nan", "max_retries_nan",
-        "top_p_null", "max_retries_list",
+        "top_p_null", "max_retries_list", "word_list_missing",
     ],
 )
 def test_bad_config_entry_is_a_usage_error_naming_file_and_entry(tmp_path, filename, entry, message):
@@ -1198,7 +1212,7 @@ def _deep_prediction_row(tmp_path, small_run):
     predictions = tmp_path / "predictions.jsonl"
     predictions.write_text(_PREDICTION_ROW + _DEEP + "\n")
     argv = ["evaluate", "--outputs", small_run, "--results", tmp_path / "r", "--lid", f"external:{predictions}"]
-    return argv, 1, f"error: {predictions}:2: malformed prediction row: nested too deeply"
+    return argv, 1, f"error: {predictions}:2: invalid JSON: nested too deeply"
 
 
 def _evaluated(tmp_path, small_run):
@@ -1278,7 +1292,7 @@ def _surrogate_prediction_row(tmp_path, small_run):
     predictions = tmp_path / "predictions.jsonl"
     predictions.write_text(_PREDICTION_ROW + _PREDICTION_ROW.replace('"elsewhere"', json.dumps(_SURROGATE)))
     argv = ["evaluate", "--outputs", small_run, "--results", tmp_path / "r", "--lid", f"external:{predictions}"]
-    return argv, 1, f"error: {predictions}:2: malformed prediction row: {_REFUSED}"
+    return argv, 1, f"error: {predictions}:2: invalid JSON: {_REFUSED}"
 
 
 def _surrogate_summary(tmp_path, small_run):
@@ -1306,6 +1320,115 @@ def test_lone_surrogate_is_refused_where_it_is_read(small_run, tmp_path, make_in
     assert len(err.splitlines()) == 1 and err.startswith(expected_line) and _REFUSED in err, err
     assert stdout == ""
     assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
+
+
+# A JSON integer of 5,000 digits: json.loads raises int()'s digit-limit
+# ValueError on it, where other invalid JSON raises JSONDecodeError.
+_HUGE = "1" * 5000
+
+
+def _digit_limit():
+    """int()'s own message for ``_HUGE``, as the running Python words it."""
+    with pytest.raises(ValueError) as exc_info:
+        int(_HUGE)
+    return str(exc_info.value)
+
+
+def _with_huge_number(path, entry_of, key):
+    """Rewrite the JSON file at ``path`` with ``entry_of(content)[key]`` set to ``_HUGE``."""
+    content = json.loads(path.read_text(encoding="utf-8"))
+    entry_of(content)[key] = "<huge>"
+    path.write_text(json.dumps(content).replace('"<huge>"', _HUGE), encoding="utf-8")
+
+
+def _huge_record_file(tmp_path, small_run):
+    outputs = tmp_path / "outputs"
+    shutil.copytree(small_run, outputs)
+    record = outputs / "gpt-4o-mini" / "hau" / "creative" / "cw_01.json"
+    _with_huge_number(record, lambda content: content, "latency")
+    argv = ["evaluate", "--outputs", outputs, "--results", tmp_path / "r"]
+    return argv, 1, f"error: {record}: invalid JSON: {_digit_limit()}: line 1 column 1 (char 0)"
+
+
+def _huge_models_json(tmp_path, small_run):
+    config = tmp_path / "config"
+    _write_config_subset(config, {"hau"}, {"gpt-4o-mini"})
+    _with_huge_number(config / "models.json", lambda content: content["models"][0], "max_output_tokens")
+    argv = ["--config", config, "generate", "--mock", FIXTURES_PATH, "--out", tmp_path / "o"]
+    return argv, 2, f"error: {config / 'models.json'}: invalid JSON at line 1 column 1: {_digit_limit()}"
+
+
+def _huge_mock_fixtures(tmp_path, small_run):
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text(json.dumps({"gpt-4o-mini/hau/creative/cw_01": {"status_schedule": [200]}}))
+    _with_huge_number(fixtures, lambda content: content["gpt-4o-mini/hau/creative/cw_01"], "status_schedule")
+    argv = ["generate", "--mock", fixtures, "--out", tmp_path / "o"]
+    return argv, 1, f"error: {fixtures}: invalid JSON: {_digit_limit()}: line 1 column 1 (char 0)"
+
+
+def _huge_prediction_row(tmp_path, small_run):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(_PREDICTION_ROW + _PREDICTION_ROW.replace('"doc_conf": 1.0', f'"doc_conf": {_HUGE}'))
+    argv = ["evaluate", "--outputs", small_run, "--results", tmp_path / "r", "--lid", f"external:{predictions}"]
+    return argv, 1, f"error: {predictions}:2: invalid JSON: {_digit_limit()}: line 1 column 1 (char 0)"
+
+
+def _huge_fingerprints(tmp_path, small_run):
+    path = _evaluated(tmp_path, small_run) / FILENAME
+    _with_huge_number(path, lambda content: content["cells"][0], "model_id")
+    argv = ["filter", "--results", path.parent, "--outputs", small_run, "--out", tmp_path / "c"]
+    return argv, 1, f"error: {path}: invalid JSON: {_digit_limit()}: line 1 column 1 (char 0) (run 'evaluate' again)"
+
+
+def _huge_summary(tmp_path, small_run):
+    path = _evaluated(tmp_path, small_run) / "summary.json"
+    _with_huge_number(path, lambda content: content["summaries"][0], "n_outputs")
+    argv = ["report", "--results", path.parent, "--kind", "validity", "--format", "csv"]
+    return argv, 1, f"error: {path}: invalid JSON: {_digit_limit()}: line 1 column 1 (char 0)"
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [
+        _huge_record_file, _huge_models_json, _huge_mock_fixtures, _huge_prediction_row, _huge_fingerprints,
+        _huge_summary,
+    ],
+    ids=["record_file", "models_json", "mock_fixtures", "prediction_row", "fingerprints", "summary"],
+)
+def test_a_number_past_the_digit_limit_is_invalid_json(small_run, tmp_path, make_input):
+    argv, expected_code, expected_line = make_input(tmp_path, small_run)
+    before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+    code, stdout, err = run_cli(argv)
+    assert (code, stdout, err) == (expected_code, "", expected_line + "\n")
+    assert {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("name", ["languages.json", "models.json", "fixtures.json"])
+def test_a_json_input_with_a_utf8_bom_is_read_as_without(small_run, tmp_path, name):
+    # Every JSON file is read from its bytes, as record files are, so a BOM
+    # in a config file or the fixtures changes nothing.
+    config = tmp_path / "config"
+    _write_config_subset(config, {"hau"}, {"gpt-4o-mini"})
+    shutil.copy(FIXTURES_PATH, config / "fixtures.json")
+    path = config / name
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    out = tmp_path / "o"
+    code, _, err = run_cli(["--config", config, "generate", "--mock", config / "fixtures.json", "--out", out])
+    assert (code, err) == (0, "")
+    records = sorted(path.relative_to(out) for path in out.rglob("*.json") if path.name != "manifest.json")
+    assert len(records) == 150
+    assert all((out / record).read_bytes() == (small_run / record).read_bytes() for record in records)
+
+
+def test_a_blank_seed_file_is_refused_naming_it(small_run, tmp_path):
+    seeds = tmp_path / "seeds"
+    shutil.copytree(SEEDS_DIR, seeds)
+    (seeds / "hau_Latn.txt").write_text("\n   \n", encoding="utf-8")
+    argv = ["evaluate", "--outputs", small_run, "--results", tmp_path / "r", "--lid", f"builtin:{seeds}"]
+    code, stdout, err = run_cli(argv)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {seeds / 'hau_Latn.txt'}: seed corpus has no nonempty documents\n"
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "filter"])

@@ -105,7 +105,7 @@ def test_a_float_field_refuses_nan_and_the_infinities(value):
 )
 def test_a_non_finite_json_number_is_a_bad_value(literal, value):
     raw = f'{{"label": "x", "confidence": {literal}}}'.encode()
-    message = rf"\Ap\.json: bad value: 'confidence' must be a finite number, not {value}\Z"
+    message = rf"\Ap\.json: 'confidence' must be a finite number, not {value}\Z"
     with pytest.raises(DataError, match=message):
         parse_record(LidPrediction, raw, "p.json")
 
@@ -185,8 +185,8 @@ def test_unsupported_types_rejected_on_first_use():
     [
         ('{"label": "x", "confid', "invalid JSON"),
         ('{"label": "x"}', "missing field 'confidence'"),
-        ('{"label": "x", "confidence": null}', "bad value"),
-        ("[1, 2]", "bad value"),
+        ('{"label": "x", "confidence": null}', "'confidence' must be a finite number, not None"),
+        ("[1, 2]", "expected an object, not list"),
     ],
 )
 def test_parse_record_names_the_source(text, message):
@@ -200,7 +200,7 @@ def test_parse_record_names_the_source(text, message):
 
 def test_parse_record_reports_an_infinite_int_as_bad_value():
     raw = b'{"temperature": 0.7, "top_p": 0.95, "max_output_tokens": 1e400}'
-    with pytest.raises(DataError, match=r"^run/m/hau/t/p\.json: bad value"):
+    with pytest.raises(DataError, match=r"^run/m/hau/t/p\.json: 'max_output_tokens' must be a whole number, not inf\Z"):
         parse_record(SamplingParams, raw, "run/m/hau/t/p.json")
 
 
@@ -212,12 +212,13 @@ def test_parse_record_reports_an_infinite_int_as_bad_value():
 @example(["한국어"])  # UTF-8 lead byte 0xED, no surrogate
 def test_loads_refuses_exactly_the_documents_that_hold_a_lone_surrogate(strings):
     """Whether the strings are escaped ("\\ud800" or "\\uD800") or encoded
-    as lax UTF-8 bytes, loads agrees with json.loads unless the value holds
-    a string UTF-8 cannot encode, which it refuses."""
+    as lax UTF-8, UTF-16 or UTF-32 bytes, loads agrees with json.loads unless
+    the value holds a string UTF-8 cannot encode, which it refuses."""
     escaped = json.dumps(strings)
     upper = re.sub(r"\\u([0-9a-f]{4})", lambda match: "\\u" + match[1].upper(), escaped)
-    raw = json.dumps(strings, ensure_ascii=False).encode("utf-8", "surrogatepass")
-    for document in (escaped, escaped.encode(), upper, upper.encode(), raw):
+    text = json.dumps(strings, ensure_ascii=False)
+    raw = [text.encode(encoding, "surrogatepass") for encoding in ("utf-8", "utf-16", "utf-32-le")]
+    for document in (escaped, escaped.encode(), upper, upper.encode(), escaped.encode("utf-16-be"), *raw):
         value = json.loads(document)
         try:
             json.dumps(value, ensure_ascii=False).encode("utf-8")

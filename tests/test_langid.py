@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import unicodedata
 from collections import Counter
 
@@ -291,9 +292,9 @@ def test_external_predictions_missing_output(tmp_path):
         ],
     )
     backend = load_external_predictions(path)
-    with pytest.raises(DataError, match=r"\Ano external prediction \(output b\)\Z"):
+    with pytest.raises(DataError, match=rf"\A{re.escape(str(path))}: no external prediction \(output b\)\Z"):
         backend.assess("t", "x", output_id="b")
-    with pytest.raises(DataError, match=r"\Ano external prediction \(output None\)\Z"):
+    with pytest.raises(DataError, match=rf"\A{re.escape(str(path))}: no external prediction \(output None\)\Z"):
         backend.assess("t", "x")
 
 
@@ -303,13 +304,14 @@ def test_external_predictions_malformed_rows(tmp_path):
         '{"output_id": "a", "doc_label": "x", "doc_conf": 1.0, '
         '"sentence_labels": ["x"], "sentence_confs": []}\n'
     )
-    with pytest.raises(ValueError, match=r"preds\.jsonl:1: malformed"):
+    with pytest.raises(DataError, match=r"preds\.jsonl:1: sentence_labels and sentence_confs differ in length\Z"):
         load_external_predictions(path)
     path.write_text("not json\n")
-    with pytest.raises(ValueError, match=":1: malformed"):
+    message = r"preds\.jsonl:1: invalid JSON: Expecting value: line 1 column 1 \(char 0\)\Z"
+    with pytest.raises(DataError, match=message):
         load_external_predictions(path)
     path.write_text('{"output_id": ["a"], "doc_label": "x", "doc_conf": 1.0, "sentence_labels": [], "sentence_confs": []}\n')
-    with pytest.raises(DataError, match=":1: malformed prediction row: 'output_id' must be a string, not list"):
+    with pytest.raises(DataError, match=r"preds\.jsonl:1: 'output_id' must be a string, not list\Z"):
         load_external_predictions(path)
 
 

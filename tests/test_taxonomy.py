@@ -94,10 +94,10 @@ TEMPLATE_ENTRY = {"id": "cw_01", "task_type": "creative", "subtask": "poem", "te
 @pytest.mark.parametrize(
     "entry,detail",
     [
-        ("cw_02", " is not an object"),
+        ("cw_02", ": expected an object, not str"),
         ({**TEMPLATE_ENTRY, "id": 2}, ": 'id' must be a string, not int"),
         ({**TEMPLATE_ENTRY, "id": ""}, ": 'id' must be nonempty"),
-        ({"id": "cw_02", "task_type": "creative", "subtask": "poem"}, " is missing field 'template'"),
+        ({"id": "cw_02", "task_type": "creative", "subtask": "poem"}, ": missing field 'template'"),
     ],
     ids=["not_object", "id_not_string", "id_empty", "missing_field"],
 )
